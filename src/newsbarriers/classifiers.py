@@ -1,5 +1,9 @@
 """From-scratch classifiers and dummy baselines behind one train/predict contract.
 
+``FAMILIES`` is the one table of model families. Every estimator implements
+``fit``, ``predict`` and ``get_state``/``set_state``; the state dict is the
+``"parameters"`` object of a saved model file.
+
 All families are implemented directly (no learning framework) so every numeric
 path is testable. Tie rules are global: any prediction tie resolves to FALSE,
 the dominant class in the barrier datasets. Distance- and margin-based
@@ -10,16 +14,19 @@ Determinism contract: identical (family, hyperparameters, seed, data) yield
 identical learned parameters and predictions.
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from heapq import heappop, heappush
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTrainingSet, EmptyInput, LengthMismatch
+from .errors import ConfigError, DataError, DegenerateTrainingSet, EmptyInput, LengthMismatch
 
 
 class ModelFamily(Enum):
@@ -32,35 +39,6 @@ class ModelFamily(Enum):
     RANDOM_FOREST = "random_forest"
     NAIVE_BAYES = "naive_bayes"
 
-
-DISPLAY_NAMES = {
-    ModelFamily.UNIFORM: "Uniform",
-    ModelFamily.STRATIFIED: "Stratified",
-    ModelFamily.MOST_FREQUENT: "Most Frequent",
-    ModelFamily.SVM: "SVM",
-    ModelFamily.KNN: "kNN",
-    ModelFamily.DECISION_TREE: "Decision Tree",
-    ModelFamily.RANDOM_FOREST: "Random Forest",
-    ModelFamily.NAIVE_BAYES: "Naive Bayes",
-}
-
-DEFAULT_HYPERPARAMETERS = {
-    ModelFamily.UNIFORM: {},
-    ModelFamily.STRATIFIED: {},
-    ModelFamily.MOST_FREQUENT: {},
-    ModelFamily.SVM: {"lam": 1e-3, "epochs": 50},
-    ModelFamily.KNN: {"k": 5},
-    ModelFamily.DECISION_TREE: {"max_leaf_nodes": None},
-    ModelFamily.RANDOM_FOREST: {"n_estimators": 100},
-    ModelFamily.NAIVE_BAYES: {},
-}
-
-DEFAULT_GRIDS = {
-    ModelFamily.SVM: [{"lam": 1e-4}, {"lam": 1e-3}, {"lam": 1e-2}],
-    ModelFamily.KNN: [{"k": k} for k in (1, 3, 5, 7, 9, 11, 15)],
-    ModelFamily.DECISION_TREE: [{"max_leaf_nodes": m} for m in (4, 8, 16, 32, 64, None)],
-    ModelFamily.RANDOM_FOREST: [{"n_estimators": n} for n in (10, 50, 100, 200)],
-}
 
 MODEL_FORMAT_VERSION = 1
 
@@ -113,6 +91,12 @@ class UniformBaseline:
         rng = np.random.default_rng(self.seed)
         return rng.integers(0, 2, size=len(X)).astype(bool)
 
+    def get_state(self) -> dict:
+        return {}
+
+    def set_state(self, state: dict) -> "UniformBaseline":
+        return self
+
 
 class StratifiedBaseline:
     """Random predictions matching the training class distribution."""
@@ -132,6 +116,13 @@ class StratifiedBaseline:
         rng = np.random.default_rng(self.seed)
         return rng.random(len(X)) < self.p_true
 
+    def get_state(self) -> dict:
+        return {"p_true": self.p_true}
+
+    def set_state(self, state: dict) -> "StratifiedBaseline":
+        self.p_true = state["p_true"]
+        return self
+
 
 class MostFrequentBaseline:
     """Constant prediction of the training majority label; tie goes to FALSE."""
@@ -147,6 +138,13 @@ class MostFrequentBaseline:
 
     def predict(self, X) -> np.ndarray:
         return np.full(len(X), self.prediction, dtype=bool)
+
+    def get_state(self) -> dict:
+        return {"prediction": self.prediction}
+
+    def set_state(self, state: dict) -> "MostFrequentBaseline":
+        self.prediction = state["prediction"]
+        return self
 
 
 class KNearestNeighbors:
@@ -179,6 +177,14 @@ class KNearestNeighbors:
             n_true = int(self.y_[neighbors].sum())
             out[i] = n_true > k - n_true
         return out
+
+    def get_state(self) -> dict:
+        return {"X": self.X_.tolist(), "y": self.y_.tolist()}
+
+    def set_state(self, state: dict) -> "KNearestNeighbors":
+        self.X_ = np.array(state["X"], dtype=float)
+        self.y_ = np.array(state["y"], dtype=bool)
+        return self
 
 
 class LinearSVM:
@@ -224,9 +230,19 @@ class LinearSVM:
     def predict(self, X) -> np.ndarray:
         return self.decision_values(X) > 0.0
 
+    def get_state(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias}
+
+    def set_state(self, state: dict) -> "LinearSVM":
+        self.weights = np.array(state["weights"], dtype=float)
+        self.bias = float(state["bias"])
+        return self
+
 
 class _Tree:
     """Flat binary tree: feature < 0 marks a leaf."""
+
+    FIELDS = ("feature", "threshold", "left", "right", "prediction")
 
     def __init__(self):
         self.feature: list = []
@@ -262,24 +278,13 @@ class _Tree:
             out[i] = self.prediction[node]
         return out
 
-    def to_jsonable(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "prediction": list(self.prediction),
-        }
+    def get_state(self) -> dict:
+        return {name: list(getattr(self, name)) for name in self.FIELDS}
 
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "_Tree":
-        tree = cls()
-        tree.feature = list(payload["feature"])
-        tree.threshold = list(payload["threshold"])
-        tree.left = list(payload["left"])
-        tree.right = list(payload["right"])
-        tree.prediction = [bool(p) for p in payload["prediction"]]
-        return tree
+    def set_state(self, state: dict) -> "_Tree":
+        for name in self.FIELDS:
+            setattr(self, name, list(state[name]))
+        return self
 
 
 def _gini_counts(n_true: int, n_false: int) -> float:
@@ -382,6 +387,13 @@ class DecisionTreeCART:
     def predict(self, X) -> np.ndarray:
         return self.tree_.predict(np.asarray(X, dtype=float))
 
+    def get_state(self) -> dict:
+        return {"tree": self.tree_.get_state()}
+
+    def set_state(self, state: dict) -> "DecisionTreeCART":
+        self.tree_ = _Tree().set_state(state["tree"])
+        return self
+
 
 class RandomForest:
     """Bagged CART trees voting by majority; vote ties go to FALSE.
@@ -419,6 +431,13 @@ class RandomForest:
         for tree in self.trees_:
             votes += tree.predict(X)
         return votes * 2 > len(self.trees_)
+
+    def get_state(self) -> dict:
+        return {"trees": [tree.tree_.get_state() for tree in self.trees_]}
+
+    def set_state(self, state: dict) -> "RandomForest":
+        self.trees_ = [DecisionTreeCART().set_state({"tree": tree}) for tree in state["trees"]]
+        return self
 
 
 class GaussianNaiveBayes:
@@ -460,6 +479,53 @@ class GaussianNaiveBayes:
     def predict(self, X) -> np.ndarray:
         jll = self._joint_log_likelihood(np.asarray(X, dtype=float))
         return jll[:, 1] > jll[:, 0]
+
+    def get_state(self) -> dict:
+        return {"log_prior": self.log_prior.tolist(), "mean": self.mean.tolist(), "var": self.var.tolist()}
+
+    def set_state(self, state: dict) -> "GaussianNaiveBayes":
+        self.log_prior, self.mean, self.var = (np.array(state[k], dtype=float) for k in ("log_prior", "mean", "var"))
+        return self
+
+
+@dataclass(frozen=True)
+class Family:
+    """One model family: report name, estimator class, hyperparameters, default sweep."""
+
+    display_name: str
+    estimator: type  # takes the hyperparameters as keywords, and ``seed`` when it has one
+    sweep_param: Optional[str] = None
+    sweep_values: tuple = ()
+    extra_params: tuple = ()  # further hyperparameters ``train`` accepts
+
+    @cached_property
+    def seeded(self) -> bool:
+        return "seed" in inspect.signature(self.estimator).parameters
+
+    def build(self, seed: int, **hyperparameters):
+        """Unfitted estimator; hyperparameters left out keep the constructor's defaults."""
+        unknown = sorted(set(hyperparameters) - {self.sweep_param, *self.extra_params})
+        if unknown:
+            raise ConfigError(f"{self.display_name}: unknown hyperparameter {unknown[0]!r}")
+        if self.seeded:
+            hyperparameters["seed"] = seed
+        return self.estimator(**hyperparameters)
+
+
+FAMILIES = {
+    ModelFamily.UNIFORM: Family("Uniform", UniformBaseline),
+    ModelFamily.STRATIFIED: Family("Stratified", StratifiedBaseline),
+    ModelFamily.MOST_FREQUENT: Family("Most Frequent", MostFrequentBaseline),
+    ModelFamily.SVM: Family("SVM", LinearSVM, "lam", (1e-4, 1e-3, 1e-2), extra_params=("epochs",)),
+    ModelFamily.KNN: Family("kNN", KNearestNeighbors, "k", (1, 3, 5, 7, 9, 11, 15)),
+    ModelFamily.DECISION_TREE: Family("Decision Tree", DecisionTreeCART, "max_leaf_nodes", (4, 8, 16, 32, 64, None)),
+    ModelFamily.RANDOM_FOREST: Family("Random Forest", RandomForest, "n_estimators", (10, 50, 100, 200)),
+    ModelFamily.NAIVE_BAYES: Family("Naive Bayes", GaussianNaiveBayes),
+}
+
+DEFAULT_GRIDS = {
+    family: [{f.sweep_param: v} for v in f.sweep_values] for family, f in FAMILIES.items() if f.sweep_values
+}
 
 
 @dataclass
@@ -505,32 +571,11 @@ def as_arrays(data):
     return X, y
 
 
-def _make_estimator(spec: ModelSpec):
-    params = dict(DEFAULT_HYPERPARAMETERS[spec.family])
-    params.update(spec.hyperparameters)
-    family = spec.family
-    if family is ModelFamily.UNIFORM:
-        return UniformBaseline(seed=spec.seed)
-    if family is ModelFamily.STRATIFIED:
-        return StratifiedBaseline(seed=spec.seed)
-    if family is ModelFamily.MOST_FREQUENT:
-        return MostFrequentBaseline()
-    if family is ModelFamily.SVM:
-        return LinearSVM(lam=params["lam"], epochs=params["epochs"], seed=spec.seed)
-    if family is ModelFamily.KNN:
-        return KNearestNeighbors(k=params["k"])
-    if family is ModelFamily.DECISION_TREE:
-        return DecisionTreeCART(max_leaf_nodes=params["max_leaf_nodes"])
-    if family is ModelFamily.RANDOM_FOREST:
-        return RandomForest(n_estimators=params["n_estimators"], seed=spec.seed)
-    return GaussianNaiveBayes()
-
-
 def train(spec: ModelSpec, data) -> TrainedModel:
     X, y = as_arrays(data)
     if len(X) == 0:
         raise EmptyInput("no training instances")
-    estimator = _make_estimator(spec).fit(X, y)
+    estimator = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).fit(X, y)
     return TrainedModel(
         family=spec.family,
         hyperparameters=dict(spec.hyperparameters),
@@ -567,38 +612,15 @@ def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data,
     return best[0], best[1], best[2]
 
 
-def _estimator_payload(model: TrainedModel) -> dict:
-    est = model.estimator
-    if isinstance(est, UniformBaseline):
-        return {}
-    if isinstance(est, StratifiedBaseline):
-        return {"p_true": est.p_true}
-    if isinstance(est, MostFrequentBaseline):
-        return {"prediction": est.prediction}
-    if isinstance(est, KNearestNeighbors):
-        return {"X": [[float(v) for v in row] for row in est.X_], "y": [bool(v) for v in est.y_]}
-    if isinstance(est, LinearSVM):
-        return {"weights": [float(v) for v in est.weights], "bias": est.bias}
-    if isinstance(est, DecisionTreeCART):
-        return {"tree": est.tree_.to_jsonable()}
-    if isinstance(est, RandomForest):
-        return {"trees": [t.tree_.to_jsonable() for t in est.trees_]}
-    return {
-        "log_prior": [float(v) for v in est.log_prior],
-        "mean": [[float(v) for v in row] for row in est.mean],
-        "var": [[float(v) for v in row] for row in est.var],
-    }
-
-
 def save_model(model: TrainedModel, path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "family": model.family.value,
-        "hyperparameters": {k: v for k, v in model.hyperparameters.items()},
+        "hyperparameters": dict(model.hyperparameters),
         "seed": model.seed,
         "n_features": model.n_features,
         "standardization": model.standardization,
-        "parameters": _estimator_payload(model),
+        "parameters": model.estimator.get_state(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -606,43 +628,21 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {payload.get('format_version')!r}")
-    family = ModelFamily(payload["family"])
-    params = payload["parameters"]
-    spec = ModelSpec(family=family, hyperparameters=payload["hyperparameters"], seed=payload["seed"])
-    est = _make_estimator(spec)
-    if isinstance(est, StratifiedBaseline):
-        est.p_true = params["p_true"]
-    elif isinstance(est, MostFrequentBaseline):
-        est.prediction = params["prediction"]
-    elif isinstance(est, KNearestNeighbors):
-        est.X_ = np.array(params["X"], dtype=float)
-        est.y_ = np.array(params["y"], dtype=bool)
-    elif isinstance(est, LinearSVM):
-        est.weights = np.array(params["weights"], dtype=float)
-        est.bias = float(params["bias"])
-    elif isinstance(est, DecisionTreeCART):
-        est.tree_ = _Tree.from_jsonable(params["tree"])
-    elif isinstance(est, RandomForest):
-        est.trees_ = []
-        for tree_payload in params["trees"]:
-            tree = DecisionTreeCART()
-            tree.tree_ = _Tree.from_jsonable(tree_payload)
-            est.trees_.append(tree)
-    elif isinstance(est, GaussianNaiveBayes):
-        est.log_prior = np.array(params["log_prior"], dtype=float)
-        est.mean = np.array(params["mean"], dtype=float)
-        est.var = np.array(params["var"], dtype=float)
-    if payload["standardization"] is not None and hasattr(est, "scaler"):
-        est.scaler.mean = np.array(payload["standardization"]["mean"], dtype=float)
-        est.scaler.scale = np.array(payload["standardization"]["scale"], dtype=float)
-    return TrainedModel(
-        family=family,
-        hyperparameters=payload["hyperparameters"],
-        seed=payload["seed"],
-        n_features=payload["n_features"],
-        estimator=est,
-    )
+    """Read a saved model: a missing file is a ConfigError, a malformed one a DataError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        raise ConfigError("model: not found") from None
+    try:
+        payload = json.loads(data)
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format: {version!r}")
+        spec = ModelSpec(ModelFamily(payload["family"]), payload["hyperparameters"], payload["seed"])
+        est = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).set_state(payload["parameters"])
+        if payload["standardization"] is not None and hasattr(est, "scaler"):
+            est.scaler.mean = np.array(payload["standardization"]["mean"], dtype=float)
+            est.scaler.scale = np.array(payload["standardization"]["scale"], dtype=float)
+        return TrainedModel(spec.family, spec.hyperparameters, spec.seed, payload["n_features"], est)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model: malformed model file: {exc}") from None

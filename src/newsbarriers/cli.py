@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal error.
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .annotate import load_barrier_dataset
-from .classifiers import ModelSpec, family_from_name, load_model, save_model, train
-from .config import ALL_BARRIERS, PipelineConfig, load_config
+from .classifiers import ModelSpec, load_model, save_model, train
+from .config import ALL_BARRIERS, PipelineConfig, load_config, parse_family, parse_value, set_option
 from .errors import ConfigError, DataError
 from .evaluate import micro_metrics, parse_report_csv, render_report
 from .knowledge import BarrierKind
@@ -29,10 +30,10 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--event")
     parser.add_argument("--barriers", help="comma-separated subset of: " + ",".join(ALL_BARRIERS))
     parser.add_argument("--models", help="comma-separated model families")
-    parser.add_argument("--vocab-size", type=int, dest="vocab_size")
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--k-folds", type=int, dest="k_folds")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--vocab-size", dest="vocab_size")
+    parser.add_argument("--threshold")
+    parser.add_argument("--k-folds", dest="k_folds")
+    parser.add_argument("--seed")
     parser.add_argument("--grid", action="append", default=None, metavar="FAMILY.PARAM=V1,V2",
                         help="override one family's sweep grid; repeatable")
     parser.add_argument("--economic-features", dest="economic_features",
@@ -48,46 +49,24 @@ def _build_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.out is None and not args.config and "NEWSBARRIERS_OUT" in os.environ:
         config.out = os.environ["NEWSBARRIERS_OUT"]
-    for key in ("pairs", "concepts", "countries", "publishers", "out", "event", "profile_side",
-                "vocab_size", "threshold", "k_folds", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    for key in ("barriers", "models", "economic_features"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, tuple(v.strip() for v in value.split(",") if v.strip()))
-    for key in ("global_vocab", "nested", "fold_mean", "scale_profiles"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+    options = [(f.name, getattr(args, f.name, None)) for f in fields(PipelineConfig)]
     for item in args.grid or ():
         head, _, values = item.partition("=")
-        parts = head.strip().split(".")
-        if not values or len(parts) != 2:
-            raise ConfigError(f"grid: expected FAMILY.PARAM=V1,V2, got {item!r}")
-        from .config import GRID_PARAM, _parse_grid_value
-
-        family = family_from_name(parts[0])
-        if GRID_PARAM.get(family) != parts[1]:
-            raise ConfigError(f"grid: unknown parameter {parts[1]!r} for family {parts[0]!r}")
-        config.grids[family.value] = [_parse_grid_value(v) for v in values.split(",") if v.strip()]
+        options.append(("grid." + head.strip(), values))
+    for key, value in options:
+        if value is not None:
+            try:
+                set_option(config, key, str(value))
+            except ConfigError as exc:
+                raise ConfigError(f"arguments: {exc}") from None
     return config
 
 
 def _parse_param(text: str):
-    key, _, raw = text.partition("=")
-    if not _:
+    key, sep, raw = text.partition("=")
+    if not sep:
         raise ConfigError(f"param: expected NAME=VALUE, got {text!r}")
-    raw = raw.strip()
-    if raw.lower() == "none":
-        return key.strip(), None
-    for cast in (int, float):
-        try:
-            return key.strip(), cast(raw)
-        except ValueError:
-            continue
-    return key.strip(), raw
+    return key.strip(), parse_value(raw, "param")
 
 
 def cmd_run(args) -> int:
@@ -139,10 +118,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    kind = BarrierKind(args.barrier) if args.barrier else None
-    dataset = load_barrier_dataset(args.data, kind)
     params = dict(_parse_param(p) for p in args.param or ())
-    spec = ModelSpec(family=family_from_name(args.family), hyperparameters=params, seed=args.seed)
+    spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
+    dataset = load_barrier_dataset(args.data, BarrierKind(args.barrier) if args.barrier else None)
     model = train(spec, dataset.instances)
     save_model(model, args.out)
     print(f"model: {args.out}")
@@ -174,9 +152,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors become configuration errors (exit 1) instead of argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"arguments: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="newsbarriers",
-                                     description="Barrier detection pipeline for news spreading data")
+    parser = _ArgumentParser(prog="newsbarriers", description="Barrier detection pipeline for news spreading data")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline: ingest, annotate, cross-validate, report")
@@ -230,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

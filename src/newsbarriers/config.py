@@ -1,25 +1,19 @@
 """Pipeline configuration and its plain key-value replay format.
 
 Every run directory receives a ``config.txt`` capturing all knobs; feeding it
-back through ``--config`` reproduces the run byte for byte.
+back through ``--config`` reproduces the run byte for byte. ``set_option`` is
+the one parser of option values, for config files and command-line flags alike.
 """
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .classifiers import DEFAULT_GRIDS, ModelFamily, family_from_name
+from .classifiers import DEFAULT_GRIDS, FAMILIES, ModelFamily, family_from_name
 from .errors import ConfigError
 from .knowledge import ECONOMIC_FEATURES
 
 ALL_BARRIERS = ("economic", "cultural", "geographical", "timezone", "political")
 ALL_MODELS = tuple(f.value for f in ModelFamily)
-
-GRID_PARAM = {
-    ModelFamily.SVM: "lam",
-    ModelFamily.KNN: "k",
-    ModelFamily.DECISION_TREE: "max_leaf_nodes",
-    ModelFamily.RANDOM_FOREST: "n_estimators",
-}
 
 
 @dataclass
@@ -55,10 +49,7 @@ class PipelineConfig:
             if barrier not in ALL_BARRIERS:
                 raise ConfigError(f"barriers: unknown barrier {barrier!r}")
         for model in self.models:
-            try:
-                family_from_name(model)
-            except ValueError as exc:
-                raise ConfigError(f"models: {exc}") from None
+            parse_family(model, "models")
         if self.profile_side not in ("source", "target"):
             raise ConfigError("profile_side: must be 'source' or 'target'")
         if self.vocab_size < 1:
@@ -71,15 +62,13 @@ class PipelineConfig:
 
     def model_grids(self) -> dict:
         """Expand configured grid values into per-family hyperparameter grids."""
-        grids = {}
+        grids = dict(DEFAULT_GRIDS)
         for name, values in self.grids.items():
             family = family_from_name(name)
-            param = GRID_PARAM.get(family)
+            param = FAMILIES[family].sweep_param
             if param is None:
                 raise ConfigError(f"grids: family {name!r} has no sweep parameter")
             grids[family] = [{param: v} for v in values]
-        for family, grid in DEFAULT_GRIDS.items():
-            grids.setdefault(family, grid)
         return grids
 
 
@@ -91,18 +80,59 @@ def _format_grid_value(value) -> str:
     return str(value)
 
 
-def _parse_grid_value(text: str):
+def parse_family(name: str, key: str) -> ModelFamily:
+    try:
+        return family_from_name(name)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def parse_value(text: str, key: str):
+    """One hyperparameter value: ``none``, an int or a float."""
     text = text.strip()
     if text.lower() == "none":
         return None
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: cannot parse value {text!r}")
+
+
+_PARSERS = {
+    bool: lambda text: {"true": True, "false": False}[text.lower()],
+    tuple: lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
+    int: int,
+    float: float,
+    str: str,
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+
+def set_option(config: PipelineConfig, key: str, text: str) -> None:
+    """Parse ``text`` as the value of ``key`` into ``config``; ``grid.<family>.<param>``
+    keys take comma-separated values. Raises ConfigError naming the key."""
+    text = text.strip()
+    if key.startswith("grid."):
+        parts = key.split(".")
+        if len(parts) != 3:
+            raise ConfigError(f"{key}: grid keys look like grid.<family>.<param>")
+        family = parse_family(parts[1], key)
+        if FAMILIES[family].sweep_param != parts[2]:
+            raise ConfigError(f"{key}: unknown grid parameter {parts[2]!r}")
+        values = [parse_value(v, key) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"{key}: no values")
+        config.grids[family.value] = values
+        return
+    kind = _FIELD_TYPES.get(key)
+    if kind not in _PARSERS:
+        raise ConfigError(f"unknown key {key!r}")
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"grids: cannot parse value {text!r}") from None
+        setattr(config, key, _PARSERS[kind](text))
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
 
 
 def config_to_text(config: PipelineConfig) -> str:
@@ -111,7 +141,7 @@ def config_to_text(config: PipelineConfig) -> str:
         value = getattr(config, f.name)
         if f.name == "grids":
             for name in sorted(value):
-                param = GRID_PARAM[family_from_name(name)]
+                param = FAMILIES[family_from_name(name)].sweep_param
                 joined = ",".join(_format_grid_value(v) for v in value[name])
                 lines.append(f"grid.{name}.{param} = {joined}")
             continue
@@ -127,39 +157,17 @@ def config_to_text(config: PipelineConfig) -> str:
 
 def config_from_text(text: str) -> PipelineConfig:
     config = PipelineConfig()
-    known = {f.name: f for f in fields(PipelineConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("grid."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ConfigError(f"config line {lineno}: grid keys look like grid.<family>.<param>")
-            family = family_from_name(parts[1])
-            if GRID_PARAM.get(family) != parts[2]:
-                raise ConfigError(f"config line {lineno}: unknown grid parameter {parts[2]!r}")
-            config.grids[family.value] = [_parse_grid_value(v) for v in value.split(",") if v.strip()]
-            continue
-        if key not in known:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        f = known[key]
-        if f.type == "bool" or isinstance(getattr(config, key), bool):
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"config line {lineno}: {key} must be true or false")
-            setattr(config, key, value.lower() == "true")
-        elif key in ("barriers", "models", "economic_features"):
-            setattr(config, key, tuple(v.strip() for v in value.split(",") if v.strip()))
-        elif key in ("vocab_size", "k_folds", "seed"):
-            setattr(config, key, int(value))
-        elif key == "threshold":
-            setattr(config, key, float(value))
-        else:
-            setattr(config, key, value)
+        key, sep, value = line.partition("=")
+        try:
+            if not sep:
+                raise ConfigError("expected 'key = value'")
+            set_option(config, key.strip(), value)
+        except ConfigError as exc:
+            raise ConfigError(f"config line {lineno}: {exc}") from None
     return config
 
 

@@ -15,27 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotate import BarrierDataset
-from .classifiers import (
-    DEFAULT_GRIDS,
-    DISPLAY_NAMES,
-    ModelFamily,
-    ModelSpec,
-    sweep_full,
-    train,
-)
+from .classifiers import DEFAULT_GRIDS, FAMILIES, ModelFamily, ModelSpec, sweep_full, train
 from .errors import EmptyInput, LengthMismatch, TooFewPerClass
 from .knowledge import BarrierKind
-
-MODEL_ORDER = (
-    ModelFamily.UNIFORM,
-    ModelFamily.STRATIFIED,
-    ModelFamily.MOST_FREQUENT,
-    ModelFamily.SVM,
-    ModelFamily.KNN,
-    ModelFamily.DECISION_TREE,
-    ModelFamily.RANDOM_FOREST,
-    ModelFamily.NAIVE_BAYES,
-)
 
 BARRIER_ORDER = (
     BarrierKind.ECONOMIC,
@@ -218,11 +200,11 @@ def run_experiment(
 
 
 def _sorted_rows(rows: Sequence[ReportRow]) -> list:
-    return sorted(rows, key=lambda r: (BARRIER_ORDER.index(r.barrier), MODEL_ORDER.index(r.family)))
+    return sorted(rows, key=lambda r: (BARRIER_ORDER.index(r.barrier), list(FAMILIES).index(r.family)))
 
 
 def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Optional[Sequence[str]] = None) -> str:
-    """Render report rows barrier by barrier, models in a fixed order.
+    """Render report rows barrier by barrier, models in ``FAMILIES`` order.
 
     Markdown rounds to two decimals; csv keeps full precision and round-trips.
     """
@@ -237,7 +219,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
             writer.writerow(
                 (
                     BARRIER_TITLES[r.barrier],
-                    DISPLAY_NAMES[r.family],
+                    FAMILIES[r.family].display_name,
                     repr(r.metrics.classification_accuracy),
                     repr(r.metrics.micro_precision),
                     repr(r.metrics.micro_recall),
@@ -254,7 +236,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
         last_barrier = r.barrier
         m = r.metrics
         lines.append(
-            f"| {title} | {DISPLAY_NAMES[r.family]} | {m.classification_accuracy:.2f} "
+            f"| {title} | {FAMILIES[r.family].display_name} | {m.classification_accuracy:.2f} "
             f"| {m.micro_precision:.2f} | {m.micro_recall:.2f} | {m.micro_f1:.2f} |"
         )
     text = "\n".join(lines) + "\n"
@@ -270,7 +252,7 @@ def parse_report_csv(text: str) -> list:
     if header != ["barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"]:
         raise ValueError("not a report csv")
     title_to_barrier = {v: k for k, v in BARRIER_TITLES.items()}
-    name_to_family = {v: k for k, v in DISPLAY_NAMES.items()}
+    name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
     for record in reader:
         rows.append(

@@ -5,7 +5,7 @@ import pytest
 
 from newsbarriers.classifiers import (
     DEFAULT_GRIDS,
-    DEFAULT_HYPERPARAMETERS,
+    FAMILIES,
     DecisionTreeCART,
     GaussianNaiveBayes,
     KNearestNeighbors,
@@ -38,7 +38,7 @@ def blobs(n_per_class=50, separation=4.0, scale=0.5, d=2, seed=0):
 
 
 def test_every_family_has_documented_defaults():
-    assert set(DEFAULT_HYPERPARAMETERS) == set(ModelFamily)
+    assert set(FAMILIES) == set(ModelFamily)
 
 
 def test_default_sweep_grids():
@@ -206,7 +206,7 @@ def test_forest_deterministic():
     X, y = blobs(n_per_class=25, seed=8)
     a = RandomForest(n_estimators=12, seed=21).fit(X, y)
     b = RandomForest(n_estimators=12, seed=21).fit(X, y)
-    assert [t.tree_.to_jsonable() for t in a.trees_] == [t.tree_.to_jsonable() for t in b.trees_]
+    assert a.get_state() == b.get_state()
     assert np.array_equal(a.predict(X), b.predict(X))
 
 

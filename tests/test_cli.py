@@ -210,3 +210,65 @@ def test_global_vocab_counts_all_articles(tmp_path, corpus):
     assert per_event_vocab != global_vocab
     total = lambda text: sum(int(line.rsplit(",", 1)[1]) for line in text.strip().splitlines()[1:])
     assert total(global_vocab) > total(per_event_vocab)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--vocab-size", "abc"],
+    ["run", "--bogus"],
+    ["run", "--grid", "knn.k="],
+    ["frobnicate"],
+])
+def test_bad_flags_are_config_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arguments: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--vocab-size" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory, corpus):
+    out = tmp_path_factory.mktemp("annotated")
+    assert main(["annotate", *corpus_args(corpus), "--out", str(out), "--vocab-size", "10",
+                 "--barriers", "timezone"]) == 0
+    return out / "dataset_timezone.csv"
+
+
+@pytest.mark.parametrize("family,param,message", [
+    ("knn", "kk=3", "kNN: unknown hyperparameter 'kk'"),
+    ("knn", "k=abc", "param: cannot parse value 'abc'"),
+    ("perceptron", "k=3", "family: unknown model family: 'perceptron'"),
+], ids=["unknown-param", "bad-value", "unknown-family"])
+def test_train_rejects_bad_family_or_param(tmp_path, dataset, capsys, family, param, message):
+    model_path = tmp_path / "model.json"
+    code = main(["train", "--data", str(dataset), "--family", family, "--param", param, "--out", str(model_path)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not model_path.exists()
+
+
+def test_evaluate_missing_model_is_config_error(tmp_path, dataset, capsys):
+    assert main(["evaluate", "--model", str(tmp_path / "none.json"), "--data", str(dataset)]) == 1
+    assert capsys.readouterr().err.strip() == "model: not found"
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"format_version": 1, "family": "perceptron", "hyperparameters": {}, "seed": 0,
+                "n_features": 3, "standardization": None, "parameters": {}}),
+    json.dumps({"format_version": 1, "family": "knn", "hyperparameters": {"kk": 3}, "seed": 0,
+                "n_features": 3, "standardization": None, "parameters": {"X": [], "y": []}}),
+    json.dumps({"format_version": 1, "family": "svm"}),
+    "[]",
+], ids=["syntax", "unknown-family", "unknown-param", "missing-keys", "not-an-object"])
+def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text, encoding="utf-8")
+    assert main(["evaluate", "--model", str(model_path), "--data", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model: malformed model file: ") and err.count("\n") == 1
