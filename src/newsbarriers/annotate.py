@@ -14,9 +14,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyInput,
     IncompleteMetadata,
     LengthMismatch,
+    MalformedRow,
     UnknownAlignment,
     ZeroVector,
 )
@@ -29,6 +31,7 @@ from .knowledge import (
     PublisherRecord,
     PublisherStore,
     economic_values,
+    parse_float,
     profile_feature_names,
 )
 
@@ -206,15 +209,33 @@ def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
 
 
 def load_barrier_dataset(path, kind: BarrierKind) -> BarrierDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a dataset CSV as ``save_barrier_dataset`` writes it.
+
+    A missing file is a ConfigError; a bad header, a row of the wrong width, a
+    label other than TRUE/FALSE or a feature cell that is not a finite number
+    is a DataError naming the row.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError:
+        raise ConfigError("not found") from None
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
+        if header[:2] != ["article_id", "label"]:
+            raise MalformedRow(1, "header must start with article_id,label")
         feature_names = tuple(header[2:])
         instances = []
-        for row in reader:
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
+            if row[1] not in ("TRUE", "FALSE"):
+                raise MalformedRow(rownum, f"label {row[1]!r} is not TRUE or FALSE")
             instances.append(
                 LabeledInstance(
-                    features=np.array([float(v) for v in row[2:]]),
+                    features=np.array([parse_float(v, rownum, name) for name, v in zip(feature_names, row[2:])]),
                     label=row[1] == "TRUE",
                     article_id=row[0],
                     barrier=kind,

@@ -2,7 +2,10 @@
 
 ``FAMILIES`` is the one table of model families. Every estimator implements
 ``fit``, ``predict`` and ``get_state``/``set_state``; the state dict is the
-``"parameters"`` object of a saved model file.
+``"parameters"`` object of a saved model file. An estimator whose sweep nests
+(one fitted model holds the models of smaller sweep values) also implements
+``grid_cover``/``predict_grid``, and ``grid_predictions`` then fits it once
+per grid.
 
 All families are implemented directly (no learning framework) so every numeric
 path is testable. Tie rules are global: any prediction tie resolves to FALSE,
@@ -17,6 +20,7 @@ identical learned parameters and predictions.
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -167,16 +171,24 @@ class KNearestNeighbors:
         return self
 
     def predict(self, X) -> np.ndarray:
+        return self.predict_grid(X, [self.k])[0]
+
+    @staticmethod
+    def grid_cover(values: Sequence[int]) -> int:
+        return max(values)
+
+    def predict_grid(self, X, values: Sequence[int]) -> list:
+        """Predictions for each k in ``values``: the fit does not depend on k,
+        and the k nearest neighbours are a prefix of one stable sort."""
         Xs = self.scaler.transform(np.asarray(X, dtype=float))
-        k = min(self.k, len(self.X_))
-        out = np.empty(len(Xs), dtype=bool)
+        ks = np.minimum(np.asarray(values, dtype=int), len(self.X_))
+        out = np.empty((len(ks), len(Xs)), dtype=bool)
         for i, q in enumerate(Xs):
             diff = self.X_ - q
             d2 = np.einsum("ij,ij->i", diff, diff)
-            neighbors = np.argsort(d2, kind="stable")[:k]
-            n_true = int(self.y_[neighbors].sum())
-            out[i] = n_true > k - n_true
-        return out
+            n_true = np.cumsum(self.y_[np.argsort(d2, kind="stable")])[ks - 1]
+            out[:, i] = n_true > ks - n_true
+        return list(out)
 
     def get_state(self) -> dict:
         return {"X": self.X_.tolist(), "y": self.y_.tolist()}
@@ -269,11 +281,19 @@ class _Tree:
     def n_leaves(self) -> int:
         return sum(1 for f in self.feature if f < 0)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
+        """Leaf predictions; with ``splits`` set, those of the tree as it stood
+        after its first ``splits`` splits.
+
+        Node ids are allocated in split order (split r creates nodes 2r+1 and
+        2r+2), so an internal node whose left child is 2*splits+1 or later was
+        split afterwards and still acts as the leaf it was.
+        """
+        limit = len(self.feature) if splits is None else 2 * splits + 1
         out = np.empty(len(X), dtype=bool)
         for i, x in enumerate(X):
             node = 0
-            while self.feature[node] >= 0:
+            while self.feature[node] >= 0 and self.left[node] < limit:
                 node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
             out[i] = self.prediction[node]
         return out
@@ -387,6 +407,16 @@ class DecisionTreeCART:
     def predict(self, X) -> np.ndarray:
         return self.tree_.predict(np.asarray(X, dtype=float))
 
+    @staticmethod
+    def grid_cover(values: Sequence[Optional[int]]) -> Optional[int]:
+        return None if None in values else max(values)
+
+    def predict_grid(self, X, values: Sequence[Optional[int]]) -> list:
+        """Predictions for each ``max_leaf_nodes`` in ``values`` (at most the
+        fitted one): best-first growth to m leaves is the first m - 1 splits."""
+        X = np.asarray(X, dtype=float)
+        return [self.tree_.predict(X, None if m is None else m - 1) for m in values]
+
     def get_state(self) -> dict:
         return {"tree": self.tree_.get_state()}
 
@@ -426,16 +456,26 @@ class RandomForest:
         return self
 
     def predict(self, X) -> np.ndarray:
+        return self.predict_grid(X, [len(self.trees_)])[0]
+
+    @staticmethod
+    def grid_cover(values: Sequence[int]) -> int:
+        return max(values)
+
+    def predict_grid(self, X, values: Sequence[int]) -> list:
+        """Predictions for each ``n_estimators`` in ``values`` (at most the
+        fitted one): tree seeds come from ``SeedSequence(seed).spawn(n)``, whose
+        first n children do not depend on n, so a smaller forest is a prefix."""
         X = np.asarray(X, dtype=float)
-        votes = np.zeros(len(X), dtype=int)
-        for tree in self.trees_:
-            votes += tree.predict(X)
-        return votes * 2 > len(self.trees_)
+        votes = np.cumsum([tree.predict(X) for tree in self.trees_], axis=0)
+        return [votes[n - 1] * 2 > n for n in values]
 
     def get_state(self) -> dict:
         return {"trees": [tree.tree_.get_state() for tree in self.trees_]}
 
     def set_state(self, state: dict) -> "RandomForest":
+        if not state["trees"]:
+            raise ValueError("a forest needs at least one tree")
         self.trees_ = [DecisionTreeCART().set_state({"tree": tree}) for tree in state["trees"]]
         return self
 
@@ -488,6 +528,23 @@ class GaussianNaiveBayes:
         return self
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# name -> (allowed values, test) for every hyperparameter a family accepts
+HYPERPARAMETER_RANGES = {
+    "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "n_estimators": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "epochs": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "max_leaf_nodes": ("an integer >= 2 or none", lambda v: v is None or (_is_int(v) and v >= 2)),
+    "lam": (
+        "a finite number > 0",
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class Family:
     """One model family: report name, estimator class, hyperparameters, default sweep."""
@@ -502,11 +559,19 @@ class Family:
     def seeded(self) -> bool:
         return "seed" in inspect.signature(self.estimator).parameters
 
-    def build(self, seed: int, **hyperparameters):
-        """Unfitted estimator; hyperparameters left out keep the constructor's defaults."""
+    def check(self, hyperparameters: dict) -> None:
+        """ConfigError for an unknown hyperparameter or a value outside its range."""
         unknown = sorted(set(hyperparameters) - {self.sweep_param, *self.extra_params})
         if unknown:
             raise ConfigError(f"{self.display_name}: unknown hyperparameter {unknown[0]!r}")
+        for name, value in hyperparameters.items():
+            allowed, test = HYPERPARAMETER_RANGES[name]
+            if not test(value):
+                raise ConfigError(f"{self.display_name}: {name} must be {allowed}, got {value!r}")
+
+    def build(self, seed: int, **hyperparameters):
+        """Unfitted estimator; hyperparameters left out keep the constructor's defaults."""
+        self.check(hyperparameters)
         if self.seeded:
             hyperparameters["seed"] = seed
         return self.estimator(**hyperparameters)
@@ -545,11 +610,18 @@ class TrainedModel:
             return None
         return {"mean": [float(v) for v in scaler.mean], "scale": [float(v) for v in scaler.scale]}
 
-    def predict_batch(self, X) -> np.ndarray:
+    def _checked(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise LengthMismatch(f"expected {self.n_features} features, got {X.shape[-1]}")
-        return self.estimator.predict(X)
+        return X
+
+    def predict_batch(self, X) -> np.ndarray:
+        return self.estimator.predict(self._checked(X))
+
+    def predict_grid(self, X, values: Sequence) -> list:
+        """Predictions for each sweep value of an estimator with ``predict_grid``."""
+        return self.estimator.predict_grid(self._checked(X), values)
 
     def predict(self, features) -> bool:
         features = np.asarray(features, dtype=float)
@@ -589,27 +661,42 @@ def predict(model: TrainedModel, features) -> bool:
     return model.predict(features)
 
 
+def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_eval, seed: int = 0) -> list:
+    """Predictions on ``X_eval`` of a model refit on ``train_data`` at each grid point, in grid order.
+
+    When the family's estimator has ``grid_cover``/``predict_grid`` and the
+    points differ only in the sweep parameter, one model is trained, at the
+    covering point, and every point is read from it. Otherwise each point is
+    trained on its own.
+    """
+    f = FAMILIES[family]
+    rest = [{k: v for k, v in point.items() if k != f.sweep_param} for point in grid]
+    sweep_only = all(f.sweep_param in point for point in grid) and all(r == rest[0] for r in rest)
+    if sweep_only and hasattr(f.estimator, "grid_cover"):
+        for point in grid:
+            f.check(point)
+        values = [point[f.sweep_param] for point in grid]
+        cover = ModelSpec(family, {**rest[0], f.sweep_param: f.estimator.grid_cover(values)}, seed)
+        return train(cover, train_data).predict_grid(X_eval, values)
+    return [train(ModelSpec(family, dict(point), seed), train_data).predict_batch(X_eval) for point in grid]
+
+
 def sweep(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0) -> ModelSpec:
     """Grid point with the best micro-F1 on eval_data; first point wins ties."""
-    best_spec, _, _ = sweep_full(family, grid, train_data, eval_data, seed)
+    best_spec, _ = sweep_full(family, grid, train_data, eval_data, seed)
     return best_spec
 
 
 def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0):
-    from .evaluate import micro_metrics
+    """``sweep``'s best spec together with its predictions on eval_data."""
+    from .evaluate import best_point
 
     if not grid:
         raise ValueError("hyperparameter grid must not be empty")
     X_eval, y_eval = as_arrays(eval_data)
-    best = None
-    for point in grid:
-        spec = ModelSpec(family=family, hyperparameters=dict(point), seed=seed)
-        model = train(spec, train_data)
-        preds = model.predict_batch(X_eval)
-        f1 = micro_metrics(preds, y_eval).micro_f1
-        if best is None or f1 > best[3]:
-            best = (spec, model, preds, f1)
-    return best[0], best[1], best[2]
+    predictions = grid_predictions(family, grid, train_data, X_eval, seed)
+    g = best_point(predictions, y_eval)
+    return ModelSpec(family, dict(grid[g]), seed), predictions[g]
 
 
 def save_model(model: TrainedModel, path) -> None:

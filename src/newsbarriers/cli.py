@@ -16,7 +16,7 @@ from .config import ALL_BARRIERS, PipelineConfig, load_config, parse_family, par
 from .errors import ConfigError, DataError
 from .evaluate import micro_metrics, parse_report_csv, render_report
 from .knowledge import BarrierKind
-from .pipeline import annotate_corpus, build_vocab, ingest_corpus, run_pipeline
+from .pipeline import annotate_corpus, build_vocab, ingest_corpus, run_pipeline, stage
 from .synth import SyntheticSpec, generate_corpus
 
 
@@ -67,6 +67,11 @@ def _parse_param(text: str):
     if not sep:
         raise ConfigError(f"param: expected NAME=VALUE, got {text!r}")
     return key.strip(), parse_value(raw, "param")
+
+
+def _load_dataset(args):
+    with stage("data"):
+        return load_barrier_dataset(args.data, BarrierKind(args.barrier) if args.barrier else None)
 
 
 def cmd_run(args) -> int:
@@ -120,8 +125,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     params = dict(_parse_param(p) for p in args.param or ())
     spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
-    dataset = load_barrier_dataset(args.data, BarrierKind(args.barrier) if args.barrier else None)
-    model = train(spec, dataset.instances)
+    model = train(spec, _load_dataset(args).instances)
     save_model(model, args.out)
     print(f"model: {args.out}")
     return 0
@@ -129,8 +133,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    dataset = load_barrier_dataset(args.data, BarrierKind(args.barrier) if args.barrier else None)
-    X, y = dataset.arrays()
+    X, y = _load_dataset(args).arrays()
     metrics = micro_metrics(model.predict_batch(X), y)
     print(f"ca={metrics.classification_accuracy!r}")
     print(f"micro_precision={metrics.micro_precision!r}")
@@ -144,7 +147,8 @@ def cmd_report(args) -> int:
         text = Path(args.rows).read_text(encoding="utf-8")
     except OSError:
         raise ConfigError("rows: not found") from None
-    rendered = render_report(parse_report_csv(text), args.format)
+    with stage("rows"):
+        rendered = render_report(parse_report_csv(text), args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

@@ -56,6 +56,14 @@ class PipelineConfig:
             raise ConfigError("vocab_size: must be positive")
         if self.k_folds < 2:
             raise ConfigError("k_folds: must be at least 2")
+        if not -1.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold: must be a finite number in [-1, 1], got {self.threshold!r}")
+        for family, grid in self.model_grids().items():
+            for point in grid:
+                try:
+                    FAMILIES[family].check(point)
+                except ConfigError as exc:
+                    raise ConfigError(f"grid.{family.value}: {exc}") from None
         for name in self.economic_features:
             if name not in ECONOMIC_FEATURES:
                 raise ConfigError(f"economic_features: unknown indicator {name!r}")

@@ -15,8 +15,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotate import BarrierDataset
-from .classifiers import DEFAULT_GRIDS, FAMILIES, ModelFamily, ModelSpec, sweep_full, train
-from .errors import EmptyInput, LengthMismatch, TooFewPerClass
+from .classifiers import (
+    DEFAULT_GRIDS,
+    FAMILIES,
+    ModelFamily,
+    ModelSpec,
+    as_arrays,
+    grid_predictions,
+    sweep_full,
+    train,
+)
+from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
 from .knowledge import BarrierKind
 
 BARRIER_ORDER = (
@@ -117,6 +126,12 @@ def micro_metrics(predictions, gold) -> MetricSet:
     )
 
 
+def best_point(predictions: Sequence[np.ndarray], gold) -> int:
+    """Index of the predictions with the best micro-F1; the first wins ties."""
+    scores = [micro_metrics(p, gold).micro_f1 for p in predictions]
+    return scores.index(max(scores))
+
+
 def _mean_metrics(per_fold: Sequence[MetricSet]) -> MetricSet:
     return MetricSet(
         classification_accuracy=float(np.mean([m.classification_accuracy for m in per_fold])),
@@ -132,24 +147,15 @@ def _child_seed(seed: int, *key: int) -> int:
 
 def _select_nested(family, grid, train_instances, seed, inner_k):
     """Pick a grid point by inner cross-validation on the training fold only."""
-    from .classifiers import as_arrays
-
     X, y = as_arrays(train_instances)
     counts = (int((~y).sum()), int(y.sum()))
     k = max(2, min(inner_k, min(counts)))
     assignment = stratified_kfold(y, k=k, seed=seed)
-    best = None
-    for g, point in enumerate(grid):
-        preds = np.empty(len(y), dtype=bool)
-        for fold in range(k):
-            tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
-            spec = ModelSpec(family=family, hyperparameters=dict(point), seed=seed)
-            model = train(spec, (X[tr], y[tr]))
-            preds[te] = model.predict_batch(X[te])
-        f1 = micro_metrics(preds, y).micro_f1
-        if best is None or f1 > best[1]:
-            best = (point, f1)
-    return best[0]
+    preds = np.empty((len(grid), len(y)), dtype=bool)
+    for fold in range(k):
+        tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
+        preds[:, te] = grid_predictions(family, grid, (X[tr], y[tr]), X[te], seed)
+    return grid[best_point(preds, y)]
 
 
 def run_experiment(
@@ -187,7 +193,7 @@ def run_experiment(
                     fold_spec = ModelSpec(spec.family, dict(point), fold_seed)
                     preds = train(fold_spec, train_data).predict_batch(X[te])
                 else:
-                    _, _, preds = sweep_full(spec.family, grid, train_data, eval_data, seed=fold_seed)
+                    _, preds = sweep_full(spec.family, grid, train_data, eval_data, seed=fold_seed)
             else:
                 fold_spec = ModelSpec(spec.family, dict(grid[0]), fold_seed)
                 preds = train(fold_spec, train_data).predict_batch(X[te])
@@ -246,27 +252,25 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
 
 
 def parse_report_csv(text: str) -> list:
-    """Read report rows back from csv output."""
+    """Read report rows back from csv output; anything else is a DataError."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"]:
-        raise ValueError("not a report csv")
+    if next(reader, None) != ["barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"]:
+        raise DataError("not a report csv")
     title_to_barrier = {v: k for k, v in BARRIER_TITLES.items()}
     name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
-    for record in reader:
-        rows.append(
-            ReportRow(
-                barrier=title_to_barrier[record[0]],
-                family=name_to_family[record[1]],
-                metrics=MetricSet(
-                    classification_accuracy=float(record[2]),
-                    micro_precision=float(record[3]),
-                    micro_recall=float(record[4]),
-                    micro_f1=float(record[5]),
-                ),
-            )
-        )
+    for rownum, record in enumerate(reader, start=2):
+        if len(record) != 6:
+            raise MalformedRow(rownum, f"expected 6 fields, got {len(record)}")
+        if record[0] not in title_to_barrier:
+            raise MalformedRow(rownum, f"unknown barrier {record[0]!r}")
+        if record[1] not in name_to_family:
+            raise MalformedRow(rownum, f"unknown model {record[1]!r}")
+        try:
+            metrics = MetricSet(*(float(v) for v in record[2:]))
+        except ValueError:
+            raise MalformedRow(rownum, "metric is not a number") from None
+        rows.append(ReportRow(title_to_barrier[record[0]], name_to_family[record[1]], metrics))
     return rows
 
 

@@ -109,14 +109,12 @@ def assemble_instance(
 
     The profile defaults to the source publisher (the article kept from each
     pair is the source article); ``profile_side="target"`` switches to the
-    receiving publisher.
+    receiving publisher. That publisher must be in ``publishers``;
+    ``build_barrier_dataset`` drops examples with a missing publisher first.
     """
     uri = example.source_publisher_uri if profile_side == "source" else example.target_publisher_uri
-    publisher = publishers.get(uri)
-    if publisher is None:
-        raise KeyError(uri)
     profile_block = barrier_profile(
-        publisher,
+        publishers.get(uri),
         profiles,
         kind,
         alignment_vocabulary=publishers.alignment_vocabulary,

@@ -186,7 +186,7 @@ class PublisherStore:
         return self._alignment_vocabulary
 
 
-def _parse_float(raw, row: int, column: str) -> float:
+def parse_float(raw, row: int, column: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -197,7 +197,7 @@ def _parse_float(raw, row: int, column: str) -> float:
 
 
 def _parse_ranged(raw: str, row: int, column: str, lo: float, hi: float) -> float:
-    value = _parse_float(raw, row, column)
+    value = parse_float(raw, row, column)
     if not lo <= value <= hi:
         raise RangeViolation(row, column, value, lo, hi)
     return value
@@ -224,8 +224,8 @@ def load_country_profiles(path) -> ProfileStore:
             lat = _parse_ranged(row["latitude"], rownum, "latitude", -90.0, 90.0)
             lon = _parse_ranged(row["longitude"], rownum, "longitude", -180.0, 180.0)
             utc = _parse_ranged(row["utc_offset"], rownum, "utc_offset", *UTC_OFFSET_RANGE)
-            economic = tuple(_parse_float(row[c], rownum, c) for c in ECONOMIC_FEATURES)
-            cultural = tuple(_parse_float(row[c], rownum, c) for c in CULTURAL_FEATURES)
+            economic = tuple(parse_float(row[c], rownum, c) for c in ECONOMIC_FEATURES)
+            cultural = tuple(parse_float(row[c], rownum, c) for c in CULTURAL_FEATURES)
             if not any(economic):
                 raise ZeroVector(f"row {rownum}: economic vector for {code} is all zero")
             if not any(cultural):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from newsbarriers import classifiers
 from newsbarriers.classifiers import (
     DEFAULT_GRIDS,
     FAMILIES,
@@ -18,12 +21,13 @@ from newsbarriers.classifiers import (
     TrainedModel,
     UniformBaseline,
     family_from_name,
+    grid_predictions,
     load_model,
     save_model,
     sweep,
     train,
 )
-from newsbarriers.errors import DegenerateTrainingSet, LengthMismatch
+from newsbarriers.errors import ConfigError, DegenerateTrainingSet, LengthMismatch
 from newsbarriers.features import LabeledInstance
 from newsbarriers.knowledge import BarrierKind
 
@@ -335,3 +339,100 @@ def test_baseline_predictions_reproducible():
     X, y = blobs(n_per_class=10, seed=26)
     model = train(ModelSpec(ModelFamily.UNIFORM, seed=77), (X, y))
     assert np.array_equal(model.predict_batch(X), model.predict_batch(X))
+
+
+def reference_knn(X, y, Xe, k):
+    """kNN as a loop over queries that keeps the first k of each stable sort."""
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    scale = np.where(std > 0, std, 1.0)
+    Xs, Qs = (X - mean) / scale, (Xe - mean) / scale
+    k = min(k, len(X))
+    out = []
+    for q in Qs:
+        diff = Xs - q
+        neighbours = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[:k]
+        n_true = int(y[neighbours].sum())
+        out.append(n_true > k - n_true)
+    return np.array(out, dtype=bool)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Tie-heavy small-integer data with duplicate rows, and a grid of unsorted,
+    possibly repeated values, with or without ``None``. A point may leave the
+    sweep parameter out (its default), which sends the grid down the path that
+    fits every point."""
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    X = np.array(rows + rows[: draw(st.integers(0, n))], dtype=float)
+    y = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
+    Xe = np.array(draw(st.lists(cells, min_size=1, max_size=8)), dtype=float)
+    family = draw(st.sampled_from([ModelFamily.KNN, ModelFamily.DECISION_TREE, ModelFamily.RANDOM_FOREST]))
+    values = {
+        ModelFamily.KNN: st.integers(1, len(X) + 3),
+        ModelFamily.DECISION_TREE: st.one_of(st.none(), st.integers(2, 12)),
+        ModelFamily.RANDOM_FOREST: st.integers(1, 9),
+    }[family]
+    param = FAMILIES[family].sweep_param
+    grid = [{param: v} for v in draw(st.lists(values, min_size=1, max_size=5))]
+    if draw(st.integers(0, 4)) == 0:
+        grid.insert(draw(st.integers(0, len(grid))), {})
+    return family, grid, X, y, Xe, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_grid_predictions_equal_a_refit_per_point(case):
+    family, grid, X, y, Xe, seed = case
+    predictions = grid_predictions(family, grid, (X, y), Xe, seed)
+    assert len(predictions) == len(grid)
+    for point, preds in zip(grid, predictions):
+        model = train(ModelSpec(family, dict(point), seed), (X, y))
+        expected = model.predict_batch(Xe)
+        assert preds.tolist() == expected.tolist(), point
+        if family is ModelFamily.KNN:
+            assert expected.tolist() == reference_knn(X, y, Xe, point.get("k", 5)).tolist()
+        if family is ModelFamily.RANDOM_FOREST:
+            votes = sum(tree.predict(Xe).astype(int) for tree in model.estimator.trees_)
+            assert expected.tolist() == (votes * 2 > len(model.estimator.trees_)).tolist()
+
+
+@pytest.mark.parametrize("family,grid,fits", [
+    (ModelFamily.KNN, DEFAULT_GRIDS[ModelFamily.KNN], 1),
+    (ModelFamily.DECISION_TREE, DEFAULT_GRIDS[ModelFamily.DECISION_TREE], 1),
+    (ModelFamily.RANDOM_FOREST, DEFAULT_GRIDS[ModelFamily.RANDOM_FOREST], 1),
+    (ModelFamily.RANDOM_FOREST, [{"n_estimators": 3}, {"n_estimators": 5}, {}], 3),
+    (ModelFamily.SVM, DEFAULT_GRIDS[ModelFamily.SVM], 3),
+], ids=["knn", "decision_tree", "random_forest", "random_forest-default-point", "svm"])
+def test_grid_predictions_fit_count(monkeypatch, family, grid, fits):
+    calls = []
+    monkeypatch.setattr(classifiers, "train", lambda spec, data: calls.append(spec) or train(spec, data))
+    X, y = blobs(n_per_class=8, seed=27)
+    grid_predictions(family, grid, (X, y), X, seed=5)
+    assert len(calls) == fits
+
+
+@pytest.mark.parametrize("family,params", [
+    (ModelFamily.KNN, {"k": 0}),
+    (ModelFamily.KNN, {"k": -1}),
+    (ModelFamily.KNN, {"k": 1.5}),
+    (ModelFamily.KNN, {"k": True}),
+    (ModelFamily.KNN, {"k": None}),
+    (ModelFamily.RANDOM_FOREST, {"n_estimators": 0}),
+    (ModelFamily.DECISION_TREE, {"max_leaf_nodes": 1}),
+    (ModelFamily.DECISION_TREE, {"max_leaf_nodes": 1.5}),
+    (ModelFamily.SVM, {"lam": 0}),
+    (ModelFamily.SVM, {"lam": float("inf")}),
+    (ModelFamily.SVM, {"lam": "abc"}),
+    (ModelFamily.SVM, {"epochs": 0}),
+])
+def test_hyperparameter_out_of_range(family, params):
+    X, y = blobs(n_per_class=5, seed=28)
+    (name,) = params
+    with pytest.raises(ConfigError, match=f"^{FAMILIES[family].display_name}: {name} must be .*, got "):
+        train(ModelSpec(family, params), (X, y))
+    sweep_param = FAMILIES[family].sweep_param
+    grid = [params, {sweep_param: DEFAULT_GRIDS[family][0][sweep_param]}] if name == sweep_param else [params]
+    with pytest.raises(ConfigError, match=f"{name} must be "):
+        grid_predictions(family, grid, (X, y), X)

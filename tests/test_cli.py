@@ -243,7 +243,10 @@ def dataset(tmp_path_factory, corpus):
     ("knn", "kk=3", "kNN: unknown hyperparameter 'kk'"),
     ("knn", "k=abc", "param: cannot parse value 'abc'"),
     ("perceptron", "k=3", "family: unknown model family: 'perceptron'"),
-], ids=["unknown-param", "bad-value", "unknown-family"])
+    ("knn", "k=1.5", "kNN: k must be an integer >= 1, got 1.5"),
+    ("random_forest", "n_estimators=0", "Random Forest: n_estimators must be an integer >= 1, got 0"),
+    ("svm", "lam=0", "SVM: lam must be a finite number > 0, got 0"),
+], ids=["unknown-param", "bad-value", "unknown-family", "non-integer", "zero-trees", "zero-lam"])
 def test_train_rejects_bad_family_or_param(tmp_path, dataset, capsys, family, param, message):
     model_path = tmp_path / "model.json"
     code = main(["train", "--data", str(dataset), "--family", family, "--param", param, "--out", str(model_path)])
@@ -265,10 +268,80 @@ def test_evaluate_missing_model_is_config_error(tmp_path, dataset, capsys):
                 "n_features": 3, "standardization": None, "parameters": {"X": [], "y": []}}),
     json.dumps({"format_version": 1, "family": "svm"}),
     "[]",
-], ids=["syntax", "unknown-family", "unknown-param", "missing-keys", "not-an-object"])
+    json.dumps({"format_version": 1, "family": "knn", "hyperparameters": {"k": "abc"}, "seed": 0,
+                "n_features": 3, "standardization": None, "parameters": {"X": [], "y": []}}),
+    json.dumps({"format_version": 1, "family": "random_forest", "hyperparameters": {}, "seed": 0,
+                "n_features": 3, "standardization": None, "parameters": {"trees": []}}),
+], ids=["syntax", "unknown-family", "unknown-param", "missing-keys", "not-an-object", "bad-param-value", "no-trees"])
 def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text):
     model_path = tmp_path / "model.json"
     model_path.write_text(text, encoding="utf-8")
     assert main(["evaluate", "--model", str(model_path), "--data", str(dataset)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("model: malformed model file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "knn.k=0"], "grid.knn: kNN: k must be an integer >= 1, got 0"),
+    (["--grid", "knn.k=3,-1"], "grid.knn: kNN: k must be an integer >= 1, got -1"),
+    (["--grid", "random_forest.n_estimators=0"],
+     "grid.random_forest: Random Forest: n_estimators must be an integer >= 1, got 0"),
+    (["--grid", "decision_tree.max_leaf_nodes=1.5"],
+     "grid.decision_tree: Decision Tree: max_leaf_nodes must be an integer >= 2 or none, got 1.5"),
+    (["--grid", "svm.lam=0"], "grid.svm: SVM: lam must be a finite number > 0, got 0"),
+    (["--threshold", "nan"], "threshold: must be a finite number in [-1, 1], got nan"),
+    (["--threshold", "1.5"], "threshold: must be a finite number in [-1, 1], got 1.5"),
+])
+def test_out_of_range_values_are_config_errors(tmp_path, corpus, capsys, flags, message):
+    out = tmp_path / "run"
+    assert main(["run", *corpus_args(corpus), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows[:1] + [rows[1].replace(",FALSE,", ",MAYBE,").replace(",TRUE,", ",MAYBE,")] + rows[2:],
+     "data: malformed row 2: label 'MAYBE' is not TRUE or FALSE"),
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",abc"] + rows[3:],
+     "data: non-finite value in row 3, column "),
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",inf"] + rows[3:],
+     "data: non-finite value in row 3, column "),
+    (lambda rows: rows[:3] + [rows[3] + ",1"] + rows[4:], "data: malformed row 4: expected "),
+    (lambda rows: ["id,label,c0"] + rows[1:], "data: malformed row 1: header must start with article_id,label"),
+    (lambda rows: [], "data: malformed row 1: header must start with article_id,label"),
+], ids=["label", "non-numeric", "non-finite", "width", "header", "empty"])
+def test_malformed_dataset_is_data_error(tmp_path, dataset, capsys, edit, message):
+    bad = tmp_path / "bad.csv"
+    rows = dataset.read_text(encoding="utf-8").splitlines()
+    bad.write_text("".join(row + "\n" for row in edit(rows)), encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(bad), "--family", "most_frequent", "--out", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not model_path.exists()
+
+
+def test_missing_dataset_is_config_error(tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path / "none.csv"), "--family", "knn", "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "data: not found\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("barrier,model,ca,micro_precision,micro_recall,micro_f1\nBogus,kNN,0.5,0.5,0.5,0.5\n",
+     "rows: malformed row 2: unknown barrier 'Bogus'"),
+    ("barrier,model,ca,micro_precision,micro_recall,micro_f1\nPolitical,Perceptron,0.5,0.5,0.5,0.5\n",
+     "rows: malformed row 2: unknown model 'Perceptron'"),
+    ("barrier,model,ca,micro_precision,micro_recall,micro_f1\nPolitical,kNN,0.5\n",
+     "rows: malformed row 2: expected 6 fields, got 3"),
+    ("barrier,model,ca,micro_precision,micro_recall,micro_f1\nPolitical,kNN,x,0.5,0.5,0.5\n",
+     "rows: malformed row 2: metric is not a number"),
+    ("a,b\n", "rows: not a report csv"),
+    ("", "rows: not a report csv"),
+    ("barrier,model,ca,micro_precision,micro_recall,micro_f1\n", "rows: no report rows"),
+], ids=["barrier", "model", "short-row", "non-numeric", "header", "empty", "no-rows"])
+def test_malformed_report_rows_are_data_errors(tmp_path, capsys, text, message):
+    rows = tmp_path / "report.csv"
+    rows.write_text(text, encoding="utf-8")
+    assert main(["report", "--rows", str(rows)]) == 2
+    assert capsys.readouterr().err == message + "\n"

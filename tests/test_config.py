@@ -97,6 +97,14 @@ def test_validate_rejects_bad_values(tmp_path):
         PipelineConfig(**ok, k_folds=1).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(**ok, economic_features=("Prosperity",)).validate()
+    for threshold in (float("nan"), float("inf"), -1.5, 5.0):
+        with pytest.raises(ConfigError, match="^threshold: "):
+            PipelineConfig(**ok, threshold=threshold).validate()
+    for family, values in (("knn", [0]), ("knn", [3, -1]), ("random_forest", [0]), ("svm", [0.0]),
+                           ("svm", [float("nan")]), ("decision_tree", [1]), ("decision_tree", [1.5])):
+        with pytest.raises(ConfigError, match=f"^grid.{family}: "):
+            PipelineConfig(**ok, grids={family: values}).validate()
+    PipelineConfig(**ok, threshold=-1.0, grids={"decision_tree": [2, None], "svm": [1]}).validate()
 
 
 def test_load_config_missing_file(tmp_path):

@@ -5,7 +5,8 @@ version 1) for one small model per family, trained on ``two_blobs()`` with the
 family, hyperparameters and seed recorded in the file itself;
 ``predictions.json`` holds each model's predictions on the same data. The
 golden digests are those of the report files that ``run_pipeline`` wrote with
-default grids on the corpus built by ``golden_config``.
+default grids on the corpus built by ``golden_config``, once with the default
+protocol and once with ``nested=True``.
 """
 
 import hashlib
@@ -27,6 +28,11 @@ GOLDEN_SHA256 = {
     "report.md": "7bc0c5b3dbf2ca30b23bfbd15dadc1bc06c0f7721c7622a634a3290e532a83f0",
     # with the run's temporary directory replaced by "<tmp>"
     "config.txt": "b6a45fee4e54709c9a8e219d5e88677691b77257cd11c0656a6512647f90d636",
+}
+NESTED_SHA256 = {
+    "report.csv": "17c3fbe607cb1a4b69b28d5d4052db740aaaa166a4fe2cbbda5de80a83fc463c",
+    "report.md": "53b038b1eb4dbf8286e0baff9b37703483f8656ca37a2dfcd43838ba995dc4a5",
+    "config.txt": "1daa04280f7a8c61fcaba6721a51f73e10ba2a89a60a7f935305cb43cfb0e09a",
 }
 
 
@@ -53,13 +59,24 @@ def golden_config(tmp_path) -> PipelineConfig:
     )
 
 
+def assert_report_digests(tmp_path, expected):
+    for name, digest in expected.items():
+        data = (tmp_path / "run" / name).read_bytes().replace(str(tmp_path).encode("utf-8"), b"<tmp>")
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_golden_report(tmp_path):
     config = golden_config(tmp_path)
     assert config.grids == {}  # default sweep grids for every family
     run_pipeline(config)
-    for name, digest in GOLDEN_SHA256.items():
-        data = (tmp_path / "run" / name).read_bytes().replace(str(tmp_path).encode("utf-8"), b"<tmp>")
-        assert hashlib.sha256(data).hexdigest() == digest, name
+    assert_report_digests(tmp_path, GOLDEN_SHA256)
+
+
+def test_golden_nested_report(tmp_path):
+    config = golden_config(tmp_path)
+    config.nested = True
+    run_pipeline(config)
+    assert_report_digests(tmp_path, NESTED_SHA256)
 
 
 @pytest.mark.parametrize("family", list(ModelFamily), ids=lambda f: f.value)
