@@ -154,8 +154,10 @@ class MostFrequentBaseline:
 class KNearestNeighbors:
     """Euclidean kNN on standardized features.
 
-    Distance ties resolve to the lower training index (stable sort); vote ties
-    resolve to FALSE. k is capped at the training-set size.
+    Ties in the computed float64 distance go to the lower training index
+    (stable sort). Distances equal in exact arithmetic can differ in the last
+    bit, and then they do not tie. Vote ties go to FALSE. k is capped at the
+    training-set size.
     """
 
     def __init__(self, k: int = 5):
@@ -307,49 +309,38 @@ class _Tree:
         return self
 
 
-def _gini_counts(n_true: int, n_false: int) -> float:
-    n = n_true + n_false
-    if n == 0:
-        return 0.0
-    pt = n_true / n
-    pf = n_false / n
-    return 1.0 - pt * pt - pf * pf
-
-
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: Sequence[int]):
+def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, n_true: int):
     """Best (impurity decrease, feature, threshold) over candidate midpoints.
 
-    Ties break toward the lower feature index, then the lower threshold.
-    Returns None when no feature admits a valid split.
+    One pass over the node's block of candidate columns: a stable sort per
+    column, then the weighted child Gini at every cut not between equal values.
+    Ties break toward the lower feature (``features`` is sorted), then the
+    lower threshold. Returns None when no feature admits a valid split.
     """
-    y_node = y[idx]
     n = len(idx)
-    n_true = int(y_node.sum())
-    parent = n * _gini_counts(n_true, n - n_true)
-    best = None
-    for f in features:
-        values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]
-        if len(cut) == 0:
-            continue
-        cum_true = np.cumsum(y_node[order])
-        n_left = cut + 1
-        t_left = cum_true[cut]
-        f_left = n_left - t_left
-        n_right = n - n_left
-        t_right = n_true - t_left
-        f_right = n_right - t_right
-        child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
-            1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
-        )
-        j = int(np.argmin(child))
-        decrease = parent - float(child[j])
-        if best is None or decrease > best[0]:
-            threshold = (float(sv[cut[j]]) + float(sv[cut[j] + 1])) / 2.0
-            best = (decrease, f, threshold)
-    return best
+    pt, pf = n_true / n, (n - n_true) / n
+    parent = n * (1.0 - pt * pt - pf * pf)
+    columns = np.arange(len(features))
+    block = X[idx[:, None], features]
+    order = block.argsort(axis=0, kind="stable")
+    sv = block[order, columns]
+    t_left = y[idx[order]].cumsum(axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    f_left = n_left - t_left
+    n_right = n - n_left
+    t_right = n_true - t_left
+    f_right = n_right - t_right
+    child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
+        1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
+    )
+    child[~(sv[:-1] < sv[1:])] = np.inf
+    j = child.argmin(axis=0)
+    decrease = parent - child[j, columns]
+    c = int(decrease.argmax())
+    if decrease[c] == -np.inf:
+        return None
+    threshold = (float(sv[j[c], c]) + float(sv[j[c] + 1, c])) / 2.0
+    return float(decrease[c]), int(features[c]), threshold
 
 
 class DecisionTreeCART:
@@ -368,11 +359,10 @@ class DecisionTreeCART:
         self.rng = rng
         self.tree_: Optional[_Tree] = None
 
-    def _node_features(self, d: int) -> Sequence[int]:
+    def _node_features(self, d: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= d:
-            return range(d)
-        subset = self.rng.choice(d, size=self.max_features, replace=False)
-        return sorted(int(f) for f in subset)
+            return np.arange(d)
+        return np.sort(self.rng.choice(d, size=self.max_features, replace=False))
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -386,7 +376,7 @@ class DecisionTreeCART:
             n_true = int(y[idx].sum())
             node = tree.add_leaf(n_true > len(idx) - n_true)
             if 0 < n_true < len(idx):
-                split = _best_split(X, y, idx, self._node_features(X.shape[1]))
+                split = _best_split(X, y, idx, self._node_features(X.shape[1]), n_true)
                 if split is not None:
                     heappush(heap, (-split[0], counter, node, idx, split[1], split[2]))
                     counter += 1
@@ -683,8 +673,7 @@ def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_ev
 
 def sweep(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0) -> ModelSpec:
     """Grid point with the best micro-F1 on eval_data; first point wins ties."""
-    best_spec, _ = sweep_full(family, grid, train_data, eval_data, seed)
-    return best_spec
+    return sweep_full(family, grid, train_data, eval_data, seed)[0]
 
 
 def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0):

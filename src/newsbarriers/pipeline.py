@@ -4,6 +4,7 @@ Each stage materializes its output under the run directory so stages can be
 re-run and diffed independently. Failures carry a ``stage: cause`` message.
 """
 
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -87,15 +88,25 @@ def annotate_corpus(config: PipelineConfig):
     return datasets, report, vocab
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file renamed over ``path``: readers see old or new, never half."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def run_pipeline(config: PipelineConfig):
-    """Full run: annotate, cross-validate every model, write the reports."""
+    """Full run: write the config, annotate, cross-validate every model, write the reports.
+
+    Both reports are rendered before either is written: a failed run leaves the old ones as they were."""
     config.validate()
     out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_atomic(out / "config.txt", config_to_text(config))
     datasets, report, vocab = annotate_corpus(config)
     specs = [ModelSpec(family=family_from_name(m), seed=config.seed) for m in config.models]
     grids = config.model_grids()
-    rows = []
-    footer = []
+    rows, footer = [], []
     for name in config.barriers:
         dataset = datasets[BarrierKind(name)]
         with stage(f"experiment[{name}]"):
@@ -111,7 +122,7 @@ def run_pipeline(config: PipelineConfig):
                 )
             )
         footer.extend(dataset_footer(dataset))
-    (out / "report.csv").write_text(render_report(rows, "csv"), encoding="utf-8")
-    (out / "report.md").write_text(render_report(rows, "markdown", footer=footer), encoding="utf-8")
-    (out / "config.txt").write_text(config_to_text(config), encoding="utf-8")
+    reports = {"report.csv": render_report(rows, "csv"), "report.md": render_report(rows, "markdown", footer=footer)}
+    for name, text in reports.items():
+        write_atomic(out / name, text)
     return rows

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsbarriers import classifiers
@@ -436,3 +436,75 @@ def test_hyperparameter_out_of_range(family, params):
     grid = [params, {sweep_param: DEFAULT_GRIDS[family][0][sweep_param]}] if name == sweep_param else [params]
     with pytest.raises(ConfigError, match=f"{name} must be "):
         grid_predictions(family, grid, (X, y), X)
+
+
+def reference_best_split(X, y, idx, features):
+    """The per-feature loop that the column-block split search replaced."""
+    y_node = y[idx]
+    n = len(idx)
+    n_true = int(y_node.sum())
+    pt, pf = n_true / n, (n - n_true) / n
+    parent = n * (1.0 - pt * pt - pf * pf)
+    best = None
+    for f in features:
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        cut = np.nonzero(sv[:-1] < sv[1:])[0]
+        if len(cut) == 0:
+            continue
+        cum_true = np.cumsum(y_node[order])
+        n_left = cut + 1
+        t_left = cum_true[cut]
+        f_left = n_left - t_left
+        n_right = n - n_left
+        t_right = n_true - t_left
+        f_right = n_right - t_right
+        child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
+            1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
+        )
+        j = int(np.argmin(child))
+        decrease = parent - float(child[j])
+        if best is None or decrease > best[0]:
+            threshold = (float(sv[cut[j]]) + float(sv[cut[j] + 1])) / 2.0
+            best = (decrease, f, threshold)
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """A node of 0-3 integer data: duplicate rows, some constant columns, rows
+    drawn with repeats (as in a bootstrap), a sorted random feature subset, and
+    now and then a node where every candidate column is constant."""
+    n_rows, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+    X = np.array(rows + rows[: draw(st.integers(0, n_rows))], dtype=float)
+    for column in draw(st.sets(st.integers(0, d - 1))):
+        X[:, column] = draw(st.integers(0, 3))
+    y = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
+    idx = np.array(draw(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=30)))
+    features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    if draw(st.integers(0, 3)) == 0:
+        X[:, features] = X[idx[0], features]
+    return X, y, idx, features
+
+
+def exact(split):
+    return None if split is None else (split[0].hex(), split[1], split[2].hex())
+
+
+NO_CUT_X = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
+NO_CUT_Y = np.array([True, False, True])
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_nodes())
+@example((NO_CUT_X, NO_CUT_Y, np.array([0, 2, 1, 1]), [0, 1]))  # no column has a cut
+@example((NO_CUT_X, NO_CUT_Y, np.array([0, 2, 1, 1]), [0, 1, 2]))  # only the last one has
+def test_block_split_search_equals_the_per_feature_loop(node):
+    X, y, idx, features = node
+    expected = reference_best_split(X, y, idx, features)
+    got = classifiers._best_split(X, y, idx, np.array(features), int(y[idx].sum()))
+    assert exact(got) == exact(expected)
+    assert got is None or type(got[1]) is int

@@ -6,7 +6,8 @@ family, hyperparameters and seed recorded in the file itself;
 ``predictions.json`` holds each model's predictions on the same data. The
 golden digests are those of the report files that ``run_pipeline`` wrote with
 default grids on the corpus built by ``golden_config``, once with the default
-protocol and once with ``nested=True``.
+protocol and once with ``nested=True``. The forest digests are those of the
+JSON state of a 200-tree forest fitted on ``concept_profile_matrix()``.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsbarriers.classifiers import ModelFamily, ModelSpec, load_model, save_model, train
+from newsbarriers.classifiers import ModelFamily, ModelSpec, RandomForest, load_model, save_model, train
 from newsbarriers.config import PipelineConfig
 from newsbarriers.pipeline import run_pipeline
 from newsbarriers.synth import SyntheticSpec, generate_corpus
@@ -35,12 +36,29 @@ NESTED_SHA256 = {
     "config.txt": "1daa04280f7a8c61fcaba6721a51f73e10ba2a89a60a7f935305cb43cfb0e09a",
 }
 
+FOREST_SHA256 = {
+    0: "cefc32367888acc5387b391f4ff11ca010b3002512eb9bd2f091f484dcfacd92",
+    1: "a75432b6bf7403760b67255b70f27e85ada0f704386434fa25b50ff8231a91de",
+}
+
 
 def two_blobs():
     """40 rows, 3 features: 20 FALSE around -1 then 20 TRUE around +1."""
     rng = np.random.default_rng(40)
     X = np.vstack([rng.normal(-1.0, 1.0, size=(20, 3)), rng.normal(1.0, 1.0, size=(20, 3))])
     y = np.array([False] * 20 + [True] * 20)
+    return X, y
+
+
+def concept_profile_matrix():
+    """30 rows shaped like a barrier dataset: 80 sparse binary concept columns,
+    then a 10-column profile block shared by the rows of each of 6 countries."""
+    rng = np.random.default_rng(90)
+    concepts = (rng.random((30, 80)) < 0.12).astype(float)
+    profiles = rng.integers(0, 50, size=(6, 10)) / 10.0
+    country = rng.integers(0, 6, size=30)
+    X = np.hstack([concepts, profiles[country]])
+    y = concepts[:, :5].sum(axis=1) + (country < 3) + rng.random(30) > 1.5
     return X, y
 
 
@@ -96,3 +114,10 @@ def test_model_format_v1_is_pinned(tmp_path, family):
     spec = ModelSpec(family=family, hyperparameters=payload["hyperparameters"], seed=payload["seed"])
     save_model(train(spec, (X, y)), tmp_path / "retrained.json")
     assert (tmp_path / "retrained.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", sorted(FOREST_SHA256))
+def test_forest_state_is_pinned(seed):
+    X, y = concept_profile_matrix()
+    state = RandomForest(200, seed=seed).fit(X, y).get_state()
+    assert hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest() == FOREST_SHA256[seed]
