@@ -9,12 +9,12 @@ metrics.
 
 from .annotate import (
     BarrierDataset,
-    annotate_equality_barrier,
     annotate_vector_barrier,
+    barrier_present,
     build_barrier_dataset,
     cosine_similarity,
 )
-from .classifiers import ModelFamily, ModelSpec, TrainedModel, predict, sweep, train
+from .classifiers import ModelFamily, ModelSpec, TrainedModel, train
 from .evaluate import micro_metrics, render_report, run_experiment, stratified_kfold
 from .features import ConceptVocabulary, LabeledInstance, assemble_instance, build_vocabulary, vectorize_concepts
 from .ingest import (
@@ -50,9 +50,9 @@ __all__ = [
     "SpreadingExample",
     "SyntheticSpec",
     "TrainedModel",
-    "annotate_equality_barrier",
     "annotate_vector_barrier",
     "assemble_instance",
+    "barrier_present",
     "barrier_profile",
     "build_barrier_dataset",
     "build_vocabulary",
@@ -64,11 +64,9 @@ __all__ = [
     "load_publishers",
     "micro_metrics",
     "parse_pairs",
-    "predict",
     "render_report",
     "run_experiment",
     "stratified_kfold",
-    "sweep",
     "to_spreading_examples",
     "train",
     "vectorize_concepts",

@@ -1,9 +1,10 @@
 """Barrier labeling rules and per-barrier dataset assembly.
 
 Label semantics: TRUE means the barrier is present, i.e. the two publishers'
-metadata for that barrier differs. Economic and cultural barriers compare
-country vectors by cosine similarity against a threshold; geographical,
-time-zone, and political barriers compare fields for equality.
+metadata for that barrier differs. A pair is labeled from the two profile
+blocks that ``knowledge.barrier_profile`` gives its publishers: economic and
+cultural blocks by cosine similarity against a threshold, geographical,
+time-zone and political blocks by whether any value differs.
 """
 
 import csv
@@ -25,12 +26,12 @@ from .errors import (
 from .features import ConceptVocabulary, LabeledInstance, assemble_instance
 from .ingest import SpreadingExample
 from .knowledge import (
+    BARRIERS,
     BarrierKind,
-    CountryProfile,
     ProfileStore,
-    PublisherRecord,
     PublisherStore,
-    economic_values,
+    barrier_profile,
+    format_float,
     parse_float,
     profile_feature_names,
 )
@@ -40,8 +41,6 @@ SIMILARITY_THRESHOLD = 0.9
 # Country-level coordinates are either identical or clearly apart; epsilon only
 # absorbs float round-trip noise.
 COORDINATE_EPSILON = 1e-6
-
-EQUALITY_KINDS = (BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE, BarrierKind.POLITICAL)
 
 
 def cosine_similarity(u, v) -> float:
@@ -62,35 +61,17 @@ def annotate_vector_barrier(profile_a, profile_b, threshold: float = SIMILARITY_
     return not cosine_similarity(profile_a, profile_b) > threshold
 
 
-def annotate_equality_barrier(
-    kind: BarrierKind,
-    source: PublisherRecord,
-    target: PublisherRecord,
-    source_country: Optional[CountryProfile],
-    target_country: Optional[CountryProfile],
-) -> bool:
-    """FALSE when the compared field is the same on both sides, TRUE otherwise."""
-    if kind not in EQUALITY_KINDS:
-        raise ValueError(f"{kind} is not an equality-labeled barrier")
+def barrier_present(kind: BarrierKind, profile_a, profile_b, threshold: float = SIMILARITY_THRESHOLD) -> bool:
+    """Label of a pair from the two publishers' ``barrier_profile`` blocks.
 
-    if kind is BarrierKind.POLITICAL:
-        if source.political_alignment is None or target.political_alignment is None:
-            raise UnknownAlignment("political alignment unknown for at least one publisher")
-        return source.political_alignment != target.political_alignment
-
-    if source_country is None or target_country is None:
-        raise IncompleteMetadata("country profile missing for at least one publisher")
-
-    if kind is BarrierKind.TIME_ZONE:
-        return source_country.utc_offset != target_country.utc_offset
-
-    if source_country.country_code == target_country.country_code:
-        return False
-    same_point = (
-        abs(source_country.latitude - target_country.latitude) <= COORDINATE_EPSILON
-        and abs(source_country.longitude - target_country.longitude) <= COORDINATE_EPSILON
-    )
-    return not same_point
+    Economic and cultural blocks use the cosine rule; for the others a barrier
+    is present when some value differs by more than COORDINATE_EPSILON (the
+    same country gives the same coordinates, UTC offsets are whole minutes and
+    one-hot alignment blocks differ exactly when the alignments do).
+    """
+    if BARRIERS[kind].cosine:
+        return annotate_vector_barrier(profile_a, profile_b, threshold)
+    return bool((np.abs(profile_a - profile_b) > COORDINATE_EPSILON).any())
 
 
 @dataclass
@@ -116,31 +97,6 @@ class BarrierDataset:
         X = np.stack([i.features for i in self.instances])
         y = np.array([i.label for i in self.instances], dtype=bool)
         return X, y
-
-
-def _label_example(
-    kind: BarrierKind,
-    source: PublisherRecord,
-    target: PublisherRecord,
-    profiles: ProfileStore,
-    threshold: float,
-    economic_features,
-) -> bool:
-    if kind in EQUALITY_KINDS:
-        return annotate_equality_barrier(
-            kind, source, target, profiles.get(source.country_code), profiles.get(target.country_code)
-        )
-    source_country = profiles.get(source.country_code)
-    target_country = profiles.get(target.country_code)
-    if source_country is None or target_country is None:
-        raise IncompleteMetadata("country profile missing for at least one publisher")
-    if kind is BarrierKind.ECONOMIC:
-        a = economic_values(source_country, economic_features)
-        b = economic_values(target_country, economic_features)
-    else:
-        a = np.array(source_country.cultural)
-        b = np.array(target_country.cultural)
-    return annotate_vector_barrier(a, b, threshold)
 
 
 def build_barrier_dataset(
@@ -172,10 +128,9 @@ def build_barrier_dataset(
             dataset.dropped["missing_publisher"] += 1
             continue
         try:
-            label = _label_example(kind, source, target, profiles, threshold, economic_features)
-            instance = assemble_instance(
-                example, kind, vocab, profiles, publishers, label, profile_side, economic_features
-            )
+            a = barrier_profile(source, profiles, kind, publishers.alignment_vocabulary, economic_features)
+            b = barrier_profile(target, profiles, kind, publishers.alignment_vocabulary, economic_features)
+            label = barrier_present(kind, a, b, threshold)
         except UnknownAlignment:
             dataset.dropped["unknown_alignment"] += 1
             continue
@@ -185,15 +140,9 @@ def build_barrier_dataset(
         except ZeroVector:
             dataset.dropped["zero_vector"] += 1
             continue
-        dataset.instances.append(instance)
+        profile = a if profile_side == "source" else b
+        dataset.instances.append(assemble_instance(example, kind, vocab, profile, label))
     return dataset
-
-
-def _format_value(value: float) -> str:
-    as_float = float(value)
-    if as_float.is_integer() and abs(as_float) < 1e16:
-        return str(int(as_float))
-    return repr(as_float)
 
 
 def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
@@ -204,7 +153,7 @@ def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
         for instance in dataset.instances:
             writer.writerow(
                 [instance.article_id, "TRUE" if instance.label else "FALSE"]
-                + [_format_value(v) for v in instance.features]
+                + [format_float(v) for v in instance.features]
             )
 
 

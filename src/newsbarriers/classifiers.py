@@ -198,6 +198,8 @@ class KNearestNeighbors:
     def set_state(self, state: dict) -> "KNearestNeighbors":
         self.X_ = np.array(state["X"], dtype=float)
         self.y_ = np.array(state["y"], dtype=bool)
+        if self.X_.ndim != 2 or len(self.X_) != len(self.y_):
+            raise ValueError("kNN needs one label per training row")
         return self
 
 
@@ -306,6 +308,13 @@ class _Tree:
     def set_state(self, state: dict) -> "_Tree":
         for name in self.FIELDS:
             setattr(self, name, list(state[name]))
+        n = len(self.feature)
+        if n == 0 or any(len(getattr(self, name)) != n for name in self.FIELDS):
+            raise ValueError("tree node lists must be non-empty and of one length")
+        # children after their parent: predict walks down and cannot loop
+        for node, feature in enumerate(self.feature):
+            if feature >= 0 and not (node < self.left[node] < n and node < self.right[node] < n):
+                raise ValueError(f"tree node {node} must have children after it")
         return self
 
 
@@ -647,10 +656,6 @@ def train(spec: ModelSpec, data) -> TrainedModel:
     )
 
 
-def predict(model: TrainedModel, features) -> bool:
-    return model.predict(features)
-
-
 def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_eval, seed: int = 0) -> list:
     """Predictions on ``X_eval`` of a model refit on ``train_data`` at each grid point, in grid order.
 
@@ -671,13 +676,8 @@ def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_ev
     return [train(ModelSpec(family, dict(point), seed), train_data).predict_batch(X_eval) for point in grid]
 
 
-def sweep(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0) -> ModelSpec:
-    """Grid point with the best micro-F1 on eval_data; first point wins ties."""
-    return sweep_full(family, grid, train_data, eval_data, seed)[0]
-
-
 def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0):
-    """``sweep``'s best spec together with its predictions on eval_data."""
+    """Grid point with the best micro-F1 on eval_data (first point wins ties) and its predictions there."""
     from .evaluate import best_point
 
     if not grid:
@@ -719,6 +719,8 @@ def load_model(path) -> TrainedModel:
         if payload["standardization"] is not None and hasattr(est, "scaler"):
             est.scaler.mean = np.array(payload["standardization"]["mean"], dtype=float)
             est.scaler.scale = np.array(payload["standardization"]["scale"], dtype=float)
+            if not est.scaler.mean.shape == est.scaler.scale.shape == (payload["n_features"],):
+                raise ValueError("standardization does not match n_features")
         return TrainedModel(spec.family, spec.hyperparameters, spec.seed, payload["n_features"], est)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model: malformed model file: {exc}") from None

@@ -16,7 +16,7 @@ from .config import ALL_BARRIERS, PipelineConfig, load_config, parse_family, par
 from .errors import ConfigError, DataError
 from .evaluate import micro_metrics, parse_report_csv, render_report
 from .knowledge import BarrierKind
-from .pipeline import annotate_corpus, build_vocab, ingest_corpus, run_pipeline, stage
+from .pipeline import annotate_corpus, build_vocab, ingest_corpus, make_out_dir, run_pipeline, stage
 from .synth import SyntheticSpec, generate_corpus
 
 
@@ -60,6 +60,14 @@ def _build_config(args) -> PipelineConfig:
             except ConfigError as exc:
                 raise ConfigError(f"arguments: {exc}") from None
     return config
+
+
+def seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _parse_param(text: str):
@@ -116,6 +124,7 @@ def cmd_synth(args) -> int:
         extra_unclassified_pairs=args.extra_pairs,
         event_label=args.event,
     )
+    make_out_dir(args.out)
     paths = generate_corpus(spec, args.out)
     for name in ("pairs", "concepts", "countries", "publishers", "truth"):
         print(f"{name}: {paths[name]}")
@@ -126,7 +135,8 @@ def cmd_train(args) -> int:
     params = dict(_parse_param(p) for p in args.param or ())
     spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
     model = train(spec, _load_dataset(args).instances)
-    save_model(model, args.out)
+    with stage("out"):
+        save_model(model, args.out)
     print(f"model: {args.out}")
     return 0
 
@@ -143,14 +153,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        text = Path(args.rows).read_text(encoding="utf-8")
-    except OSError:
-        raise ConfigError("rows: not found") from None
     with stage("rows"):
+        try:
+            text = Path(args.rows).read_text(encoding="utf-8")
+        except OSError:
+            raise ConfigError("not found") from None
         rendered = render_report(parse_report_csv(text), args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        with stage("out"):
+            Path(args.out).write_text(rendered, encoding="utf-8")
     else:
         print(rendered, end="")
     return 0
@@ -186,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n-publishers", type=int, default=12, dest="n_publishers")
     p_synth.add_argument("--n-articles", type=int, default=100, dest="n_articles")
     p_synth.add_argument("--concept-pool", type=int, default=40, dest="concept_pool")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=seed, default=0)
     p_synth.add_argument("--regime", action="append", metavar="BARRIER=same|diff|mixed")
     p_synth.add_argument("--unknown-alignment-rate", type=float, default=0.0, dest="unknown_alignment_rate")
     p_synth.add_argument("--extra-pairs", type=int, default=10, dest="extra_pairs")
@@ -197,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--family", required=True)
     p_train.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=seed, default=0)
     p_train.add_argument("--barrier", choices=ALL_BARRIERS)
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(func=cmd_train)
@@ -222,14 +233,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+        code, message = 1, str(exc)
     except DataError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure
-        print(f"internal: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"internal: {exc}"
+    # one line, even when the cause quotes user text with line breaks in it
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ from pathlib import Path
 
 from .classifiers import DEFAULT_GRIDS, FAMILIES, ModelFamily, family_from_name
 from .errors import ConfigError
-from .knowledge import ECONOMIC_FEATURES
+from .knowledge import ECONOMIC_FEATURES, BarrierKind
 
-ALL_BARRIERS = ("economic", "cultural", "geographical", "timezone", "political")
+ALL_BARRIERS = tuple(k.value for k in BarrierKind)
 ALL_MODELS = tuple(f.value for f in ModelFamily)
 
 
@@ -45,6 +45,9 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: not set")
             if not Path(path).is_file():
                 raise ConfigError(f"{key}: not found")
+        for key in ("barriers", "models"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key}: must name at least one")
         for barrier in self.barriers:
             if barrier not in ALL_BARRIERS:
                 raise ConfigError(f"barriers: unknown barrier {barrier!r}")
@@ -56,6 +59,8 @@ class PipelineConfig:
             raise ConfigError("vocab_size: must be positive")
         if self.k_folds < 2:
             raise ConfigError("k_folds: must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed: must not be negative")
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold: must be a finite number in [-1, 1], got {self.threshold!r}")
         for family, grid in self.model_grids().items():
@@ -183,5 +188,7 @@ def load_config(path) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
-        raise ConfigError(f"config: not found") from None
+        raise ConfigError("config: not found") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {exc}") from None
     return config_from_text(text)

@@ -26,23 +26,7 @@ from .classifiers import (
     train,
 )
 from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
-from .knowledge import BarrierKind
-
-BARRIER_ORDER = (
-    BarrierKind.ECONOMIC,
-    BarrierKind.CULTURAL,
-    BarrierKind.GEOGRAPHICAL,
-    BarrierKind.TIME_ZONE,
-    BarrierKind.POLITICAL,
-)
-
-BARRIER_TITLES = {
-    BarrierKind.ECONOMIC: "Economic",
-    BarrierKind.CULTURAL: "Cultural",
-    BarrierKind.GEOGRAPHICAL: "Geographical",
-    BarrierKind.TIME_ZONE: "Time Zone",
-    BarrierKind.POLITICAL: "Political",
-}
+from .knowledge import BARRIERS, BarrierKind
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ def run_experiment(
 
 
 def _sorted_rows(rows: Sequence[ReportRow]) -> list:
-    return sorted(rows, key=lambda r: (BARRIER_ORDER.index(r.barrier), list(FAMILIES).index(r.family)))
+    return sorted(rows, key=lambda r: (list(BarrierKind).index(r.barrier), list(FAMILIES).index(r.family)))
 
 
 def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Optional[Sequence[str]] = None) -> str:
@@ -224,7 +208,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
         for r in ordered:
             writer.writerow(
                 (
-                    BARRIER_TITLES[r.barrier],
+                    BARRIERS[r.barrier].title,
                     FAMILIES[r.family].display_name,
                     repr(r.metrics.classification_accuracy),
                     repr(r.metrics.micro_precision),
@@ -238,7 +222,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
     lines = ["| Barrier | Model | CA | Mic-Pre | Mic-Rec | Mic-F1 |", "| --- | --- | --- | --- | --- | --- |"]
     last_barrier = None
     for r in ordered:
-        title = BARRIER_TITLES[r.barrier] if r.barrier is not last_barrier else ""
+        title = BARRIERS[r.barrier].title if r.barrier is not last_barrier else ""
         last_barrier = r.barrier
         m = r.metrics
         lines.append(
@@ -256,7 +240,7 @@ def parse_report_csv(text: str) -> list:
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != ["barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"]:
         raise DataError("not a report csv")
-    title_to_barrier = {v: k for k, v in BARRIER_TITLES.items()}
+    title_to_barrier = {b.title: kind for kind, b in BARRIERS.items()}
     name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
     for rownum, record in enumerate(reader, start=2):
@@ -277,7 +261,7 @@ def parse_report_csv(text: str) -> list:
 def dataset_footer(dataset: BarrierDataset) -> list:
     n_true, n_false = dataset.class_counts
     lines = [
-        f"{BARRIER_TITLES[dataset.barrier]}: {len(dataset.instances)} instances "
+        f"{BARRIERS[dataset.barrier].title}: {len(dataset.instances)} instances "
         f"(TRUE {n_true} / FALSE {n_false}), dropped {dataset.total_dropped}"
     ]
     for reason in sorted(dataset.dropped):

@@ -7,13 +7,13 @@ document frequency) and a per-barrier publisher profile block.
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyCorpus
 from .ingest import ConceptIndex, SpreadingExample
-from .knowledge import BarrierKind, ProfileStore, PublisherStore, barrier_profile
+from .knowledge import BarrierKind
 
 DEFAULT_VOCABULARY_SIZE = 300
 
@@ -99,26 +99,9 @@ def assemble_instance(
     example: SpreadingExample,
     kind: BarrierKind,
     vocab: ConceptVocabulary,
-    profiles: ProfileStore,
-    publishers: PublisherStore,
+    profile: np.ndarray,
     label: bool,
-    profile_side: str = "source",
-    economic_features: Optional[Sequence[str]] = None,
 ) -> LabeledInstance:
-    """Concept block + profile block of the spreading publisher, label attached.
-
-    The profile defaults to the source publisher (the article kept from each
-    pair is the source article); ``profile_side="target"`` switches to the
-    receiving publisher. That publisher must be in ``publishers``;
-    ``build_barrier_dataset`` drops examples with a missing publisher first.
-    """
-    uri = example.source_publisher_uri if profile_side == "source" else example.target_publisher_uri
-    profile_block = barrier_profile(
-        publishers.get(uri),
-        profiles,
-        kind,
-        alignment_vocabulary=publishers.alignment_vocabulary,
-        economic_features=economic_features,
-    )
-    features = np.concatenate([vectorize_concepts(example, vocab), profile_block])
+    """Concept block of the example's article followed by the given profile block, label attached."""
+    features = np.concatenate([vectorize_concepts(example, vocab), profile])
     return LabeledInstance(features=features, label=label, article_id=example.article_id, barrier=kind)

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import MalformedLine, MalformedRow, UnknownClassLabel
+from .knowledge import format_float
 
 PAIR_COLUMNS = (
     "from",
@@ -159,11 +160,6 @@ def parse_pairs(path) -> list:
     return pairs
 
 
-def _format_weight(weight: float) -> str:
-    text = repr(weight)
-    return text[:-2] if text.endswith(".0") else text
-
-
 def serialize_pairs(pairs: Sequence[ArticlePair], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -173,7 +169,7 @@ def serialize_pairs(pairs: Sequence[ArticlePair], path) -> None:
                 [
                     p.from_id,
                     p.to_id,
-                    _format_weight(p.weight),
+                    format_float(p.weight),
                     p.propagation_class.value,
                     p.from_publisher,
                     p.to_publisher,

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -243,13 +243,12 @@ def load_country_profiles(path) -> ProfileStore:
     return ProfileStore(profiles)
 
 
-def _format_number(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    as_float = float(value)
-    if as_float.is_integer() and abs(as_float) < 1e16:
-        return str(int(as_float))
-    return repr(as_float)
+def format_float(value) -> str:
+    """Text that reads back as the same float: integral values below 1e16 without ``.0``, else ``repr``."""
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 def save_country_profiles(store: ProfileStore, path) -> None:
@@ -258,9 +257,9 @@ def save_country_profiles(store: ProfileStore, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COUNTRY_COLUMNS)
         for p in store:
-            row = [p.country_code, _format_number(p.latitude), _format_number(p.longitude), str(p.utc_offset)]
-            row.extend(_format_number(v) for v in p.cultural)
-            row.extend(_format_number(v) for v in p.economic)
+            row = [p.country_code, format_float(p.latitude), format_float(p.longitude), str(p.utc_offset)]
+            row.extend(format_float(v) for v in p.cultural)
+            row.extend(format_float(v) for v in p.economic)
             writer.writerow(row)
 
 
@@ -293,16 +292,42 @@ def load_publishers(path, store: ProfileStore) -> PublisherStore:
     return PublisherStore(records)
 
 
-def economic_values(profile: CountryProfile, economic_features: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Economic vector of a country, optionally restricted to a named subset."""
-    if economic_features is None:
-        return np.array(profile.economic, dtype=float)
-    indices = []
+@dataclass(frozen=True)
+class Barrier:
+    """What one barrier reads from the metadata and how it labels a pair.
+
+    ``read`` gives a country's values in ``columns`` order; None means the
+    block is the publisher's political alignment, one-hot encoded. ``cosine``
+    picks the label rule of ``annotate.barrier_present``: cosine similarity
+    against the threshold, or else "some value differs by more than
+    ``annotate.COORDINATE_EPSILON``".
+    """
+
+    title: str
+    columns: tuple
+    read: Optional[Callable[[CountryProfile], tuple]]
+    cosine: bool
+
+
+BARRIERS = {
+    BarrierKind.ECONOMIC: Barrier("Economic", ECONOMIC_FEATURES, lambda c: c.economic, cosine=True),
+    BarrierKind.CULTURAL: Barrier("Cultural", CULTURAL_FEATURES, lambda c: c.cultural, cosine=True),
+    BarrierKind.GEOGRAPHICAL: Barrier(
+        "Geographical", GEOGRAPHICAL_FEATURES, lambda c: (c.latitude, c.longitude), cosine=False
+    ),
+    BarrierKind.TIME_ZONE: Barrier("Time Zone", TIME_ZONE_FEATURES, lambda c: (c.utc_offset,), cosine=False),
+    BarrierKind.POLITICAL: Barrier("Political", (), None, cosine=False),
+}
+
+
+def _economic_subset(kind: BarrierKind, economic_features: Optional[Sequence[str]]) -> Optional[list]:
+    """Positions of the named economic indicators, or None for the barrier's full block."""
+    if kind is not BarrierKind.ECONOMIC or economic_features is None:
+        return None
     for name in economic_features:
         if name not in ECONOMIC_FEATURES:
             raise MissingColumn(name)
-        indices.append(ECONOMIC_FEATURES.index(name))
-    return np.array([profile.economic[i] for i in indices], dtype=float)
+    return [ECONOMIC_FEATURES.index(name) for name in economic_features]
 
 
 def profile_feature_names(
@@ -311,15 +336,11 @@ def profile_feature_names(
     economic_features: Optional[Sequence[str]] = None,
 ) -> tuple:
     """Column names of the profile block for one barrier kind."""
-    if kind is BarrierKind.ECONOMIC:
-        return tuple(economic_features) if economic_features is not None else ECONOMIC_FEATURES
-    if kind is BarrierKind.CULTURAL:
-        return CULTURAL_FEATURES
-    if kind is BarrierKind.GEOGRAPHICAL:
-        return GEOGRAPHICAL_FEATURES
-    if kind is BarrierKind.TIME_ZONE:
-        return TIME_ZONE_FEATURES
-    return tuple(f"{POLITICAL_FEATURE}={a}" for a in alignment_vocabulary)
+    if BARRIERS[kind].read is None:
+        return tuple(f"{POLITICAL_FEATURE}={a}" for a in alignment_vocabulary)
+    subset = _economic_subset(kind, economic_features)
+    columns = BARRIERS[kind].columns
+    return columns if subset is None else tuple(columns[i] for i in subset)
 
 
 def barrier_profile(
@@ -335,7 +356,8 @@ def barrier_profile(
     profile store; POLITICAL needs only the alignment field, one-hot encoded
     over ``alignment_vocabulary``.
     """
-    if kind is BarrierKind.POLITICAL:
+    read = BARRIERS[kind].read
+    if read is None:
         if publisher.political_alignment is None:
             raise UnknownAlignment(f"publisher {publisher.publisher_uri} has no political alignment")
         onehot = np.zeros(len(alignment_vocabulary), dtype=float)
@@ -352,10 +374,8 @@ def barrier_profile(
         raise IncompleteMetadata(
             f"publisher {publisher.publisher_uri}: country {publisher.country_code!r} not in profile store"
         )
-    if kind is BarrierKind.ECONOMIC:
-        return economic_values(profile, economic_features)
-    if kind is BarrierKind.CULTURAL:
-        return np.array(profile.cultural, dtype=float)
-    if kind is BarrierKind.GEOGRAPHICAL:
-        return np.array([profile.latitude, profile.longitude], dtype=float)
-    return np.array([float(profile.utc_offset)], dtype=float)
+    values = read(profile)
+    subset = _economic_subset(kind, economic_features)
+    if subset is not None:
+        values = [values[i] for i in subset]
+    return np.array(values, dtype=float)

@@ -4,6 +4,7 @@ Each stage materializes its output under the run directory so stages can be
 re-run and diffed independently. Failures carry a ``stage: cause`` message.
 """
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,12 +27,21 @@ from .knowledge import BarrierKind, load_country_profiles, load_publishers
 
 @contextmanager
 def stage(name: str):
+    """Prefix errors with the stage name. A path that cannot be read or written is a
+    configuration error; bytes that are not UTF-8 or not CSV are a data error."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{name}: {exc}") from exc
+
+
+def make_out_dir(path) -> Path:
+    out = Path(path)
+    with stage("out"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def ingest_corpus(config: PipelineConfig):
@@ -62,8 +72,7 @@ def build_vocab(config: PipelineConfig, examples, index):
 
 def annotate_corpus(config: PipelineConfig):
     """Ingest, build the vocabulary, and materialize per-barrier datasets."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out)
     profiles, publishers, index, examples, report = ingest_corpus(config)
     (out / "ingest_report.txt").write_text(report.render(), encoding="utf-8")
     vocab = build_vocab(config, examples, index)
@@ -100,8 +109,7 @@ def run_pipeline(config: PipelineConfig):
 
     Both reports are rendered before either is written: a failed run leaves the old ones as they were."""
     config.validate()
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out)
     write_atomic(out / "config.txt", config_to_text(config))
     datasets, report, vocab = annotate_corpus(config)
     specs = [ModelSpec(family=family_from_name(m), seed=config.seed) for m in config.models]

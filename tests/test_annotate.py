@@ -1,4 +1,7 @@
 import math
+from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,17 +9,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newsbarriers.annotate import (
-    annotate_equality_barrier,
     annotate_vector_barrier,
+    barrier_present,
     build_barrier_dataset,
     cosine_similarity,
     load_barrier_dataset,
     save_barrier_dataset,
 )
-from newsbarriers.errors import IncompleteMetadata, LengthMismatch, ZeroVector
-from newsbarriers.features import build_vocabulary
-from newsbarriers.ingest import SpreadingExample
-from newsbarriers.knowledge import BarrierKind, CountryProfile, PublisherRecord
+from newsbarriers.errors import IncompleteMetadata, LengthMismatch, UnknownAlignment, ZeroVector
+from newsbarriers.features import build_vocabulary, vectorize_concepts
+from newsbarriers.ingest import (
+    SpreadingExample,
+    filter_propagated,
+    load_concept_annotations,
+    parse_pairs,
+    to_spreading_examples,
+)
+from newsbarriers.knowledge import (
+    ECONOMIC_FEATURES,
+    BarrierKind,
+    CountryProfile,
+    ProfileStore,
+    PublisherRecord,
+    barrier_profile,
+    load_country_profiles,
+    load_publishers,
+)
+from newsbarriers.synth import SyntheticSpec, generate_corpus
 
 unit_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=8
@@ -131,11 +150,19 @@ def make_publisher(uri, country, alignment=None):
                            political_alignment=alignment)
 
 
+def present(kind, a, b, countries, threshold=0.9):
+    """Label of publishers ``a`` and ``b`` from their profile blocks over a store of ``countries``."""
+    store = ProfileStore({c.country_code: c for c in countries}.values())
+    vocab = tuple(sorted({p.political_alignment for p in (a, b) if p.political_alignment}))
+    block_a, block_b = (barrier_profile(p, store, kind, vocab) for p in (a, b))
+    return barrier_present(kind, block_a, block_b, threshold)
+
+
 def test_geographical_same_country_is_false():
     de = make_country("DE", 51.0, 9.0, 60)
     a = make_publisher("a.de", "DE")
     b = make_publisher("b.de", "DE")
-    assert annotate_equality_barrier(BarrierKind.GEOGRAPHICAL, a, b, de, de) is False
+    assert present(BarrierKind.GEOGRAPHICAL, a, b, [de]) is False
 
 
 def test_geographical_same_coordinates_different_code_is_false():
@@ -143,68 +170,74 @@ def test_geographical_same_coordinates_different_code_is_false():
     b = make_publisher("b.y", "BB")
     ca = make_country("AA", 10.0, 20.0)
     cb = make_country("BB", 10.0, 20.0)
-    assert annotate_equality_barrier(BarrierKind.GEOGRAPHICAL, a, b, ca, cb) is False
+    assert present(BarrierKind.GEOGRAPHICAL, a, b, [ca, cb]) is False
 
 
 def test_geographical_different_is_true():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
-    assert annotate_equality_barrier(
-        BarrierKind.GEOGRAPHICAL, a, b, make_country("AA", 10.0, 20.0), make_country("BB", -5.0, 20.0)
-    ) is True
+    countries = [make_country("AA", 10.0, 20.0), make_country("BB", -5.0, 20.0)]
+    assert present(BarrierKind.GEOGRAPHICAL, a, b, countries) is True
 
 
 def test_timezone_equality():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
-    assert annotate_equality_barrier(
-        BarrierKind.TIME_ZONE, a, b, make_country("AA", utc=60), make_country("BB", utc=60)
-    ) is False
-    assert annotate_equality_barrier(
-        BarrierKind.TIME_ZONE, a, b, make_country("AA", utc=0), make_country("BB", utc=330)
-    ) is True
+    assert present(BarrierKind.TIME_ZONE, a, b, [make_country("AA", utc=60), make_country("BB", utc=60)]) is False
+    assert present(BarrierKind.TIME_ZONE, a, b, [make_country("AA", utc=0), make_country("BB", utc=330)]) is True
 
 
 def test_political_different_alignments_is_true():
     a = make_publisher("derstandard.at", "AT", "social-liberalism")
     b = make_publisher("dailymail.co.uk", "GB", "right-wing")
-    assert annotate_equality_barrier(BarrierKind.POLITICAL, a, b, None, None) is True
+    assert present(BarrierKind.POLITICAL, a, b, []) is True
 
 
 def test_political_equal_alignments_is_false():
     a = make_publisher("a.x", "AA", "right-wing")
     b = make_publisher("b.y", "BB", "right-wing")
-    assert annotate_equality_barrier(BarrierKind.POLITICAL, a, b, None, None) is False
+    assert present(BarrierKind.POLITICAL, a, b, []) is False
 
 
 def test_political_unknown_alignment_is_incomplete():
     a = make_publisher("stern.de", "DE", None)
     b = make_publisher("dailymail.co.uk", "GB", "right-wing")
     with pytest.raises(IncompleteMetadata):
-        annotate_equality_barrier(BarrierKind.POLITICAL, a, b, None, None)
+        present(BarrierKind.POLITICAL, a, b, [])
+    with pytest.raises(IncompleteMetadata):
+        present(BarrierKind.POLITICAL, b, a, [])
 
 
 def test_missing_country_is_incomplete():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
-    with pytest.raises(IncompleteMetadata):
-        annotate_equality_barrier(BarrierKind.TIME_ZONE, a, b, make_country("AA"), None)
+    for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
+        with pytest.raises(IncompleteMetadata):
+            present(kind, a, b, [make_country("AA")])
+        with pytest.raises(IncompleteMetadata):
+            present(kind, b, a, [make_country("AA")])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE, BarrierKind.POLITICAL]),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=2),
+    st.sampled_from(list(BarrierKind)),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0.5, 0.9, 0.99]),
 )
-def test_equality_barrier_symmetric(kind, i, j):
-    countries = [make_country("AA", 1.0, 2.0, 0), make_country("BB", 1.0, 2.0, 60), make_country("CC", 3.0, 4.0, 60)]
-    alignments = ["left-wing", "right-wing", "left-wing"]
+def test_barrier_present_symmetric(kind, i, j, threshold):
+    countries = [
+        make_country("AA", 1.0, 2.0, 0),
+        make_country("BB", 1.0, 2.0, 60),
+        make_country("CC", 3.0, 4.0, 60),
+        CountryProfile("DD", tuple(float(13 - k) for k in range(13)), (6.0, 1.0, 1.0, 1.0, 1.0, 2.0), 3.0, 4.0, 0),
+    ]
+    alignments = ["left-wing", "right-wing", "left-wing", "centrism"]
     a = make_publisher("a.x", countries[i].country_code, alignments[i])
     b = make_publisher("b.y", countries[j].country_code, alignments[j])
-    forward = annotate_equality_barrier(kind, a, b, countries[i], countries[j])
-    backward = annotate_equality_barrier(kind, b, a, countries[j], countries[i])
-    assert forward == backward
+    assert present(kind, a, b, countries, threshold) == present(kind, b, a, countries, threshold)
+    if i == j:
+        assert present(kind, a, b, countries, threshold) is False
 
 
 def example(article_id, source, target, concepts=("X",)):
@@ -310,3 +343,109 @@ def test_threshold_parameter_changes_labels(profiles, publishers):
     loose = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, publishers, vocab, threshold=0.5)
     assert strict.instances[0].label is True
     assert loose.instances[0].label is False
+
+
+def test_build_dataset_profile_side_target(profiles, publishers):
+    ex = [example("a", "news.sky.com", "stern.de", {"X"})]
+    vocab = build_vocabulary(ex, k=1)
+    src = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="source")
+    tgt = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="target")
+    assert src.instances[0].features.tolist() == [1.0, 0.0]  # GB offset 0
+    assert tgt.instances[0].features.tolist() == [1.0, 60.0]  # DE offset 60
+    assert src.instances[0].label is tgt.instances[0].label is True
+
+
+def ladder_label(kind, source, target, profiles, threshold, economic_features):
+    """The per-kind labeling ladder that ``barrier_present`` replaced, kept as a reference."""
+    if kind is BarrierKind.POLITICAL:
+        if source.political_alignment is None or target.political_alignment is None:
+            raise UnknownAlignment("political alignment unknown for at least one publisher")
+        return source.political_alignment != target.political_alignment
+    sc, tc = profiles.get(source.country_code), profiles.get(target.country_code)
+    if sc is None or tc is None:
+        raise IncompleteMetadata("country profile missing for at least one publisher")
+    if kind is BarrierKind.TIME_ZONE:
+        return sc.utc_offset != tc.utc_offset
+    if kind is BarrierKind.GEOGRAPHICAL:
+        if sc.country_code == tc.country_code:
+            return False
+        return not (abs(sc.latitude - tc.latitude) <= 1e-6 and abs(sc.longitude - tc.longitude) <= 1e-6)
+    if kind is BarrierKind.ECONOMIC:
+        names = ECONOMIC_FEATURES if economic_features is None else economic_features
+        a = [sc.economic[ECONOMIC_FEATURES.index(n)] for n in names]
+        b = [tc.economic[ECONOMIC_FEATURES.index(n)] for n in names]
+    else:
+        a, b = sc.cultural, tc.cultural
+    return annotate_vector_barrier(a, b, threshold)
+
+
+def ladder_dataset(examples, kind, profiles, publishers, threshold, side, economic_features):
+    """(article_id, label) pairs, drop counts and profile blocks the way the ladder built a dataset."""
+    labels, dropped, blocks = [], Counter(), []
+    for ex in examples:
+        source = publishers.get(ex.source_publisher_uri)
+        target = publishers.get(ex.target_publisher_uri)
+        if source is None or target is None:
+            dropped["missing_publisher"] += 1
+            continue
+        try:
+            label = ladder_label(kind, source, target, profiles, threshold, economic_features)
+        except UnknownAlignment:
+            dropped["unknown_alignment"] += 1
+            continue
+        except IncompleteMetadata:
+            dropped["incomplete_metadata"] += 1
+            continue
+        except ZeroVector:
+            dropped["zero_vector"] += 1
+            continue
+        labels.append((ex.article_id, label))
+        publisher = source if side == "source" else target
+        blocks.append(barrier_profile(publisher, profiles, kind, publishers.alignment_vocabulary, economic_features))
+    return labels, dropped, blocks
+
+
+@pytest.fixture(scope="module")
+def synth_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    paths = generate_corpus(SyntheticSpec(n_countries=8, n_publishers=25, n_articles=150, seed=4,
+                                          unknown_alignment_rate=0.15), out)
+    # continuous indicator vectors with some zero entries, so cosines spread over the thresholds
+    rng = np.random.default_rng(4)
+    profiles = ProfileStore([
+        replace(p, economic=tuple(rng.uniform(0, 10, 13) * (rng.random(13) < 0.6)),
+                cultural=tuple(rng.uniform(1, 10, 6)))
+        for p in load_country_profiles(paths["countries"])
+    ])
+    publishers = load_publishers(paths["publishers"], profiles)
+    pairs = filter_propagated(parse_pairs(paths["pairs"]))
+    examples, _ = to_spreading_examples(pairs, load_concept_annotations(paths["concepts"]), publishers, "synthetic")
+    # one publisher outside the store and one country taken out of it cover the other drop reasons
+    first = examples[0]
+    examples.append(replace(first, target_publisher_uri="unknown.example"))
+    missing = publishers.get(first.source_publisher_uri).country_code
+    return profiles, missing, publishers, examples
+
+
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 0.99])
+def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
+    full, missing, publishers, examples = synth_corpus
+    profiles = full.minmax_scaled() if scale else full
+    profiles = ProfileStore([p for p in profiles if p.country_code != missing])
+    vocab = build_vocabulary(examples, k=10)
+    seen = Counter()
+    for kind, economic_features, side in product(BarrierKind, (None, ("Rank", "Health")), ("source", "target")):
+        dataset = build_barrier_dataset(examples, kind, profiles, publishers, vocab, threshold, side, economic_features)
+        labels, dropped, blocks = ladder_dataset(examples, kind, profiles, publishers, threshold, side,
+                                                 economic_features)
+        assert [(i.article_id, i.label) for i in dataset.instances] == labels
+        assert dataset.dropped == dropped
+        by_id = {ex.article_id: ex for ex in examples}
+        for instance, block in zip(dataset.instances, blocks):
+            concepts = vectorize_concepts(by_id[instance.article_id], vocab)
+            assert instance.features.tolist() == concepts.tolist() + block.tolist()
+        seen.update(dropped)
+        seen.update(str(label) for _, label in labels)
+    reasons = {"missing_publisher", "unknown_alignment", "incomplete_metadata", "zero_vector"}
+    assert set(seen) == reasons | {"True", "False"}

@@ -24,7 +24,7 @@ from newsbarriers.classifiers import (
     grid_predictions,
     load_model,
     save_model,
-    sweep,
+    sweep_full,
     train,
 )
 from newsbarriers.errors import ConfigError, DegenerateTrainingSet, LengthMismatch
@@ -287,13 +287,13 @@ def test_predict_single_matches_batch():
 def test_sweep_returns_grid_point():
     X, y = blobs(n_per_class=20, seed=21)
     Xe, ye = blobs(n_per_class=10, seed=22)
-    best = sweep(ModelFamily.KNN, DEFAULT_GRIDS[ModelFamily.KNN], (X, y), (Xe, ye), seed=0)
+    best = sweep_full(ModelFamily.KNN, DEFAULT_GRIDS[ModelFamily.KNN], (X, y), (Xe, ye), seed=0)[0]
     assert best.hyperparameters in DEFAULT_GRIDS[ModelFamily.KNN]
 
 
 def test_sweep_single_point():
     X, y = blobs(n_per_class=10, seed=23)
-    best = sweep(ModelFamily.SVM, [{"lam": 0.5}], (X, y), (X, y), seed=0)
+    best = sweep_full(ModelFamily.SVM, [{"lam": 0.5}], (X, y), (X, y), seed=0)[0]
     assert best.hyperparameters == {"lam": 0.5}
 
 
@@ -304,13 +304,13 @@ def test_sweep_perfect_separator_wins():
     y = np.array([False, False, False, True])
     Xe = np.array([[0.05], [5.1]])
     ye = np.array([False, True])
-    best = sweep(ModelFamily.KNN, [{"k": 4}, {"k": 1}], (X, y), (Xe, ye), seed=0)
+    best = sweep_full(ModelFamily.KNN, [{"k": 4}, {"k": 1}], (X, y), (Xe, ye), seed=0)[0]
     assert best.hyperparameters == {"k": 1}
 
 
 def test_sweep_tie_takes_first_grid_point():
     X, y = blobs(n_per_class=20, seed=24)
-    best = sweep(ModelFamily.KNN, [{"k": 3}, {"k": 5}], (X, y), (X, y), seed=0)
+    best = sweep_full(ModelFamily.KNN, [{"k": 3}, {"k": 5}], (X, y), (X, y), seed=0)[0]
     assert best.hyperparameters == {"k": 3}
 
 

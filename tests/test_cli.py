@@ -272,7 +272,16 @@ def test_evaluate_missing_model_is_config_error(tmp_path, dataset, capsys):
                 "n_features": 3, "standardization": None, "parameters": {"X": [], "y": []}}),
     json.dumps({"format_version": 1, "family": "random_forest", "hyperparameters": {}, "seed": 0,
                 "n_features": 3, "standardization": None, "parameters": {"trees": []}}),
-], ids=["syntax", "unknown-family", "unknown-param", "missing-keys", "not-an-object", "bad-param-value", "no-trees"])
+    json.dumps({"format_version": 1, "family": "knn", "hyperparameters": {}, "seed": 0,
+                "n_features": 2, "standardization": None, "parameters": {"X": [[0, 0], [1, 1]], "y": [True]}}),
+    json.dumps({"format_version": 1, "family": "knn", "hyperparameters": {}, "seed": 0, "n_features": 2,
+                "standardization": {"mean": [0.0], "scale": [1.0, 1.0]}, "parameters": {"X": [[0, 0]], "y": [True]}}),
+    json.dumps({"format_version": 1, "family": "decision_tree", "hyperparameters": {}, "seed": 0,
+                "n_features": 1, "standardization": None,
+                "parameters": {"tree": {"feature": [0, -1, -1], "threshold": [1.5, 0.0, 0.0], "left": [0, -1, -1],
+                                        "right": [2, -1, -1], "prediction": [False, False, True]}}}),
+], ids=["syntax", "unknown-family", "unknown-param", "missing-keys", "not-an-object", "bad-param-value", "no-trees",
+        "knn-label-missing", "standardization-width", "tree-cycle"])
 def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text):
     model_path = tmp_path / "model.json"
     model_path.write_text(text, encoding="utf-8")

@@ -1,0 +1,222 @@
+"""The CLI error contract: a bad input file or flag ends with exit 1 (configuration)
+or exit 2 (data) and one ``stage: cause`` line on stderr. Exit 3 is left for bugs."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from newsbarriers.cli import main
+from newsbarriers.synth import SyntheticSpec, generate_corpus
+
+PIPELINE_FILES = ("countries", "publishers", "pairs", "concepts")
+CHEAP_RUN = ["--models", "most_frequent,knn", "--k-folds", "2", "--vocab-size", "10", "--grid", "knn.k=1,3"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small corpus, a run of it (dataset and report files) and a saved model."""
+    root = tmp_path_factory.mktemp("contract")
+    paths = generate_corpus(
+        SyntheticSpec(n_articles=40, n_publishers=10, seed=7, unknown_alignment_rate=0.1), root / "corpus"
+    )
+    files = {name: paths[name].read_bytes() for name in PIPELINE_FILES}
+    code, err = call(["run", *corpus_args(paths), *CHEAP_RUN, "--out", str(root / "run")])
+    assert code == 0, err
+    files["dataset"] = (root / "run" / "dataset_cultural.csv").read_bytes()
+    files["report"] = (root / "run" / "report.csv").read_bytes()
+    files["config"] = (root / "run" / "config.txt").read_bytes()
+    code, err = call(["train", "--data", str(root / "run" / "dataset_cultural.csv"), "--family", "knn",
+                      "--out", str(root / "model.json")])
+    assert code == 0, err
+    files["model"] = (root / "model.json").read_bytes()
+    return root, paths, files
+
+
+def corpus_args(paths) -> list:
+    return [arg for name in PIPELINE_FILES for arg in (f"--{name}", str(paths[name]))]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+def argv_for(target, root, paths, path):
+    """The command that reads ``path`` as the ``target`` input."""
+    out = str(root / "out")
+    if target in PIPELINE_FILES:
+        args = corpus_args(paths)
+        args[args.index(f"--{target}") + 1] = str(path)
+        return ["run", *args, *CHEAP_RUN, "--out", out]
+    if target == "dataset":
+        return ["train", "--data", str(path), "--family", "naive_bayes", "--out", str(root / "out.json")]
+    if target == "report":
+        return ["report", "--rows", str(path)]
+    if target == "config":
+        return ["run", "--config", str(path), "--out", out]
+    return ["evaluate", "--model", str(path), "--data", str(root / "run" / "dataset_cultural.csv")]
+
+
+# The holes this contract closed, each seen at exit 3 (or exit 2 without a stage) before.
+@pytest.mark.parametrize(
+    "target,expected_code,prefix",
+    [(name, 2, f"{name}: 'utf-8' codec can't decode") for name in PIPELINE_FILES]
+    + [("dataset", 2, "data: 'utf-8' codec"), ("report", 2, "rows: 'utf-8' codec"),
+       ("config", 1, "config: 'utf-8' codec")],
+)
+def test_non_utf8_input(inputs, target, expected_code, prefix):
+    root, paths, files = inputs
+    bad = root / f"bad_{target}"
+    bad.write_bytes(files[target] + b"\xff\xfe\n")
+    code, err = call(argv_for(target, root, paths, bad))
+    assert (code, err.count("\n")) == (expected_code, 1)
+    assert err.startswith(prefix), err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--out", "/dev/null/x"], "out: "),
+    (["annotate", "--out", "/dev/null/x"], "out: "),
+    (["run", "--models", ""], "models: must name at least one"),
+    (["run", "--barriers", ""], "barriers: must name at least one"),
+])
+def test_unusable_out_and_empty_lists_are_config_errors(inputs, argv, message):
+    root, paths, _ = inputs
+    argv = [argv[0], *corpus_args(paths), *CHEAP_RUN, "--out", str(root / "out"), *argv[1:]]
+    code, err = call(argv)
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(message), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "/dev/null/x"],
+    ["report", "--rows", "{report}", "--out", "/dev/null/x"],
+    ["train", "--data", "{dataset}", "--family", "knn", "--out", "/dev/null/x"],
+])
+def test_unusable_output_file_is_config_error(inputs, argv):
+    root, _, _ = inputs
+    run = root / "run"
+    argv = [a.format(report=run / "report.csv", dataset=run / "dataset_cultural.csv") for a in argv]
+    code, err = call(argv)
+    assert code == 1 and err.startswith("out: ") and err.count("\n") == 1, err
+
+
+NOISE = (b"\xff", b"\x80", b"\x00", b"\n", b",", b'"', b"{", b"nan", b"-", b"1e999")
+CELLS = ("", "nan", "inf", "-1", "1e999", "abc", "TRUE", "0", " ", '"')
+
+
+@st.composite
+def mutations(draw, data: bytes):
+    """``data`` truncated, with bytes inserted, a line dropped or repeated, or one cell replaced
+    or its row made one field shorter or longer."""
+    lines = data.split(b"\n")
+    kind = draw(st.sampled_from(("truncate", "insert", "drop", "repeat", "cell", "width")))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data)))]
+    if kind == "insert":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from(NOISE)) + data[at:]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind in ("drop", "repeat"):
+        lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+        return b"\n".join(lines)
+    cells = lines[i].split(b",")
+    j = draw(st.integers(0, len(cells) - 1))
+    if kind == "cell":
+        cells[j] = draw(st.sampled_from(CELLS)).encode()
+    elif draw(st.booleans()):
+        cells.insert(j, b"0")
+    else:
+        del cells[j]
+    lines[i] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(PIPELINE_FILES + ("dataset", "report", "config", "model")), data=st.data())
+def test_mutated_inputs_never_exit_3(inputs, target, data):
+    root, paths, files = inputs
+    path = root / f"mutated_{target}"
+    path.write_bytes(data.draw(mutations(files[target])))
+    assert_contract(*call(argv_for(target, root, paths, path)))
+
+
+BAD_VALUES = ("", " ", "nan", "inf", "-1", "0", "1.5", "1e999", "abc", "none", ",", "knn", "political,x",
+              "a\nb", "x=1", "knn.k=0", "economic=diff")
+PIPELINE_FLAGS = ("--threshold", "--k-folds", "--vocab-size", "--seed", "--models", "--barriers", "--grid",
+                  "--economic-features", "--profile-side", "--event", "--config")
+COMMAND_FLAGS = {
+    "run": PIPELINE_FLAGS,
+    "annotate": PIPELINE_FLAGS,
+    "concept-freq": PIPELINE_FLAGS + ("--n",),
+    "synth": ("--n-countries", "--n-publishers", "--n-articles", "--concept-pool", "--seed", "--regime",
+              "--unknown-alignment-rate", "--extra-pairs"),
+    "train": ("--family", "--param", "--seed", "--barrier"),
+    "evaluate": ("--barrier",),
+    "report": ("--format",),
+}
+
+
+def flag_values(command):
+    """Bad values, and for all but ``synth`` random text (which could ask synth for millions of articles)."""
+    values = st.sampled_from(BAD_VALUES)
+    return values if command == "synth" else values | st.text(max_size=6)
+
+
+def base_argv(command, root, paths) -> list:
+    """A valid call of ``command`` on the fixture's files."""
+    run = root / "run"
+    if command in ("run", "annotate", "concept-freq"):
+        return [command, *corpus_args(paths), *CHEAP_RUN, "--out", str(root / "out")]
+    if command == "synth":
+        return [command, "--out", str(root / "synth"), "--n-articles", "30"]
+    if command == "train":
+        return [command, "--data", str(run / "dataset_cultural.csv"), "--family", "knn", "--out", str(root / "m.json")]
+    if command == "evaluate":
+        return [command, "--data", str(run / "dataset_cultural.csv"), "--model", str(root / "model.json")]
+    return [command, "--rows", str(run / "report.csv")]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command_flags=st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(
+        lambda command: st.tuples(
+            st.just(command),
+            st.lists(
+                st.tuples(st.sampled_from(COMMAND_FLAGS[command]), flag_values(command)),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    ),
+)
+def test_bad_flag_values_never_exit_3(inputs, command_flags):
+    root, paths, _ = inputs
+    command, flags = command_flags
+    argv = base_argv(command, root, paths)
+    for flag, value in flags:
+        argv += [flag, value]
+    assert_contract(*call(argv))
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("run", ["--seed", "-1"], "seed: must not be negative"),
+    ("synth", ["--seed", "-1"], "arguments: argument --seed: invalid seed value: '-1'"),
+    ("train", ["--seed", "-1"], "arguments: argument --seed: invalid seed value: '-1'"),
+    ("run", ["--grid", "a\nb"], "arguments: grid.a\\nb: grid keys look like grid.<family>.<param>"),
+])
+def test_negative_seed_and_line_breaks(inputs, command, flags, message):
+    root, paths, _ = inputs
+    code, err = call(base_argv(command, root, paths) + flags)
+    assert (code, err) == (1, message + "\n")

@@ -12,7 +12,7 @@ from newsbarriers.features import (
     vectorize_concepts,
 )
 from newsbarriers.ingest import ConceptIndex, SpreadingExample
-from newsbarriers.knowledge import BarrierKind
+from newsbarriers.knowledge import BarrierKind, barrier_profile
 
 
 def example(article_id, concepts, source="news.sky.com", target="stern.de"):
@@ -86,9 +86,14 @@ def test_vectorize_ignores_out_of_vocabulary(hits, noise):
     assert np.array_equal(with_noise, without)
 
 
+def block(publishers, profiles, uri, kind):
+    return barrier_profile(publishers.get(uri), profiles, kind, publishers.alignment_vocabulary)
+
+
 def test_assemble_timezone_instance(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
-    inst = assemble_instance(example("a", {"X", "Z"}), BarrierKind.TIME_ZONE, vocab, profiles, publishers, True)
+    profile = block(publishers, profiles, "news.sky.com", BarrierKind.TIME_ZONE)
+    inst = assemble_instance(example("a", {"X", "Z"}), BarrierKind.TIME_ZONE, vocab, profile, True)
     assert inst.features.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert inst.label is True
     assert inst.article_id == "a"
@@ -97,33 +102,28 @@ def test_assemble_timezone_instance(profiles, publishers):
 
 def test_assemble_economic_length(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
-    inst = assemble_instance(example("a", {"X"}), BarrierKind.ECONOMIC, vocab, profiles, publishers, False)
+    profile = block(publishers, profiles, "news.sky.com", BarrierKind.ECONOMIC)
+    inst = assemble_instance(example("a", {"X"}), BarrierKind.ECONOMIC, vocab, profile, False)
     assert len(inst.features) == 3 + 13
+    assert inst.features[3:].tolist() == profile.tolist()
 
 
 def test_assemble_political_unknown_alignment(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3),))
     ex = example("a", {"X"}, source="stern.de")
-    with pytest.raises(IncompleteMetadata):
-        assemble_instance(ex, BarrierKind.POLITICAL, vocab, profiles, publishers, True)
-    with pytest.raises(UnknownAlignment):
-        assemble_instance(ex, BarrierKind.POLITICAL, vocab, profiles, publishers, True)
-
-
-def test_assemble_profile_side_target(profiles, publishers):
-    vocab = ConceptVocabulary(entries=(("X", 3),))
-    ex = example("a", {"X"}, source="news.sky.com", target="stern.de")
-    src = assemble_instance(ex, BarrierKind.TIME_ZONE, vocab, profiles, publishers, False, profile_side="source")
-    tgt = assemble_instance(ex, BarrierKind.TIME_ZONE, vocab, profiles, publishers, False, profile_side="target")
-    assert src.features.tolist() == [1.0, 0.0]   # GB offset 0
-    assert tgt.features.tolist() == [1.0, 60.0]  # DE offset 60
+    # the profile block of a publisher without an alignment cannot be built
+    for error in (IncompleteMetadata, UnknownAlignment):
+        with pytest.raises(error):
+            profile = block(publishers, profiles, ex.source_publisher_uri, BarrierKind.POLITICAL)
+            assemble_instance(ex, BarrierKind.POLITICAL, vocab, profile, True)
 
 
 def test_assemble_deterministic(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2)))
     ex = example("a", {"X"})
-    a = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profiles, publishers, True)
-    b = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profiles, publishers, True)
+    profile = block(publishers, profiles, "news.sky.com", BarrierKind.CULTURAL)
+    a = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profile, True)
+    b = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profile, True)
     assert np.array_equal(a.features, b.features)
 
 
