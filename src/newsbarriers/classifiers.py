@@ -1,11 +1,11 @@
 """From-scratch classifiers and dummy baselines behind one train/predict contract.
 
 ``FAMILIES`` is the one table of model families. Every estimator implements
-``fit``, ``predict`` and ``get_state``/``set_state``; the state dict is the
-``"parameters"`` object of a saved model file. An estimator whose sweep nests
-(one fitted model holds the models of smaller sweep values) also implements
-``grid_cover``/``predict_grid``, and ``grid_predictions`` then fits it once
-per grid.
+``fit`` and ``predict`` and declares its saved state as ``Field``s, from which
+``Stateful`` derives ``get_state`` and ``set_state`` (the one load check). An
+estimator whose sweep nests (one fitted model holds the models of smaller sweep
+values) also implements ``grid_cover``/``predict_grid``, and
+``grid_predictions`` then fits it once per grid.
 
 All families are implemented directly (no learning framework) so every numeric
 path is testable. Tie rules are global: any prediction tie resolves to FALSE,
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,9 +65,7 @@ def family_from_name(name: str) -> ModelFamily:
 class Standardizer:
     """Per-feature (x - mean) / std; zero-variance features keep scale 1."""
 
-    def __init__(self, mean=None, scale=None):
-        self.mean = mean
-        self.scale = scale
+    mean = scale = None
 
     def fit(self, X: np.ndarray) -> "Standardizer":
         self.mean = X.mean(axis=0)
@@ -82,7 +81,88 @@ def _as_bool_labels(y) -> np.ndarray:
     return np.asarray(y, dtype=bool)
 
 
-class UniformBaseline:
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_ELEMENTS = {
+    float: ("numbers", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    int: ("integers", _is_int),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One saved state field: JSON key, attribute (dotted for a sub-object), element type (float,
+    int, bool, or a ``Stateful`` class: one JSON object each) and shape, whose entries are
+    "n_features", a fixed size or a length the table's fields share; none is 0. Floats are finite;
+    ``rule`` is (what the values must be, test(values, the object with the earlier fields set, n_features))."""
+
+    key: str
+    attr: str
+    kind: type
+    shape: tuple = ()
+    rule: Optional[tuple] = None
+
+
+class Stateful:
+    """``get_state``/``set_state`` derived from the declared fields: ``STATE`` is the "parameters"
+    object of a saved model file, ``STANDARDIZATION`` its "standardization" object (null if empty)."""
+
+    STATE: tuple = ()
+    STANDARDIZATION: tuple = ()
+
+    def get_state(self, fields: Optional[tuple] = None) -> dict:
+        """The JSON object of ``fields`` (default ``STATE``)."""
+        state = {}
+        for f in self.STATE if fields is None else fields:
+            value = attrgetter(f.attr)(self)
+            if f.kind in _ELEMENTS:
+                state[f.key] = np.asarray(value, dtype=f.kind).tolist()
+            else:
+                state[f.key] = [v.get_state() for v in value] if f.shape else value.get_state()
+        return state
+
+    def set_state(self, fields: tuple, state, n_features: int, where: str):
+        """Set ``fields`` from the saved JSON object ``state`` at ``where``: the one load check.
+        ValueError names the first key missing or unexpected, of a wrong type or shape, or out of range."""
+        keys = sorted(f.key for f in fields)
+        if not isinstance(state, dict) or sorted(state) != keys:
+            raise ValueError(f"{where} must be an object with the keys {keys}")
+        sizes = {"n_features": n_features}
+        for f in fields:
+            at = f"{where}.{f.key}"
+            a = np.array(state[f.key], dtype=object)  # ragged lists stay lists, so the shape is wrong
+            expected = tuple(sizes.setdefault(d, n) if isinstance(d, str) else d for d, n in zip(f.shape, a.shape))
+            if a.ndim != len(f.shape) or a.shape != expected or 0 in a.shape:
+                raise ValueError(f"{at} has shape {a.shape}, expected {f.shape} with {sizes}")
+            if f.kind in _ELEMENTS:
+                what, test = _ELEMENTS[f.kind]
+                if not all(map(test, a.flat)):
+                    raise ValueError(f"{at} must hold {what}")
+                value = a.astype(f.kind)
+                if f.kind is float and not np.isfinite(value).all():
+                    raise ValueError(f"{at} must be finite")
+                if f.rule and not f.rule[1](value, self, n_features):
+                    raise ValueError(f"{at} must be {f.rule[0]}")
+            else:
+                value = [f.kind().set_state(f.kind.STATE, t, n_features, f"{at}[{i}]" if f.shape else at)
+                         for i, t in enumerate(a.flat)]
+                value = value if f.shape else value[0]
+            owner, _, name = f.attr.rpartition(".")
+            setattr(attrgetter(owner)(self) if owner else self, name, value)
+        return self
+
+
+POSITIVE = ("> 0", lambda a, est, d: (a > 0).all())
+STANDARDIZATION = (
+    Field("mean", "scaler.mean", float, ("n_features",)),
+    Field("scale", "scaler.scale", float, ("n_features",), POSITIVE),
+)
+
+
+class UniformBaseline(Stateful):
     """Coin-flip predictions from the model's own seeded generator."""
 
     def __init__(self, seed: int = 0):
@@ -95,19 +175,15 @@ class UniformBaseline:
         rng = np.random.default_rng(self.seed)
         return rng.integers(0, 2, size=len(X)).astype(bool)
 
-    def get_state(self) -> dict:
-        return {}
 
-    def set_state(self, state: dict) -> "UniformBaseline":
-        return self
-
-
-class StratifiedBaseline:
+class StratifiedBaseline(Stateful):
     """Random predictions matching the training class distribution."""
+
+    STATE = (Field("p_true", "p_true", float, (), ("in [0, 1]", lambda a, est, d: 0 <= a <= 1)),)
+    p_true: Optional[float] = None
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self.p_true: Optional[float] = None
 
     def fit(self, X, y):
         y = _as_bool_labels(y)
@@ -120,19 +196,12 @@ class StratifiedBaseline:
         rng = np.random.default_rng(self.seed)
         return rng.random(len(X)) < self.p_true
 
-    def get_state(self) -> dict:
-        return {"p_true": self.p_true}
 
-    def set_state(self, state: dict) -> "StratifiedBaseline":
-        self.p_true = state["p_true"]
-        return self
-
-
-class MostFrequentBaseline:
+class MostFrequentBaseline(Stateful):
     """Constant prediction of the training majority label; tie goes to FALSE."""
 
-    def __init__(self):
-        self.prediction: Optional[bool] = None
+    STATE = (Field("prediction", "prediction", bool),)
+    prediction: Optional[bool] = None
 
     def fit(self, X, y):
         y = _as_bool_labels(y)
@@ -143,15 +212,8 @@ class MostFrequentBaseline:
     def predict(self, X) -> np.ndarray:
         return np.full(len(X), self.prediction, dtype=bool)
 
-    def get_state(self) -> dict:
-        return {"prediction": self.prediction}
 
-    def set_state(self, state: dict) -> "MostFrequentBaseline":
-        self.prediction = state["prediction"]
-        return self
-
-
-class KNearestNeighbors:
+class KNearestNeighbors(Stateful):
     """Euclidean kNN on standardized features.
 
     Ties in the computed float64 distance go to the lower training index
@@ -160,11 +222,13 @@ class KNearestNeighbors:
     training-set size.
     """
 
+    STATE = (Field("X", "X_", float, ("n", "n_features")), Field("y", "y_", bool, ("n",)))
+    STANDARDIZATION = STANDARDIZATION
+    X_ = y_ = None
+
     def __init__(self, k: int = 5):
         self.k = k
         self.scaler = Standardizer()
-        self.X_: Optional[np.ndarray] = None
-        self.y_: Optional[np.ndarray] = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -192,18 +256,8 @@ class KNearestNeighbors:
             out[:, i] = n_true > ks - n_true
         return list(out)
 
-    def get_state(self) -> dict:
-        return {"X": self.X_.tolist(), "y": self.y_.tolist()}
 
-    def set_state(self, state: dict) -> "KNearestNeighbors":
-        self.X_ = np.array(state["X"], dtype=float)
-        self.y_ = np.array(state["y"], dtype=bool)
-        if self.X_.ndim != 2 or len(self.X_) != len(self.y_):
-            raise ValueError("kNN needs one label per training row")
-        return self
-
-
-class LinearSVM:
+class LinearSVM(Stateful):
     """Linear SVM trained by stochastic subgradient descent on the hinge loss.
 
     Pegasos-style schedule: step 1/(lam * t) with per-epoch seeded shuffling.
@@ -211,13 +265,15 @@ class LinearSVM:
     Decision threshold is 0; a score of exactly 0 predicts FALSE.
     """
 
+    STATE = (Field("weights", "weights", float, ("n_features",)), Field("bias", "bias", float))
+    STANDARDIZATION = STANDARDIZATION
+    weights, bias = None, 0.0
+
     def __init__(self, lam: float = 1e-3, epochs: int = 50, seed: int = 0):
         self.lam = lam
         self.epochs = epochs
         self.seed = seed
         self.scaler = Standardizer()
-        self.weights: Optional[np.ndarray] = None
-        self.bias: float = 0.0
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -246,26 +302,25 @@ class LinearSVM:
     def predict(self, X) -> np.ndarray:
         return self.decision_values(X) > 0.0
 
-    def get_state(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
 
-    def set_state(self, state: dict) -> "LinearSVM":
-        self.weights = np.array(state["weights"], dtype=float)
-        self.bias = float(state["bias"])
-        return self
+class _Tree(Stateful):
+    """Flat binary tree: parallel node lists, feature < 0 marks a leaf."""
 
-
-class _Tree:
-    """Flat binary tree: feature < 0 marks a leaf."""
-
-    FIELDS = ("feature", "threshold", "left", "right", "prediction")
+    # children after their parent, so predict walks down and cannot loop
+    AFTER_NODE = ("after its node where feature >= 0", lambda child, tree, d: (
+        (tree.feature < 0) | ((np.arange(len(child)) < child) & (child < len(child)))).all())
+    STATE = (
+        Field("feature", "feature", int, ("nodes",),
+              ("in [-1, n_features)", lambda a, tree, d: ((a >= -1) & (a < d)).all())),
+        Field("threshold", "threshold", float, ("nodes",)),
+        Field("left", "left", int, ("nodes",), AFTER_NODE),
+        Field("right", "right", int, ("nodes",), AFTER_NODE),
+        Field("prediction", "prediction", bool, ("nodes",)),
+    )
 
     def __init__(self):
-        self.feature: list = []
-        self.threshold: list = []
-        self.left: list = []
-        self.right: list = []
-        self.prediction: list = []
+        for f in self.STATE:
+            setattr(self, f.attr, [])
 
     def add_leaf(self, prediction: bool) -> int:
         self.feature.append(-1)
@@ -302,21 +357,6 @@ class _Tree:
             out[i] = self.prediction[node]
         return out
 
-    def get_state(self) -> dict:
-        return {name: list(getattr(self, name)) for name in self.FIELDS}
-
-    def set_state(self, state: dict) -> "_Tree":
-        for name in self.FIELDS:
-            setattr(self, name, list(state[name]))
-        n = len(self.feature)
-        if n == 0 or any(len(getattr(self, name)) != n for name in self.FIELDS):
-            raise ValueError("tree node lists must be non-empty and of one length")
-        # children after their parent: predict walks down and cannot loop
-        for node, feature in enumerate(self.feature):
-            if feature >= 0 and not (node < self.left[node] < n and node < self.right[node] < n):
-                raise ValueError(f"tree node {node} must have children after it")
-        return self
-
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, n_true: int):
     """Best (impurity decrease, feature, threshold) over candidate midpoints.
@@ -352,7 +392,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
     return float(decrease[c]), int(features[c]), threshold
 
 
-class DecisionTreeCART:
+class DecisionTreeCART(Stateful):
     """Binary CART with Gini impurity and best-first leaf growth.
 
     Growth stops when ``max_leaf_nodes`` is reached or no impure node admits a
@@ -361,6 +401,8 @@ class DecisionTreeCART:
     ``max_features``, when set, draws a random feature subset per node from
     ``rng`` (used by the forest).
     """
+
+    STATE = (Field("tree", "tree_", _Tree),)
 
     def __init__(self, max_leaf_nodes: Optional[int] = None, max_features: Optional[int] = None, rng=None):
         self.max_leaf_nodes = max_leaf_nodes
@@ -416,20 +458,15 @@ class DecisionTreeCART:
         X = np.asarray(X, dtype=float)
         return [self.tree_.predict(X, None if m is None else m - 1) for m in values]
 
-    def get_state(self) -> dict:
-        return {"tree": self.tree_.get_state()}
 
-    def set_state(self, state: dict) -> "DecisionTreeCART":
-        self.tree_ = _Tree().set_state(state["tree"])
-        return self
-
-
-class RandomForest:
+class RandomForest(Stateful):
     """Bagged CART trees voting by majority; vote ties go to FALSE.
 
     Each tree sees a bootstrap sample and draws ceil(sqrt(d)) candidate
     features per node unless ``max_features`` overrides that.
     """
+
+    STATE = (Field("trees", "tree_tables", _Tree, ("trees",)),)
 
     def __init__(self, n_estimators: int = 100, max_features: Optional[int] = None, seed: int = 0):
         self.n_estimators = n_estimators
@@ -469,25 +506,28 @@ class RandomForest:
         votes = np.cumsum([tree.predict(X) for tree in self.trees_], axis=0)
         return [votes[n - 1] * 2 > n for n in values]
 
-    def get_state(self) -> dict:
-        return {"trees": [tree.tree_.get_state() for tree in self.trees_]}
+    @property
+    def tree_tables(self) -> list:
+        """The node table of each tree, in vote order."""
+        return [tree.tree_ for tree in self.trees_]
 
-    def set_state(self, state: dict) -> "RandomForest":
-        if not state["trees"]:
-            raise ValueError("a forest needs at least one tree")
-        self.trees_ = [DecisionTreeCART().set_state({"tree": tree}) for tree in state["trees"]]
-        return self
+    @tree_tables.setter
+    def tree_tables(self, tables: list) -> None:
+        self.trees_ = [DecisionTreeCART() for _ in tables]
+        for tree, table in zip(self.trees_, tables):
+            tree.tree_ = table
 
 
-class GaussianNaiveBayes:
+class GaussianNaiveBayes(Stateful):
     """Gaussian NB with log-space scoring and relative variance smoothing."""
 
     VAR_SMOOTHING = 1e-9
-
-    def __init__(self):
-        self.log_prior: Optional[np.ndarray] = None  # [False, True]
-        self.mean: Optional[np.ndarray] = None
-        self.var: Optional[np.ndarray] = None
+    STATE = (
+        Field("log_prior", "log_prior", float, (2,)),
+        Field("mean", "mean", float, (2, "n_features")),
+        Field("var", "var", float, (2, "n_features"), POSITIVE),
+    )
+    log_prior = mean = var = None  # rows [False, True]
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -518,17 +558,6 @@ class GaussianNaiveBayes:
     def predict(self, X) -> np.ndarray:
         jll = self._joint_log_likelihood(np.asarray(X, dtype=float))
         return jll[:, 1] > jll[:, 0]
-
-    def get_state(self) -> dict:
-        return {"log_prior": self.log_prior.tolist(), "mean": self.mean.tolist(), "var": self.var.tolist()}
-
-    def set_state(self, state: dict) -> "GaussianNaiveBayes":
-        self.log_prior, self.mean, self.var = (np.array(state[k], dtype=float) for k in ("log_prior", "mean", "var"))
-        return self
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # name -> (allowed values, test) for every hyperparameter a family accepts
@@ -602,13 +631,6 @@ class TrainedModel:
     n_features: int
     estimator: object
 
-    @property
-    def standardization(self) -> Optional[dict]:
-        scaler = getattr(self.estimator, "scaler", None)
-        if scaler is None or scaler.mean is None:
-            return None
-        return {"mean": [float(v) for v in scaler.mean], "scale": [float(v) for v in scaler.scale]}
-
     def _checked(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -622,38 +644,15 @@ class TrainedModel:
         """Predictions for each sweep value of an estimator with ``predict_grid``."""
         return self.estimator.predict_grid(self._checked(X), values)
 
-    def predict(self, features) -> bool:
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 1 or len(features) != self.n_features:
-            raise LengthMismatch(f"expected {self.n_features} features, got {len(features)}")
-        return bool(self.estimator.predict(features[np.newaxis, :])[0])
-
-
-def as_arrays(data):
-    """Accept a list of LabeledInstance or an (X, y) pair."""
-    if isinstance(data, tuple):
-        X, y = data
-        return np.asarray(X, dtype=float), _as_bool_labels(y)
-    instances = list(data)
-    if not instances:
-        raise EmptyInput("no training instances")
-    X = np.stack([i.features for i in instances])
-    y = np.array([i.label for i in instances], dtype=bool)
-    return X, y
-
 
 def train(spec: ModelSpec, data) -> TrainedModel:
-    X, y = as_arrays(data)
+    """Fit ``spec`` on ``data``, a pair of a feature matrix and its labels."""
+    X, y = data
+    X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise EmptyInput("no training instances")
     estimator = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).fit(X, y)
-    return TrainedModel(
-        family=spec.family,
-        hyperparameters=dict(spec.hyperparameters),
-        seed=spec.seed,
-        n_features=X.shape[1],
-        estimator=estimator,
-    )
+    return TrainedModel(spec.family, dict(spec.hyperparameters), spec.seed, X.shape[1], estimator)
 
 
 def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_eval, seed: int = 0) -> list:
@@ -682,9 +681,8 @@ def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data,
 
     if not grid:
         raise ValueError("hyperparameter grid must not be empty")
-    X_eval, y_eval = as_arrays(eval_data)
-    predictions = grid_predictions(family, grid, train_data, X_eval, seed)
-    g = best_point(predictions, y_eval)
+    predictions = grid_predictions(family, grid, train_data, eval_data[0], seed)
+    g = best_point(predictions, eval_data[1])
     return ModelSpec(family, dict(grid[g]), seed), predictions[g]
 
 
@@ -695,7 +693,7 @@ def save_model(model: TrainedModel, path) -> None:
         "hyperparameters": dict(model.hyperparameters),
         "seed": model.seed,
         "n_features": model.n_features,
-        "standardization": model.standardization,
+        "standardization": model.estimator.get_state(model.estimator.STANDARDIZATION) or None,
         "parameters": model.estimator.get_state(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -715,12 +713,14 @@ def load_model(path) -> TrainedModel:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {version!r}")
         spec = ModelSpec(ModelFamily(payload["family"]), payload["hyperparameters"], payload["seed"])
-        est = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).set_state(payload["parameters"])
-        if payload["standardization"] is not None and hasattr(est, "scaler"):
-            est.scaler.mean = np.array(payload["standardization"]["mean"], dtype=float)
-            est.scaler.scale = np.array(payload["standardization"]["scale"], dtype=float)
-            if not est.scaler.mean.shape == est.scaler.scale.shape == (payload["n_features"],):
-                raise ValueError("standardization does not match n_features")
-        return TrainedModel(spec.family, spec.hyperparameters, spec.seed, payload["n_features"], est)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        for name, low in (("n_features", 1), ("seed", 0)):
+            if not _is_int(payload[name]) or payload[name] < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {payload[name]!r}")
+        n_features = payload["n_features"]
+        est = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters)
+        est.set_state(est.STATE, payload["parameters"], n_features, "parameters")
+        std = payload["standardization"]
+        est.set_state(est.STANDARDIZATION, {} if std is None else std, n_features, "standardization")
+        return TrainedModel(spec.family, spec.hyperparameters, spec.seed, n_features, est)
+    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"model: malformed model file: {exc}") from None

@@ -134,7 +134,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     params = dict(_parse_param(p) for p in args.param or ())
     spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
-    model = train(spec, _load_dataset(args).instances)
+    model = train(spec, _load_dataset(args).arrays())
     with stage("out"):
         save_model(model, args.out)
     print(f"model: {args.out}")

@@ -20,7 +20,6 @@ from .classifiers import (
     FAMILIES,
     ModelFamily,
     ModelSpec,
-    as_arrays,
     grid_predictions,
     sweep_full,
     train,
@@ -129,9 +128,9 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def _select_nested(family, grid, train_instances, seed, inner_k):
+def _select_nested(family, grid, train_data, seed, inner_k):
     """Pick a grid point by inner cross-validation on the training fold only."""
-    X, y = as_arrays(train_instances)
+    X, y = train_data
     counts = (int((~y).sum()), int(y.sum()))
     k = max(2, min(inner_k, min(counts)))
     assignment = stratified_kfold(y, k=k, seed=seed)

@@ -28,8 +28,6 @@ from newsbarriers.classifiers import (
     train,
 )
 from newsbarriers.errors import ConfigError, DegenerateTrainingSet, LengthMismatch
-from newsbarriers.features import LabeledInstance
-from newsbarriers.knowledge import BarrierKind
 
 
 def blobs(n_per_class=50, separation=4.0, scale=0.5, d=2, seed=0):
@@ -135,9 +133,8 @@ def test_svm_hand_built_decision_rule():
     est.scaler.mean = np.zeros(2)
     est.scaler.scale = np.ones(2)
     model = TrainedModel(family=ModelFamily.SVM, hyperparameters={}, seed=0, n_features=2, estimator=est)
-    assert model.predict([2.0, 1.0]) is True
-    assert model.predict([0.0, 1.0]) is False
-    assert model.predict([1.0, 1.0]) is False  # score exactly 0 -> FALSE
+    # the last row scores exactly 0 -> FALSE
+    assert model.predict_batch([[2.0, 1.0], [0.0, 1.0], [1.0, 1.0]]).tolist() == [True, False, False]
 
 
 def test_svm_separable_training_accuracy():
@@ -256,32 +253,20 @@ def test_tree_families_scale_invariant(family):
     assert np.array_equal(base, scaled)
 
 
-def test_train_accepts_instances():
+def test_train_takes_arrays():
     X, y = blobs(n_per_class=10, seed=18)
-    instances = [
-        LabeledInstance(features=X[i], label=bool(y[i]), article_id=f"a{i}", barrier=BarrierKind.ECONOMIC)
-        for i in range(len(y))
-    ]
-    model = train(ModelSpec(ModelFamily.MOST_FREQUENT), instances)
+    model = train(ModelSpec(ModelFamily.MOST_FREQUENT), (X, y))
     assert model.n_features == 2
-    assert model.predict(X[0]) in (True, False)
+    assert model.predict_batch(X[:1]).tolist() in ([True], [False])
 
 
 def test_predict_length_mismatch():
     X, y = blobs(n_per_class=10, seed=19)
     model = train(ModelSpec(ModelFamily.KNN, {"k": 1}), (X, y))
     with pytest.raises(LengthMismatch):
-        model.predict([1.0, 2.0, 3.0])
-    with pytest.raises(LengthMismatch):
         model.predict_batch(np.zeros((4, 5)))
-
-
-def test_predict_single_matches_batch():
-    X, y = blobs(n_per_class=15, seed=20)
-    model = train(ModelSpec(ModelFamily.DECISION_TREE), (X, y))
-    batch = model.predict_batch(X)
-    singles = [model.predict(x) for x in X]
-    assert batch.tolist() == singles
+    with pytest.raises(LengthMismatch):
+        model.predict_batch(np.zeros(2))
 
 
 def test_sweep_returns_grid_point():

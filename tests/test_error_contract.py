@@ -1,8 +1,12 @@
 """The CLI error contract: a bad input file or flag ends with exit 1 (configuration)
 or exit 2 (data) and one ``stage: cause`` line on stderr. Exit 3 is left for bugs."""
 
+import copy
 import io
+import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -220,3 +224,107 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     root, paths, _ = inputs
     code, err = call(base_argv(command, root, paths) + flags)
     assert (code, err) == (1, message + "\n")
+
+
+MODELS = Path(__file__).parent / "data" / "models"
+MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json") if p.stem != "predictions")
+MODEL_SECTIONS = ("parameters", "standardization", "n_features")
+# wrong type, out of range (every saved model has 3 features), not finite, or null
+LEAF_VALUES = (None, "x", True, False, [], {}, 0, -1, -2, 3, 99, 2**70, 0.5, 1.5, -1.0, 0.0, math.inf, math.nan)
+
+
+def model_payload(name: str) -> dict:
+    return json.loads((MODELS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def model_dataset(tmp_path_factory):
+    """A dataset CSV with the 3 feature columns every saved model in tests/data/models expects."""
+    path = tmp_path_factory.mktemp("models") / "dataset.csv"
+    rows = [f"a{i},{'TRUE' if i % 2 else 'FALSE'},{i - 2.5},{0.5 * i},{(-1) ** i}" for i in range(6)]
+    path.write_text("\n".join(["article_id,label,f0,f1,f2", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def node_paths(node, path=()):
+    """The path of ``node`` and of every object, list and value under it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from node_paths(child, path + (key,))
+
+
+def node_at(payload, path: tuple):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def mutated(payload: dict, path: tuple, value) -> dict:
+    payload = copy.deepcopy(payload)
+    node_at(payload, path[:-1])[path[-1]] = value
+    return payload
+
+
+def evaluate_payload(payload, dataset, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return call(["evaluate", "--model", str(path), "--data", str(dataset)])
+
+
+@st.composite
+def model_mutations(draw):
+    """One saved model with one node under parameters, standardization or n_features
+    replaced by a wrong or out-of-range value, or a list made one entry shorter or longer."""
+    name = draw(st.sampled_from(MODEL_NAMES))
+    payload = model_payload(name)
+    paths = [(section, *rest) for section in MODEL_SECTIONS for rest in node_paths(payload[section])]
+    path = draw(st.sampled_from(paths))
+    old = node_at(payload, path)
+    if isinstance(old, list) and draw(st.booleans()):
+        value = old[:-1] if draw(st.booleans()) else old + old[-1:]
+    else:
+        value = draw(st.sampled_from(LEAF_VALUES))
+    return name, path, mutated(payload, path, value)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=model_mutations())
+def test_structurally_mutated_model_files_never_exit_3(model_dataset, tmp_path, case):
+    name, path, payload = case
+    code, err = evaluate_payload(payload, model_dataset, tmp_path)
+    event(f"{name} exit {code}")
+    assert code in (0, 2), (path, err)
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+# Each of these loaded and then failed at exit 3, or predicted at exit 0 from a model
+# that broadcast or took the log of a negative variance, before every field had a
+# declared type, shape and range.
+MODEL_HOLES = [
+    ("decision_tree", ("parameters", "tree", "feature", 0), 99, "parameters.tree.feature"),
+    ("random_forest", ("parameters", "trees", 1, "feature", 0), 99, "parameters.trees[1].feature"),
+    ("decision_tree", ("parameters", "tree", "threshold", 0), "a", "parameters.tree.threshold"),
+    ("svm", ("parameters", "weights"), [1.0], "parameters.weights"),
+    ("svm", ("standardization",), None, "standardization"),
+    ("knn", ("standardization",), None, "standardization"),
+    ("knn", ("parameters", "X"), [[0.0]] * 40, "parameters.X"),
+    ("naive_bayes", ("parameters", "log_prior"), [-0.5], "parameters.log_prior"),
+    ("naive_bayes", ("parameters", "mean"), [[0.0], [1.0]], "parameters.mean"),
+    ("naive_bayes", ("parameters", "var", 0, 0), -1.0, "parameters.var"),
+    ("stratified", ("parameters", "p_true"), "x", "parameters.p_true"),
+    ("most_frequent", ("parameters", "prediction"), [1, 2], "parameters.prediction"),
+    ("uniform", ("n_features",), "3", "n_features"),
+    ("uniform", ("n_features",), True, "n_features"),
+    ("uniform", ("seed",), -1, "seed"),
+    ("uniform", ("seed",), "7", "seed"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,names", MODEL_HOLES,
+                         ids=[f"{name}-{'.'.join(map(str, path))}" for name, path, _, _ in MODEL_HOLES])
+def test_malformed_model_file_holes(model_dataset, tmp_path, name, path, value, names):
+    code, err = evaluate_payload(mutated(model_payload(name), path, value), model_dataset, tmp_path)
+    assert (code, err.count("\n")) == (2, 1), err
+    assert err.startswith(f"model: malformed model file: {names}"), err
