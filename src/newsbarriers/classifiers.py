@@ -616,11 +616,6 @@ FAMILIES = {
     ModelFamily.NAIVE_BAYES: Family("Naive Bayes", GaussianNaiveBayes),
 }
 
-DEFAULT_GRIDS = {
-    family: [{f.sweep_param: v} for v in f.sweep_values] for family, f in FAMILIES.items() if f.sweep_values
-}
-
-
 @dataclass
 class TrainedModel:
     """A fitted estimator plus everything needed to reuse it elsewhere."""
@@ -634,12 +629,16 @@ class TrainedModel:
     def _checked(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise LengthMismatch(f"expected {self.n_features} features, got {X.shape[-1]}")
+            raise LengthMismatch(f"expected rows of {self.n_features} features, got an array of shape {X.shape}")
         return X
 
+    # A loaded model may hold values whose scores overflow: an infinite or NaN
+    # score compares false, so it predicts FALSE, by the global tie rule.
+    @np.errstate(all="ignore")
     def predict_batch(self, X) -> np.ndarray:
         return self.estimator.predict(self._checked(X))
 
+    @np.errstate(all="ignore")
     def predict_grid(self, X, values: Sequence) -> list:
         """Predictions for each sweep value of an estimator with ``predict_grid``."""
         return self.estimator.predict_grid(self._checked(X), values)
@@ -655,35 +654,38 @@ def train(spec: ModelSpec, data) -> TrainedModel:
     return TrainedModel(spec.family, dict(spec.hyperparameters), spec.seed, X.shape[1], estimator)
 
 
-def grid_predictions(family: ModelFamily, grid: Sequence[dict], train_data, X_eval, seed: int = 0) -> list:
-    """Predictions on ``X_eval`` of a model refit on ``train_data`` at each grid point, in grid order.
+def grid_predictions(family: ModelFamily, values: Sequence, train_data, X_eval, seed: int = 0) -> list:
+    """Predictions on ``X_eval`` of a model fit on ``train_data`` at each sweep value, in order;
+    one prediction, of the default model, for a family with no sweep parameter (``values`` empty).
 
-    When the family's estimator has ``grid_cover``/``predict_grid`` and the
-    points differ only in the sweep parameter, one model is trained, at the
-    covering point, and every point is read from it. Otherwise each point is
-    trained on its own.
+    When the family's estimator has ``grid_cover``/``predict_grid``, one model
+    is trained, at the covering value, and every value is read from it.
+    Otherwise each value is trained on its own.
     """
     f = FAMILIES[family]
-    rest = [{k: v for k, v in point.items() if k != f.sweep_param} for point in grid]
-    sweep_only = all(f.sweep_param in point for point in grid) and all(r == rest[0] for r in rest)
-    if sweep_only and hasattr(f.estimator, "grid_cover"):
-        for point in grid:
+    if (len(values) > 0) != (f.sweep_param is not None):
+        raise ValueError(f"{f.display_name}: got {len(values)} values for sweep parameter {f.sweep_param!r}")
+    points = [{f.sweep_param: v} for v in values] or [{}]
+    if hasattr(f.estimator, "grid_cover"):
+        for point in points:
             f.check(point)
-        values = [point[f.sweep_param] for point in grid]
-        cover = ModelSpec(family, {**rest[0], f.sweep_param: f.estimator.grid_cover(values)}, seed)
+        cover = ModelSpec(family, {f.sweep_param: f.estimator.grid_cover(values)}, seed)
         return train(cover, train_data).predict_grid(X_eval, values)
-    return [train(ModelSpec(family, dict(point), seed), train_data).predict_batch(X_eval) for point in grid]
+    return [train(ModelSpec(family, point, seed), train_data).predict_batch(X_eval) for point in points]
 
 
-def sweep_full(family: ModelFamily, grid: Sequence[dict], train_data, eval_data, seed: int = 0):
-    """Grid point with the best micro-F1 on eval_data (first point wins ties) and its predictions there."""
-    from .evaluate import best_point
+def best_point(predictions: Sequence[np.ndarray], gold) -> int:
+    """Index of the predictions with the most correct labels, the best micro-F1 (which equals
+    accuracy for single-label binary prediction); the first wins ties."""
+    correct = (np.asarray(predictions, dtype=bool) == np.asarray(gold, dtype=bool)).sum(axis=1)
+    return int(correct.argmax())
 
-    if not grid:
-        raise ValueError("hyperparameter grid must not be empty")
-    predictions = grid_predictions(family, grid, train_data, eval_data[0], seed)
+
+def sweep_full(family: ModelFamily, values: Sequence, train_data, eval_data, seed: int = 0):
+    """Index of the sweep value with the best micro-F1 on eval_data (the first wins ties) and its predictions there."""
+    predictions = grid_predictions(family, values, train_data, eval_data[0], seed)
     g = best_point(predictions, eval_data[1])
-    return ModelSpec(family, dict(grid[g]), seed), predictions[g]
+    return g, predictions[g]
 
 
 def save_model(model: TrainedModel, path) -> None:

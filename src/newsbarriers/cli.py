@@ -144,7 +144,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     X, y = _load_dataset(args).arrays()
-    metrics = micro_metrics(model.predict_batch(X), y)
+    with stage("evaluate"):
+        metrics = micro_metrics(model.predict_batch(X), y)
     print(f"ca={metrics.classification_accuracy!r}")
     print(f"micro_precision={metrics.micro_precision!r}")
     print(f"micro_recall={metrics.micro_recall!r}")

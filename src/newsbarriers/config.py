@@ -8,7 +8,7 @@ the one parser of option values, for config files and command-line flags alike.
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .classifiers import DEFAULT_GRIDS, FAMILIES, ModelFamily, family_from_name
+from .classifiers import FAMILIES, ModelFamily, family_from_name
 from .errors import ConfigError
 from .knowledge import ECONOMIC_FEATURES, BarrierKind
 
@@ -30,7 +30,7 @@ class PipelineConfig:
     k_folds: int = 10
     seed: int = 0
     models: tuple = ALL_MODELS
-    grids: dict = field(default_factory=dict)  # family name -> list of values
+    grids: dict = field(default_factory=dict)  # family name -> list of sweep values
     global_vocab: bool = False
     nested: bool = False
     fold_mean: bool = False
@@ -63,25 +63,27 @@ class PipelineConfig:
             raise ConfigError("seed: must not be negative")
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold: must be a finite number in [-1, 1], got {self.threshold!r}")
-        for family, grid in self.model_grids().items():
-            for point in grid:
-                try:
-                    FAMILIES[family].check(point)
-                except ConfigError as exc:
-                    raise ConfigError(f"grid.{family.value}: {exc}") from None
+        self.model_grids()
         for name in self.economic_features:
             if name not in ECONOMIC_FEATURES:
                 raise ConfigError(f"economic_features: unknown indicator {name!r}")
 
     def model_grids(self) -> dict:
-        """Expand configured grid values into per-family hyperparameter grids."""
-        grids = dict(DEFAULT_GRIDS)
+        """The configured sweep values of each family, checked; a family left out sweeps its defaults."""
+        grids = {}
         for name, values in self.grids.items():
-            family = family_from_name(name)
-            param = FAMILIES[family].sweep_param
-            if param is None:
+            family = parse_family(name, "grids")
+            f = FAMILIES[family]
+            if f.sweep_param is None:
                 raise ConfigError(f"grids: family {name!r} has no sweep parameter")
-            grids[family] = [{param: v} for v in values]
+            if not values:
+                raise ConfigError(f"grid.{family.value}: no values")
+            for value in values:
+                try:
+                    f.check({f.sweep_param: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"grid.{family.value}: {exc}") from None
+            grids[family] = tuple(values)
         return grids
 
 

@@ -15,15 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotate import BarrierDataset
-from .classifiers import (
-    DEFAULT_GRIDS,
-    FAMILIES,
-    ModelFamily,
-    ModelSpec,
-    grid_predictions,
-    sweep_full,
-    train,
-)
+from .classifiers import FAMILIES, ModelFamily, ModelSpec, best_point, grid_predictions, sweep_full, train
 from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
 from .knowledge import BARRIERS, BarrierKind
 
@@ -109,12 +101,6 @@ def micro_metrics(predictions, gold) -> MetricSet:
     )
 
 
-def best_point(predictions: Sequence[np.ndarray], gold) -> int:
-    """Index of the predictions with the best micro-F1; the first wins ties."""
-    scores = [micro_metrics(p, gold).micro_f1 for p in predictions]
-    return scores.index(max(scores))
-
-
 def _mean_metrics(per_fold: Sequence[MetricSet]) -> MetricSet:
     return MetricSet(
         classification_accuracy=float(np.mean([m.classification_accuracy for m in per_fold])),
@@ -128,63 +114,62 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def _select_nested(family, grid, train_data, seed, inner_k):
-    """Pick a grid point by inner cross-validation on the training fold only."""
+INNER_K = 5  # inner folds of nested selection; fewer when a class of the training fold is smaller
+
+
+def _select_nested(family, values, train_data, seed):
+    """Pick a sweep value by inner cross-validation on the training fold only."""
     X, y = train_data
-    counts = (int((~y).sum()), int(y.sum()))
-    k = max(2, min(inner_k, min(counts)))
+    k = max(2, min(INNER_K, int((~y).sum()), int(y.sum())))
     assignment = stratified_kfold(y, k=k, seed=seed)
-    preds = np.empty((len(grid), len(y)), dtype=bool)
+    preds = np.empty((len(values), len(y)), dtype=bool)
     for fold in range(k):
         tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
-        preds[:, te] = grid_predictions(family, grid, (X[tr], y[tr]), X[te], seed)
-    return grid[best_point(preds, y)]
+        preds[:, te] = grid_predictions(family, values, (X[tr], y[tr]), X[te], seed)
+    return values[best_point(preds, y)]
 
 
 def run_experiment(
     dataset: BarrierDataset,
-    specs: Sequence[ModelSpec],
+    families: Sequence[ModelFamily],
     k: int = 10,
     seed: int = 0,
     grids: Optional[dict] = None,
     nested: bool = False,
     fold_mean: bool = False,
-    inner_k: int = 5,
 ) -> list:
-    """k-fold evaluation of each model spec on one barrier dataset.
+    """k-fold evaluation of each model family on one barrier dataset.
 
-    Families with a hyperparameter grid are swept inside every fold; by
-    default the sweep scores grid points on the fold's own test split (the
-    reproduced protocol), while ``nested=True`` switches to inner
-    cross-validation on the training portion. Metrics pool the held-out
-    predictions of all folds unless ``fold_mean`` asks for per-fold averaging.
+    Each family is swept inside every fold over its values in ``grids``
+    (family -> sweep values), else over its default ``sweep_values``. By
+    default the sweep scores its values on the fold's own test split (the
+    reproduced protocol); ``nested=True`` picks the value by inner
+    cross-validation on the training portion instead. Metrics pool the
+    held-out predictions of all folds unless ``fold_mean`` asks for per-fold
+    averaging.
     """
     X, y = dataset.arrays()
     assignment = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
     rows = []
-    for m, spec in enumerate(specs):
-        grid = (grids or {}).get(spec.family) or DEFAULT_GRIDS.get(spec.family) or [dict(spec.hyperparameters)]
+    for m, family in enumerate(families):
+        values = (grids or {}).get(family, FAMILIES[family].sweep_values)
         pooled = np.empty(len(y), dtype=bool)
         per_fold = []
         for fold in range(k):
             tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
             fold_seed = _child_seed(seed, m, fold)
-            train_data, eval_data = (X[tr], y[tr]), (X[te], y[te])
-            if len(grid) > 1:
-                if nested:
-                    point = _select_nested(spec.family, grid, train_data, fold_seed, inner_k)
-                    fold_spec = ModelSpec(spec.family, dict(point), fold_seed)
-                    preds = train(fold_spec, train_data).predict_batch(X[te])
-                else:
-                    _, preds = sweep_full(spec.family, grid, train_data, eval_data, seed=fold_seed)
+            train_data = (X[tr], y[tr])
+            if nested and len(values) > 1:
+                value = _select_nested(family, values, train_data, fold_seed)
+                spec = ModelSpec(family, {FAMILIES[family].sweep_param: value}, fold_seed)
+                preds = train(spec, train_data).predict_batch(X[te])
             else:
-                fold_spec = ModelSpec(spec.family, dict(grid[0]), fold_seed)
-                preds = train(fold_spec, train_data).predict_batch(X[te])
+                _, preds = sweep_full(family, values, train_data, (X[te], y[te]), fold_seed)
             pooled[te] = preds
             if fold_mean:
                 per_fold.append(micro_metrics(preds, y[te]))
         metrics = _mean_metrics(per_fold) if fold_mean else micro_metrics(pooled, y)
-        rows.append(ReportRow(barrier=dataset.barrier, family=spec.family, metrics=metrics))
+        rows.append(ReportRow(barrier=dataset.barrier, family=family, metrics=metrics))
     return rows
 
 

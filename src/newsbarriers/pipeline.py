@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .annotate import build_barrier_dataset, save_barrier_dataset
-from .classifiers import ModelSpec, family_from_name
+from .classifiers import family_from_name
 from .config import PipelineConfig, config_to_text
 from .errors import ConfigError, DataError
 from .evaluate import dataset_footer, render_report, run_experiment
@@ -112,7 +112,7 @@ def run_pipeline(config: PipelineConfig):
     out = make_out_dir(config.out)
     write_atomic(out / "config.txt", config_to_text(config))
     datasets, report, vocab = annotate_corpus(config)
-    specs = [ModelSpec(family=family_from_name(m), seed=config.seed) for m in config.models]
+    families = [family_from_name(m) for m in config.models]
     grids = config.model_grids()
     rows, footer = [], []
     for name in config.barriers:
@@ -121,7 +121,7 @@ def run_pipeline(config: PipelineConfig):
             rows.extend(
                 run_experiment(
                     dataset,
-                    specs,
+                    families,
                     k=config.k_folds,
                     seed=config.seed,
                     grids=grids,

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from newsbarriers.annotate import annotate_vector_barrier, cosine_similarity
-from newsbarriers.classifiers import KNearestNeighbors, ModelFamily, ModelSpec
+from newsbarriers.classifiers import KNearestNeighbors, ModelFamily
 from newsbarriers.cli import main
 from newsbarriers.config import PipelineConfig
 from newsbarriers.evaluate import micro_metrics, render_report, run_experiment, stratified_kfold
@@ -137,7 +137,7 @@ def test_criterion_4_baseline_fidelity():
     rng = np.random.default_rng(404)
     X = rng.normal(size=(200, 5))
     y = np.array([False] * 140 + [True] * 60)
-    rows = run_experiment(make_dataset(X, y), [ModelSpec(ModelFamily.MOST_FREQUENT)], k=10, seed=4)
+    rows = run_experiment(make_dataset(X, y), [ModelFamily.MOST_FREQUENT], k=10, seed=4)
     m = rows[0].metrics
     assert m.classification_accuracy == 0.7
     assert m.micro_precision == m.micro_recall == m.micro_f1 == 0.7
@@ -152,7 +152,7 @@ def test_criterion_4_baseline_fidelity():
         n = n_true + n_false
         X = rng.normal(size=(n, 3))
         y = np.array([False] * n_false + [True] * n_true)
-        rows = run_experiment(make_dataset(X, y), [ModelSpec(ModelFamily.MOST_FREQUENT)], k=k, seed=trial)
+        rows = run_experiment(make_dataset(X, y), [ModelFamily.MOST_FREQUENT], k=k, seed=trial)
         majority = n_false / n
         assert abs(rows[0].metrics.classification_accuracy - majority) <= 1.0 / n
     report(4, "MostFrequent pooled metrics match the majority fraction; 70/30 row reads 0.70")
@@ -169,8 +169,7 @@ def test_criterion_5_classifier_sanity():
     ])
     y = np.array([True] * n + [False] * n)
     dataset = make_dataset(X, y)
-    specs = [ModelSpec(ModelFamily.SVM), ModelSpec(ModelFamily.DECISION_TREE)]
-    rows = run_experiment(dataset, specs, k=10, seed=5)
+    rows = run_experiment(dataset, [ModelFamily.SVM, ModelFamily.DECISION_TREE], k=10, seed=5)
     for row in rows:
         assert row.metrics.micro_f1 >= 0.99, f"{row.family}: {row.metrics.micro_f1}"
 
@@ -241,20 +240,20 @@ def test_criterion_7_table3_counts(tmp_path):
 @needs_real_data
 def test_criterion_8_models_beat_baselines(tmp_path):
     grids = {
-        ModelFamily.SVM: [{"lam": 1e-3}],
-        ModelFamily.KNN: [{"k": 1}, {"k": 5}, {"k": 15}],
-        ModelFamily.DECISION_TREE: [{"max_leaf_nodes": 16}, {"max_leaf_nodes": None}],
-        ModelFamily.RANDOM_FOREST: [{"n_estimators": 50}],
+        ModelFamily.SVM: (1e-3,),
+        ModelFamily.KNN: (1, 5, 15),
+        ModelFamily.DECISION_TREE: (16, None),
+        ModelFamily.RANDOM_FOREST: (50,),
     }
     learned = (ModelFamily.SVM, ModelFamily.KNN, ModelFamily.DECISION_TREE,
                ModelFamily.RANDOM_FOREST, ModelFamily.NAIVE_BAYES)
-    specs = [ModelSpec(f, seed=8) for f in (ModelFamily.STRATIFIED, ModelFamily.MOST_FREQUENT) + learned]
+    families = (ModelFamily.STRATIFIED, ModelFamily.MOST_FREQUENT) + learned
     for event in EVENTS:
         config = _real_data_config(event, tmp_path / event)
         config.validate()
         datasets, _, _ = annotate_corpus(config)
         for kind, dataset in datasets.items():
-            rows = run_experiment(dataset, specs, k=10, seed=8, grids=grids)
+            rows = run_experiment(dataset, families, k=10, seed=8, grids=grids)
             f1 = {r.family: r.metrics.micro_f1 for r in rows}
             for family in learned:
                 assert f1[family] >= f1[ModelFamily.STRATIFIED], f"{event}/{kind.value}: {family}"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from newsbarriers import classifiers
 from newsbarriers.classifiers import (
-    DEFAULT_GRIDS,
     FAMILIES,
     DecisionTreeCART,
     GaussianNaiveBayes,
@@ -20,6 +19,7 @@ from newsbarriers.classifiers import (
     StratifiedBaseline,
     TrainedModel,
     UniformBaseline,
+    best_point,
     family_from_name,
     grid_predictions,
     load_model,
@@ -28,6 +28,7 @@ from newsbarriers.classifiers import (
     train,
 )
 from newsbarriers.errors import ConfigError, DegenerateTrainingSet, LengthMismatch
+from newsbarriers.evaluate import micro_metrics
 
 
 def blobs(n_per_class=50, separation=4.0, scale=0.5, d=2, seed=0):
@@ -44,10 +45,12 @@ def test_every_family_has_documented_defaults():
 
 
 def test_default_sweep_grids():
-    assert DEFAULT_GRIDS[ModelFamily.KNN] == [{"k": k} for k in (1, 3, 5, 7, 9, 11, 15)]
-    assert DEFAULT_GRIDS[ModelFamily.RANDOM_FOREST] == [{"n_estimators": n} for n in (10, 50, 100, 200)]
-    assert DEFAULT_GRIDS[ModelFamily.SVM] == [{"lam": lam} for lam in (1e-4, 1e-3, 1e-2)]
-    assert DEFAULT_GRIDS[ModelFamily.DECISION_TREE][-1] == {"max_leaf_nodes": None}
+    assert FAMILIES[ModelFamily.KNN].sweep_values == (1, 3, 5, 7, 9, 11, 15)
+    assert FAMILIES[ModelFamily.RANDOM_FOREST].sweep_values == (10, 50, 100, 200)
+    assert FAMILIES[ModelFamily.SVM].sweep_values == (1e-4, 1e-3, 1e-2)
+    assert FAMILIES[ModelFamily.DECISION_TREE].sweep_values[-1] is None
+    # a family sweeps values exactly when it has a sweep parameter
+    assert all(bool(f.sweep_values) == (f.sweep_param is not None) for f in FAMILIES.values())
 
 
 def test_family_from_name_variants():
@@ -263,23 +266,24 @@ def test_train_takes_arrays():
 def test_predict_length_mismatch():
     X, y = blobs(n_per_class=10, seed=19)
     model = train(ModelSpec(ModelFamily.KNN, {"k": 1}), (X, y))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match=r"^expected rows of 2 features, got an array of shape \(4, 5\)$"):
         model.predict_batch(np.zeros((4, 5)))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match=r"^expected rows of 2 features, got an array of shape \(2,\)$"):
         model.predict_batch(np.zeros(2))
 
 
 def test_sweep_returns_grid_point():
     X, y = blobs(n_per_class=20, seed=21)
     Xe, ye = blobs(n_per_class=10, seed=22)
-    best = sweep_full(ModelFamily.KNN, DEFAULT_GRIDS[ModelFamily.KNN], (X, y), (Xe, ye), seed=0)[0]
-    assert best.hyperparameters in DEFAULT_GRIDS[ModelFamily.KNN]
+    values = FAMILIES[ModelFamily.KNN].sweep_values
+    g, preds = sweep_full(ModelFamily.KNN, values, (X, y), (Xe, ye), seed=0)
+    assert 0 <= g < len(values)
+    assert preds.tolist() == train(ModelSpec(ModelFamily.KNN, {"k": values[g]}), (X, y)).predict_batch(Xe).tolist()
 
 
 def test_sweep_single_point():
     X, y = blobs(n_per_class=10, seed=23)
-    best = sweep_full(ModelFamily.SVM, [{"lam": 0.5}], (X, y), (X, y), seed=0)[0]
-    assert best.hyperparameters == {"lam": 0.5}
+    assert sweep_full(ModelFamily.SVM, (0.5,), (X, y), (X, y), seed=0)[0] == 0
 
 
 def test_sweep_perfect_separator_wins():
@@ -289,14 +293,22 @@ def test_sweep_perfect_separator_wins():
     y = np.array([False, False, False, True])
     Xe = np.array([[0.05], [5.1]])
     ye = np.array([False, True])
-    best = sweep_full(ModelFamily.KNN, [{"k": 4}, {"k": 1}], (X, y), (Xe, ye), seed=0)[0]
-    assert best.hyperparameters == {"k": 1}
+    assert sweep_full(ModelFamily.KNN, (4, 1), (X, y), (Xe, ye), seed=0)[0] == 1
 
 
 def test_sweep_tie_takes_first_grid_point():
     X, y = blobs(n_per_class=20, seed=24)
-    best = sweep_full(ModelFamily.KNN, [{"k": 3}, {"k": 5}], (X, y), (X, y), seed=0)[0]
-    assert best.hyperparameters == {"k": 3}
+    assert sweep_full(ModelFamily.KNN, (3, 5), (X, y), (X, y), seed=0)[0] == 0
+
+
+@given(st.data())
+def test_best_point_is_the_first_best_micro_f1(data):
+    # few short prediction vectors, so grid points often tie
+    n = data.draw(st.integers(1, 12))
+    vectors = st.lists(st.booleans(), min_size=n, max_size=n)
+    predictions, gold = data.draw(st.lists(vectors, min_size=1, max_size=6)), data.draw(vectors)
+    scores = [micro_metrics(p, gold).micro_f1 for p in predictions]
+    assert best_point(predictions, gold) == scores.index(max(scores))
 
 
 @pytest.mark.parametrize("family,params", [
@@ -343,10 +355,8 @@ def reference_knn(X, y, Xe, k):
 
 @st.composite
 def sweep_cases(draw):
-    """Tie-heavy small-integer data with duplicate rows, and a grid of unsorted,
-    possibly repeated values, with or without ``None``. A point may leave the
-    sweep parameter out (its default), which sends the grid down the path that
-    fits every point."""
+    """Tie-heavy small-integer data with duplicate rows, and a tuple of unsorted,
+    possibly repeated sweep values, with or without ``None``."""
     n, d = draw(st.integers(2, 24)), draw(st.integers(1, 4))
     cells = st.lists(st.integers(0, 2), min_size=d, max_size=d)
     rows = draw(st.lists(cells, min_size=n, max_size=n))
@@ -359,43 +369,48 @@ def sweep_cases(draw):
         ModelFamily.DECISION_TREE: st.one_of(st.none(), st.integers(2, 12)),
         ModelFamily.RANDOM_FOREST: st.integers(1, 9),
     }[family]
-    param = FAMILIES[family].sweep_param
-    grid = [{param: v} for v in draw(st.lists(values, min_size=1, max_size=5))]
-    if draw(st.integers(0, 4)) == 0:
-        grid.insert(draw(st.integers(0, len(grid))), {})
-    return family, grid, X, y, Xe, draw(st.integers(0, 2**32 - 1))
+    return family, tuple(draw(st.lists(values, min_size=1, max_size=5))), X, y, Xe, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(sweep_cases())
 def test_grid_predictions_equal_a_refit_per_point(case):
-    family, grid, X, y, Xe, seed = case
-    predictions = grid_predictions(family, grid, (X, y), Xe, seed)
-    assert len(predictions) == len(grid)
-    for point, preds in zip(grid, predictions):
-        model = train(ModelSpec(family, dict(point), seed), (X, y))
+    family, values, X, y, Xe, seed = case
+    predictions = grid_predictions(family, values, (X, y), Xe, seed)
+    assert len(predictions) == len(values)
+    for value, preds in zip(values, predictions):
+        model = train(ModelSpec(family, {FAMILIES[family].sweep_param: value}, seed), (X, y))
         expected = model.predict_batch(Xe)
-        assert preds.tolist() == expected.tolist(), point
+        assert preds.tolist() == expected.tolist(), value
         if family is ModelFamily.KNN:
-            assert expected.tolist() == reference_knn(X, y, Xe, point.get("k", 5)).tolist()
+            assert expected.tolist() == reference_knn(X, y, Xe, value).tolist()
         if family is ModelFamily.RANDOM_FOREST:
             votes = sum(tree.predict(Xe).astype(int) for tree in model.estimator.trees_)
             assert expected.tolist() == (votes * 2 > len(model.estimator.trees_)).tolist()
 
 
-@pytest.mark.parametrize("family,grid,fits", [
-    (ModelFamily.KNN, DEFAULT_GRIDS[ModelFamily.KNN], 1),
-    (ModelFamily.DECISION_TREE, DEFAULT_GRIDS[ModelFamily.DECISION_TREE], 1),
-    (ModelFamily.RANDOM_FOREST, DEFAULT_GRIDS[ModelFamily.RANDOM_FOREST], 1),
-    (ModelFamily.RANDOM_FOREST, [{"n_estimators": 3}, {"n_estimators": 5}, {}], 3),
-    (ModelFamily.SVM, DEFAULT_GRIDS[ModelFamily.SVM], 3),
-], ids=["knn", "decision_tree", "random_forest", "random_forest-default-point", "svm"])
-def test_grid_predictions_fit_count(monkeypatch, family, grid, fits):
+@pytest.mark.parametrize("family,fits", [
+    (ModelFamily.KNN, 1),
+    (ModelFamily.DECISION_TREE, 1),
+    (ModelFamily.RANDOM_FOREST, 1),
+    (ModelFamily.SVM, 3),
+    (ModelFamily.NAIVE_BAYES, 1),
+], ids=["knn", "decision_tree", "random_forest", "svm", "naive_bayes"])
+def test_grid_predictions_fit_count(monkeypatch, family, fits):
     calls = []
     monkeypatch.setattr(classifiers, "train", lambda spec, data: calls.append(spec) or train(spec, data))
     X, y = blobs(n_per_class=8, seed=27)
-    grid_predictions(family, grid, (X, y), X, seed=5)
+    predictions = grid_predictions(family, FAMILIES[family].sweep_values, (X, y), X, seed=5)
     assert len(calls) == fits
+    assert len(predictions) == max(1, len(FAMILIES[family].sweep_values))
+
+
+def test_grid_predictions_reject_values_that_do_not_fit_the_family():
+    X, y = blobs(n_per_class=5, seed=29)
+    with pytest.raises(ValueError, match="^kNN: got 0 values for sweep parameter 'k'"):
+        grid_predictions(ModelFamily.KNN, (), (X, y), X)
+    with pytest.raises(ValueError, match="^Naive Bayes: got 1 values for sweep parameter None"):
+        grid_predictions(ModelFamily.NAIVE_BAYES, (3,), (X, y), X)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -417,10 +432,10 @@ def test_hyperparameter_out_of_range(family, params):
     (name,) = params
     with pytest.raises(ConfigError, match=f"^{FAMILIES[family].display_name}: {name} must be .*, got "):
         train(ModelSpec(family, params), (X, y))
-    sweep_param = FAMILIES[family].sweep_param
-    grid = [params, {sweep_param: DEFAULT_GRIDS[family][0][sweep_param]}] if name == sweep_param else [params]
-    with pytest.raises(ConfigError, match=f"{name} must be "):
-        grid_predictions(family, grid, (X, y), X)
+    f = FAMILIES[family]
+    if name == f.sweep_param:  # an out-of-range value fails even where a covering one would fit
+        with pytest.raises(ConfigError, match=f"{name} must be "):
+            grid_predictions(family, (params[name], f.sweep_values[0]), (X, y), X)
 
 
 def reference_best_split(X, y, idx, features):

@@ -42,11 +42,8 @@ def test_text_is_plain_key_value():
 def test_grid_lines_round_trip():
     config = config_from_text("grid.random_forest.n_estimators = 10,50\ngrid.decision_tree.max_leaf_nodes = 8,none\n")
     assert config.grids == {"random_forest": [10, 50], "decision_tree": [8, None]}
-    grids = config.model_grids()
-    assert grids[ModelFamily.RANDOM_FOREST] == [{"n_estimators": 10}, {"n_estimators": 50}]
-    assert grids[ModelFamily.DECISION_TREE] == [{"max_leaf_nodes": 8}, {"max_leaf_nodes": None}]
-    # unswept families keep their defaults
-    assert ModelFamily.KNN in grids
+    # families left out sweep their defaults in run_experiment
+    assert config.model_grids() == {ModelFamily.RANDOM_FOREST: (10, 50), ModelFamily.DECISION_TREE: (8, None)}
 
 
 def test_unknown_key_rejected():
@@ -104,6 +101,12 @@ def test_validate_rejects_bad_values(tmp_path):
                            ("svm", [float("nan")]), ("decision_tree", [1]), ("decision_tree", [1.5])):
         with pytest.raises(ConfigError, match=f"^grid.{family}: "):
             PipelineConfig(**ok, grids={family: values}).validate()
+    # an empty grid is rejected, as in a config file, rather than swept with the defaults
+    with pytest.raises(ConfigError, match="^grid.knn: no values$"):
+        PipelineConfig(**ok, grids={"knn": []}).validate()
+    for name, message in (("naive_bayes", "has no sweep parameter"), ("perceptron", "unknown model family")):
+        with pytest.raises(ConfigError, match=f"^grids: .*{message}"):
+            PipelineConfig(**ok, grids={name: [1]}).validate()
     PipelineConfig(**ok, threshold=-1.0, grids={"decision_tree": [2, None], "svm": [1]}).validate()
 
 

@@ -229,8 +229,10 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
 MODELS = Path(__file__).parent / "data" / "models"
 MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json") if p.stem != "predictions")
 MODEL_SECTIONS = ("parameters", "standardization", "n_features")
-# wrong type, out of range (every saved model has 3 features), not finite, or null
-LEAF_VALUES = (None, "x", True, False, [], {}, 0, -1, -2, 3, 99, 2**70, 0.5, 1.5, -1.0, 0.0, math.inf, math.nan)
+# wrong type, out of range (every saved model has 3 features), not finite, null, or finite
+# but subnormal or huge, so that a score overflows
+LEAF_VALUES = (None, "x", True, False, [], {}, 0, -1, -2, 3, 99, 2**70, 0.5, 1.5, -1.0, 0.0, math.inf, math.nan,
+               5e-324, 1e308, -1e308)
 
 
 def model_payload(name: str) -> dict:
@@ -297,6 +299,8 @@ def test_structurally_mutated_model_files_never_exit_3(model_dataset, tmp_path, 
     assert code in (0, 2), (path, err)
     if code:
         assert err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        assert err == "", (path, err)
 
 
 # Each of these loaded and then failed at exit 3, or predicted at exit 0 from a model
@@ -328,3 +332,13 @@ def test_malformed_model_file_holes(model_dataset, tmp_path, name, path, value, 
     code, err = evaluate_payload(mutated(model_payload(name), path, value), model_dataset, tmp_path)
     assert (code, err.count("\n")) == (2, 1), err
     assert err.startswith(f"model: malformed model file: {names}"), err
+
+
+def test_model_and_dataset_feature_counts_differ(model_dataset, tmp_path):
+    narrow = tmp_path / "narrow.csv"
+    lines = model_dataset.read_text(encoding="utf-8").splitlines()
+    narrow.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8")
+    code, err = call(["train", "--data", str(narrow), "--family", "knn", "--out", str(tmp_path / "model.json")])
+    assert code == 0, err
+    code, err = call(["evaluate", "--model", str(tmp_path / "model.json"), "--data", str(model_dataset)])
+    assert (code, err) == (2, "evaluate: expected rows of 2 features, got an array of shape (6, 3)\n")

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from newsbarriers.annotate import BarrierDataset
-from newsbarriers.classifiers import ModelFamily, ModelSpec
+from newsbarriers.classifiers import ModelFamily
 from newsbarriers.errors import EmptyInput, LengthMismatch, TooFewPerClass
 from newsbarriers.evaluate import (
     dataset_footer,
@@ -102,7 +102,7 @@ def test_run_experiment_most_frequent_pooled():
     X = rng.normal(size=(200, 4))
     y = np.array([False] * 140 + [True] * 60)
     dataset = make_dataset(X, y)
-    rows = run_experiment(dataset, [ModelSpec(ModelFamily.MOST_FREQUENT)], k=10, seed=2)
+    rows = run_experiment(dataset, [ModelFamily.MOST_FREQUENT], k=10, seed=2)
     assert rows[0].metrics.classification_accuracy == 0.7
     assert rows[0].metrics.micro_f1 == 0.7
 
@@ -112,10 +112,10 @@ def test_run_experiment_deterministic():
     X = rng.normal(size=(60, 3))
     y = np.array([False] * 40 + [True] * 20)
     dataset = make_dataset(X, y)
-    specs = [ModelSpec(ModelFamily.STRATIFIED), ModelSpec(ModelFamily.SVM)]
-    grids = {ModelFamily.SVM: [{"lam": 1e-3}]}
-    first = run_experiment(dataset, specs, k=5, seed=3, grids=grids)
-    second = run_experiment(dataset, specs, k=5, seed=3, grids=grids)
+    families = [ModelFamily.STRATIFIED, ModelFamily.SVM]
+    grids = {ModelFamily.SVM: (1e-3,)}
+    first = run_experiment(dataset, families, k=5, seed=3, grids=grids)
+    second = run_experiment(dataset, families, k=5, seed=3, grids=grids)
     assert first == second
 
 
@@ -125,7 +125,7 @@ def test_run_experiment_planted_concept_signal():
     y = np.array([False] * 60 + [True] * 40)
     X = np.column_stack([y.astype(float), rng.normal(size=(100, 5))])
     dataset = make_dataset(X, y)
-    rows = run_experiment(dataset, [ModelSpec(ModelFamily.DECISION_TREE)], k=10, seed=6)
+    rows = run_experiment(dataset, [ModelFamily.DECISION_TREE], k=10, seed=6)
     assert rows[0].metrics.micro_f1 >= 0.99
 
 
@@ -134,7 +134,7 @@ def test_run_experiment_total_predictions_cover_dataset():
     X = rng.normal(size=(50, 2))
     y = np.array([False] * 30 + [True] * 20)
     dataset = make_dataset(X, y)
-    rows = run_experiment(dataset, [ModelSpec(ModelFamily.MOST_FREQUENT)], k=5, seed=8)
+    rows = run_experiment(dataset, [ModelFamily.MOST_FREQUENT], k=5, seed=8)
     # pooled most-frequent accuracy equals the majority fraction only if
     # every instance was predicted exactly once
     assert rows[0].metrics.classification_accuracy == 0.6
@@ -146,12 +146,12 @@ def test_run_experiment_fold_mean_and_nested_run():
     y = np.array([False] * 40 + [True] * 20)
     X[y, 0] += 3.0
     dataset = make_dataset(X, y)
-    grids = {ModelFamily.KNN: [{"k": 1}, {"k": 3}]}
-    mean_rows = run_experiment(dataset, [ModelSpec(ModelFamily.KNN)], k=5, seed=10, grids=grids, fold_mean=True)
-    nested_rows = run_experiment(dataset, [ModelSpec(ModelFamily.KNN)], k=5, seed=10, grids=grids, nested=True)
+    grids = {ModelFamily.KNN: (1, 3)}
+    mean_rows = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, fold_mean=True)
+    nested_rows = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
     assert 0.0 <= mean_rows[0].metrics.micro_f1 <= 1.0
     assert 0.0 <= nested_rows[0].metrics.micro_f1 <= 1.0
-    again = run_experiment(dataset, [ModelSpec(ModelFamily.KNN)], k=5, seed=10, grids=grids, nested=True)
+    again = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
     assert nested_rows == again
 
 
@@ -160,8 +160,7 @@ def demo_rows():
     X = rng.normal(size=(40, 2))
     y = np.array([False] * 28 + [True] * 12)
     dataset = make_dataset(X, y)
-    specs = [ModelSpec(f) for f in (ModelFamily.MOST_FREQUENT, ModelFamily.UNIFORM)]
-    return run_experiment(dataset, specs, k=4, seed=12)
+    return run_experiment(dataset, [ModelFamily.MOST_FREQUENT, ModelFamily.UNIFORM], k=4, seed=12)
 
 
 def test_render_markdown_order_and_rounding():
@@ -217,14 +216,13 @@ def test_full_grid_experiment_smoke():
     X = rng.normal(size=(50, 3))
     X[y, 0] += 4.0
     dataset = make_dataset(X, y)
-    specs = [ModelSpec(f) for f in ModelFamily]
     grids = {
-        ModelFamily.SVM: [{"lam": 1e-3}],
-        ModelFamily.KNN: [{"k": 1}, {"k": 3}],
-        ModelFamily.DECISION_TREE: [{"max_leaf_nodes": 4}],
-        ModelFamily.RANDOM_FOREST: [{"n_estimators": 5}],
+        ModelFamily.SVM: (1e-3,),
+        ModelFamily.KNN: (1, 3),
+        ModelFamily.DECISION_TREE: (4,),
+        ModelFamily.RANDOM_FOREST: (5,),
     }
-    rows = run_experiment(dataset, specs, k=5, seed=15, grids=grids)
+    rows = run_experiment(dataset, list(ModelFamily), k=5, seed=15, grids=grids)
     assert len(rows) == len(ModelFamily)
     by_family = {r.family: r.metrics for r in rows}
     assert by_family[ModelFamily.DECISION_TREE].micro_f1 >= 0.9
