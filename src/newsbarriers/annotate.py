@@ -76,7 +76,7 @@ def barrier_present(kind: BarrierKind, profile_a, profile_b, threshold: float = 
 
 @dataclass
 class BarrierDataset:
-    barrier: BarrierKind
+    barrier: Optional[BarrierKind]  # None when read back from a CSV
     instances: list
     dropped: Counter = field(default_factory=Counter)
     feature_names: tuple = ()
@@ -157,8 +157,8 @@ def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
             )
 
 
-def load_barrier_dataset(path, kind: BarrierKind) -> BarrierDataset:
-    """Read a dataset CSV as ``save_barrier_dataset`` writes it.
+def load_barrier_dataset(path) -> BarrierDataset:
+    """Read a dataset CSV as ``save_barrier_dataset`` writes it; the file does not name its barrier.
 
     A missing file is a ConfigError; a bad header, a row of the wrong width, a
     label other than TRUE/FALSE or a feature cell that is not a finite number
@@ -187,7 +187,7 @@ def load_barrier_dataset(path, kind: BarrierKind) -> BarrierDataset:
                     features=np.array([parse_float(v, rownum, name) for name, v in zip(feature_names, row[2:])]),
                     label=row[1] == "TRUE",
                     article_id=row[0],
-                    barrier=kind,
+                    barrier=None,
                 )
             )
-    return BarrierDataset(barrier=kind, instances=instances, feature_names=feature_names)
+    return BarrierDataset(barrier=None, instances=instances, feature_names=feature_names)

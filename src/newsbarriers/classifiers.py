@@ -85,6 +85,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> None:
+    """ConfigError unless ``seed`` is a numpy seed: an integer >= 0."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 _ELEMENTS = {
     float: ("numbers", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
     int: ("integers", _is_int),
@@ -599,6 +605,7 @@ class Family:
 
     def build(self, seed: int, **hyperparameters):
         """Unfitted estimator; hyperparameters left out keep the constructor's defaults."""
+        check_seed(seed)
         self.check(hyperparameters)
         if self.seeded:
             hyperparameters["seed"] = seed
@@ -715,10 +722,9 @@ def load_model(path) -> TrainedModel:
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {version!r}")
         spec = ModelSpec(ModelFamily(payload["family"]), payload["hyperparameters"], payload["seed"])
-        for name, low in (("n_features", 1), ("seed", 0)):
-            if not _is_int(payload[name]) or payload[name] < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {payload[name]!r}")
         n_features = payload["n_features"]
+        if not _is_int(n_features) or n_features < 1:
+            raise ValueError(f"n_features must be an integer >= 1, got {n_features!r}")
         est = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters)
         est.set_state(est.STATE, payload["parameters"], n_features, "parameters")
         std = payload["standardization"]

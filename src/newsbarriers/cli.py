@@ -12,37 +12,24 @@ from pathlib import Path
 
 from .annotate import load_barrier_dataset
 from .classifiers import ModelSpec, load_model, save_model, train
-from .config import ALL_BARRIERS, PipelineConfig, load_config, parse_family, parse_value, set_option
+from .config import PipelineConfig, format_option, load_config, parse_family, parse_value, set_option
 from .errors import ConfigError, DataError
 from .evaluate import micro_metrics, parse_report_csv, render_report
-from .knowledge import BarrierKind
 from .pipeline import annotate_corpus, build_vocab, ingest_corpus, make_out_dir, run_pipeline, stage
 from .synth import SyntheticSpec, generate_corpus
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field, ``--vocab-size`` for ``vocab_size``, parsed by ``set_option``."""
     parser.add_argument("--config", help="key=value config file; explicit flags override it")
-    parser.add_argument("--pairs")
-    parser.add_argument("--concepts")
-    parser.add_argument("--countries")
-    parser.add_argument("--publishers")
-    parser.add_argument("--out")
-    parser.add_argument("--event")
-    parser.add_argument("--barriers", help="comma-separated subset of: " + ",".join(ALL_BARRIERS))
-    parser.add_argument("--models", help="comma-separated model families")
-    parser.add_argument("--vocab-size", dest="vocab_size")
-    parser.add_argument("--threshold")
-    parser.add_argument("--k-folds", dest="k_folds")
-    parser.add_argument("--seed")
-    parser.add_argument("--grid", action="append", default=None, metavar="FAMILY.PARAM=V1,V2",
-                        help="override one family's sweep grid; repeatable")
-    parser.add_argument("--economic-features", dest="economic_features",
-                        help="comma-separated subset of the economic indicators")
-    parser.add_argument("--profile-side", dest="profile_side", choices=("source", "target"))
-    parser.add_argument("--global-vocab", dest="global_vocab", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--nested", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--fold-mean", dest="fold_mean", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--scale-profiles", dest="scale_profiles", action=argparse.BooleanOptionalAction)
+    for f in fields(PipelineConfig):
+        if f.type is dict:
+            parser.add_argument("--grid", action="append", metavar="FAMILY.PARAM=V1,V2",
+                                help="override one family's sweep grid; repeatable")
+            continue
+        default = format_option(f.default)
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f"default: {default}" if default else None,
+                            action=argparse.BooleanOptionalAction if f.type is bool else "store")
 
 
 def _build_config(args) -> PipelineConfig:
@@ -62,14 +49,6 @@ def _build_config(args) -> PipelineConfig:
     return config
 
 
-def seed(text: str) -> int:
-    """argparse type of ``--seed``: numpy seeds are non-negative integers."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 def _parse_param(text: str):
     key, sep, raw = text.partition("=")
     if not sep:
@@ -77,9 +56,9 @@ def _parse_param(text: str):
     return key.strip(), parse_value(raw, "param")
 
 
-def _load_dataset(args):
+def _load_arrays(path):
     with stage("data"):
-        return load_barrier_dataset(args.data, BarrierKind(args.barrier) if args.barrier else None)
+        return load_barrier_dataset(path).arrays()
 
 
 def cmd_run(args) -> int:
@@ -96,7 +75,6 @@ def cmd_annotate(args) -> int:
 
 def cmd_concept_freq(args) -> int:
     config = _build_config(args)
-    config.vocab_size = args.n
     config.validate()
     profiles, publishers, index, examples, _ = ingest_corpus(config)
     vocab = build_vocab(config, examples, index)
@@ -107,25 +85,17 @@ def cmd_concept_freq(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    options = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec)}
     regimes = {}
-    for item in args.regime or ():
-        barrier, _, regime = item.partition("=")
-        if not _:
+    for item in options.pop("regimes") or ():
+        barrier, sep, regime = item.partition("=")
+        if not sep:
             raise ConfigError(f"regime: expected BARRIER=same|diff|mixed, got {item!r}")
         regimes[barrier.strip()] = regime.strip()
-    spec = SyntheticSpec(
-        n_countries=args.n_countries,
-        n_publishers=args.n_publishers,
-        n_articles=args.n_articles,
-        concept_pool_size=args.concept_pool,
-        seed=args.seed,
-        regimes=regimes,
-        unknown_alignment_rate=args.unknown_alignment_rate,
-        extra_unclassified_pairs=args.extra_pairs,
-        event_label=args.event,
-    )
+    spec = SyntheticSpec(regimes=regimes, **{name: value for name, value in options.items() if value is not None})
     make_out_dir(args.out)
-    paths = generate_corpus(spec, args.out)
+    with stage("synth"):
+        paths = generate_corpus(spec, args.out)
     for name in ("pairs", "concepts", "countries", "publishers", "truth"):
         print(f"{name}: {paths[name]}")
     return 0
@@ -134,7 +104,9 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     params = dict(_parse_param(p) for p in args.param or ())
     spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
-    model = train(spec, _load_dataset(args).arrays())
+    data = _load_arrays(args.data)
+    with stage("train"):
+        model = train(spec, data)
     with stage("out"):
         save_model(model, args.out)
     print(f"model: {args.out}")
@@ -143,7 +115,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    X, y = _load_dataset(args).arrays()
+    X, y = _load_arrays(args.data)
     with stage("evaluate"):
         metrics = micro_metrics(model.predict_batch(X), y)
     print(f"ca={metrics.classification_accuracy!r}")
@@ -187,37 +159,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_options(p_annotate)
     p_annotate.set_defaults(func=cmd_annotate)
 
-    p_freq = sub.add_parser("concept-freq", help="print the top-N concept document frequencies")
+    p_freq = sub.add_parser("concept-freq", help="print the vocabulary: the top --vocab-size concept frequencies")
     _add_pipeline_options(p_freq)
-    p_freq.add_argument("--n", type=int, default=300)
     p_freq.set_defaults(func=cmd_concept_freq)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus with planted labels")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--n-countries", type=int, default=5, dest="n_countries")
-    p_synth.add_argument("--n-publishers", type=int, default=12, dest="n_publishers")
-    p_synth.add_argument("--n-articles", type=int, default=100, dest="n_articles")
-    p_synth.add_argument("--concept-pool", type=int, default=40, dest="concept_pool")
-    p_synth.add_argument("--seed", type=seed, default=0)
-    p_synth.add_argument("--regime", action="append", metavar="BARRIER=same|diff|mixed")
-    p_synth.add_argument("--unknown-alignment-rate", type=float, default=0.0, dest="unknown_alignment_rate")
-    p_synth.add_argument("--extra-pairs", type=int, default=10, dest="extra_pairs")
-    p_synth.add_argument("--event", default="synthetic")
+    p_synth.add_argument("--n-countries", dest="n_countries", type=int)
+    p_synth.add_argument("--n-publishers", dest="n_publishers", type=int)
+    p_synth.add_argument("--n-articles", dest="n_articles", type=int)
+    p_synth.add_argument("--concept-pool", dest="concept_pool_size", type=int)
+    p_synth.add_argument("--seed", dest="seed", type=int)
+    p_synth.add_argument("--regime", dest="regimes", action="append", metavar="BARRIER=same|diff|mixed")
+    p_synth.add_argument("--unknown-alignment-rate", dest="unknown_alignment_rate", type=float)
+    p_synth.add_argument("--extra-pairs", dest="extra_unclassified_pairs", type=int)
+    p_synth.add_argument("--event", dest="event_label")
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train one model on a barrier dataset CSV")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--family", required=True)
     p_train.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_train.add_argument("--seed", type=seed, default=0)
-    p_train.add_argument("--barrier", choices=ALL_BARRIERS)
+    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a saved model against a dataset CSV")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--barrier", choices=ALL_BARRIERS)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_report = sub.add_parser("report", help="render a report.csv as markdown or csv")
@@ -231,6 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        # options name paths, and a path cannot hold a NUL byte (nor can a POSIX command line)
+        if any("\0" in arg for arg in argv or ()):
+            raise ConfigError("arguments: an argument holds a NUL byte")
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -150,6 +150,15 @@ def set_option(config: PipelineConfig, key: str, text: str) -> None:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
 
 
+def format_option(value) -> str:
+    """The text of a scalar option value, as ``set_option`` parses it back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(value)
+
+
 def config_to_text(config: PipelineConfig) -> str:
     lines = []
     for f in fields(PipelineConfig):
@@ -160,13 +169,7 @@ def config_to_text(config: PipelineConfig) -> str:
                 joined = ",".join(_format_grid_value(v) for v in value[name])
                 lines.append(f"grid.{name}.{param} = {joined}")
             continue
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, tuple):
-            text = ",".join(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+        lines.append(f"{f.name} = {format_option(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +185,7 @@ def config_from_text(text: str) -> PipelineConfig:
                 raise ConfigError("expected 'key = value'")
             set_option(config, key.strip(), value)
         except ConfigError as exc:
-            raise ConfigError(f"config line {lineno}: {exc}") from None
+            raise ConfigError(f"config: line {lineno}: {exc}") from None
     return config
 
 
@@ -193,4 +196,6 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError("config: not found") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config: {exc}") from None
+    if "\0" in text:
+        raise ConfigError("config: holds a NUL byte")  # options name paths, which cannot hold one
     return config_from_text(text)

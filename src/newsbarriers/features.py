@@ -37,13 +37,6 @@ class ConceptVocabulary:
             writer.writerow(("concept", "frequency"))
             writer.writerows(self.entries)
 
-    @classmethod
-    def load(cls, path) -> "ConceptVocabulary":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            return cls(entries=tuple((concept, int(freq)) for concept, freq in reader))
-
 
 @dataclass(frozen=True)
 class LabeledInstance:

@@ -126,9 +126,6 @@ class ProfileStore:
     def get(self, country_code: str) -> Optional[CountryProfile]:
         return self._profiles.get(country_code)
 
-    def lookup(self, country_code: str) -> CountryProfile:
-        return self._profiles[country_code]
-
     def minmax_scaled(self) -> "ProfileStore":
         """Store with economic and cultural values min-max scaled per feature.
 

@@ -74,9 +74,11 @@ def annotate_corpus(config: PipelineConfig):
     """Ingest, build the vocabulary, and materialize per-barrier datasets."""
     out = make_out_dir(config.out)
     profiles, publishers, index, examples, report = ingest_corpus(config)
-    (out / "ingest_report.txt").write_text(report.render(), encoding="utf-8")
+    with stage("out"):
+        (out / "ingest_report.txt").write_text(report.render(), encoding="utf-8")
     vocab = build_vocab(config, examples, index)
-    vocab.save(out / "vocabulary.csv")
+    with stage("out"):
+        vocab.save(out / "vocabulary.csv")
     economic_features = tuple(config.economic_features) or None
     datasets = {}
     for name in config.barriers:
@@ -92,7 +94,8 @@ def annotate_corpus(config: PipelineConfig):
                 profile_side=config.profile_side,
                 economic_features=economic_features,
             )
-        save_barrier_dataset(dataset, out / f"dataset_{name}.csv")
+        with stage("out"):
+            save_barrier_dataset(dataset, out / f"dataset_{name}.csv")
         datasets[kind] = dataset
     return datasets, report, vocab
 
@@ -100,8 +103,9 @@ def annotate_corpus(config: PipelineConfig):
 def write_atomic(path: Path, text: str) -> None:
     """Write through a temp file renamed over ``path``: readers see old or new, never half."""
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with stage("out"):
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
 
 
 def run_pipeline(config: PipelineConfig):

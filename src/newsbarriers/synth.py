@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotate import COORDINATE_EPSILON, SIMILARITY_THRESHOLD
+from .classifiers import check_seed
 from .errors import ConfigError
 from .ingest import ArticlePair, PropagationClass, serialize_pairs
 from .knowledge import BarrierKind, CountryProfile, ProfileStore, save_country_profiles
@@ -59,6 +60,9 @@ class SyntheticSpec:
             raise ConfigError("counts must be positive")
         if self.concept_pool_size < 1:
             raise ConfigError("concept pool must not be empty")
+        check_seed(self.seed)
+        if not 0.0 <= self.unknown_alignment_rate <= 1.0:
+            raise ConfigError(f"unknown alignment rate must be in [0, 1], got {self.unknown_alignment_rate!r}")
         for name, regime in self.regimes.items():
             if name not in BARRIER_NAMES:
                 raise ConfigError(f"unknown barrier in regimes: {name!r}")

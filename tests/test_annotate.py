@@ -327,7 +327,7 @@ def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, publishers):
     dataset = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, publishers, vocab)
     path = tmp_path / "dataset.csv"
     save_barrier_dataset(dataset, path)
-    loaded = load_barrier_dataset(path, BarrierKind.CULTURAL)
+    loaded = load_barrier_dataset(path)
     assert loaded.feature_names == dataset.feature_names
     assert [i.label for i in loaded.instances] == [i.label for i in dataset.instances]
     for a, b in zip(loaded.instances, dataset.instances):

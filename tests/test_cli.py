@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from newsbarriers.cli import main
+from newsbarriers.cli import _build_config, build_parser, main
+from newsbarriers.config import PipelineConfig, config_to_text
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 
 FAST_GRIDS = [
@@ -87,26 +89,26 @@ def test_annotate_writes_datasets_only(tmp_path, corpus):
 
 
 def test_concept_freq_prints_table(tmp_path, corpus, capsys):
-    code = main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--n", "7"])
+    code = main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "3"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "concept,frequency"
-    assert len(lines) == 8
+    assert len(lines) == 4
     frequencies = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert frequencies == sorted(frequencies, reverse=True)
 
 
 def test_concept_freq_saturates(tmp_path, corpus, capsys):
-    code = main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--n", "100000"])
+    code = main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "100000"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert 1 < len(lines) - 1 <= 40  # concept pool size bounds the table
 
 
 def test_concept_freq_identical_runs(tmp_path, corpus, capsys):
-    main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--n", "10"])
+    main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "10"])
     first = capsys.readouterr().out
-    main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--n", "10"])
+    main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "10"])
     assert capsys.readouterr().out == first
 
 
@@ -127,8 +129,7 @@ def test_train_and_evaluate_round_trip(tmp_path, corpus, capsys):
     dataset = out / "dataset_timezone.csv"
     model_path = tmp_path / "model.json"
     code = main(["train", "--data", str(dataset), "--family", "decision_tree",
-                 "--param", "max_leaf_nodes=none", "--barrier", "timezone",
-                 "--out", str(model_path)])
+                 "--param", "max_leaf_nodes=none", "--out", str(model_path)])
     assert code == 0
     assert model_path.is_file()
     capsys.readouterr()
@@ -217,6 +218,9 @@ def test_global_vocab_counts_all_articles(tmp_path, corpus):
     ["run", "--bogus"],
     ["run", "--grid", "knn.k="],
     ["frobnicate"],
+    ["concept-freq", "--n", "3"],
+    ["train", "--data", "d.csv", "--family", "knn", "--out", "m.json", "--barrier", "timezone"],
+    ["evaluate", "--data", "d.csv", "--model", "m.json", "--barrier", "timezone"],
 ])
 def test_bad_flags_are_config_errors(argv, capsys):
     assert main(argv) == 1
@@ -225,10 +229,40 @@ def test_bad_flags_are_config_errors(argv, capsys):
 
 
 def test_help_still_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--help"])
-    assert exc.value.code == 0
-    assert "--vocab-size" in capsys.readouterr().out
+    helps = {}
+    for command in ("run", "annotate", "concept-freq", "synth", "train", "evaluate", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        helps[command] = capsys.readouterr().out
+        assert helps[command].startswith(f"usage: newsbarriers {command}")
+    assert "--vocab-size" in helps["run"]
+
+
+# a value other than the default for every PipelineConfig field, as ``config.txt`` writes it
+NON_DEFAULT = {
+    "pairs": "p.csv", "concepts": "c.jsonl", "countries": "k.csv", "publishers": "u.csv", "out": "elsewhere",
+    "event": "demo", "barriers": "political,economic", "vocab_size": "7", "threshold": "0.5", "k_folds": "3",
+    "seed": "4", "models": "knn,svm", "grids": "knn.k=1,3", "global_vocab": "true", "nested": "true",
+    "fold_mean": "true", "profile_side": "target", "scale_profiles": "true", "economic_features": "Rank,Health",
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, name):
+    """``--vocab-size 7`` writes the config.txt that ``vocab_size = 7`` in a --config file writes."""
+    monkeypatch.delenv("NEWSBARRIERS_OUT", raising=False)
+    flag, value = "--" + name.replace("_", "-"), NON_DEFAULT[name]
+    if name == "grids":
+        key, _, values = value.partition("=")
+        flag_args, line = ["--grid", value], f"grid.{key} = {values}"
+    else:
+        flag_args, line = [flag] if value == "true" else [flag, value], f"{name} = {value}"
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(line + "\n", encoding="utf-8")
+    from_flag = config_to_text(_build_config(build_parser().parse_args(["run", *flag_args])))
+    from_key = config_to_text(_build_config(build_parser().parse_args(["run", "--config", str(config_file)])))
+    assert from_flag == from_key != config_to_text(PipelineConfig())
 
 
 @pytest.fixture(scope="module")
@@ -240,12 +274,12 @@ def dataset(tmp_path_factory, corpus):
 
 
 @pytest.mark.parametrize("family,param,message", [
-    ("knn", "kk=3", "kNN: unknown hyperparameter 'kk'"),
+    ("knn", "kk=3", "train: kNN: unknown hyperparameter 'kk'"),
     ("knn", "k=abc", "param: cannot parse value 'abc'"),
     ("perceptron", "k=3", "family: unknown model family: 'perceptron'"),
-    ("knn", "k=1.5", "kNN: k must be an integer >= 1, got 1.5"),
-    ("random_forest", "n_estimators=0", "Random Forest: n_estimators must be an integer >= 1, got 0"),
-    ("svm", "lam=0", "SVM: lam must be a finite number > 0, got 0"),
+    ("knn", "k=1.5", "train: kNN: k must be an integer >= 1, got 1.5"),
+    ("random_forest", "n_estimators=0", "train: Random Forest: n_estimators must be an integer >= 1, got 0"),
+    ("svm", "lam=0", "train: SVM: lam must be a finite number > 0, got 0"),
 ], ids=["unknown-param", "bad-value", "unknown-family", "non-integer", "zero-trees", "zero-lam"])
 def test_train_rejects_bad_family_or_param(tmp_path, dataset, capsys, family, param, message):
     model_path = tmp_path / "model.json"

@@ -50,7 +50,7 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         config_from_text("mystery = 1\n")
     for text in ("grids = knn\n", "vocab_size = abc\n", "threshold = high\n", "nested = yes\n"):
-        with pytest.raises(ConfigError, match="^config line 1: "):
+        with pytest.raises(ConfigError, match="^config: line 1: "):
             config_from_text(text)
 
 
@@ -60,7 +60,7 @@ def test_bad_grid_key_rejected():
     with pytest.raises(ConfigError):
         config_from_text("grid.naive_bayes.k = 1\n")
     for text in ("grid.knn.k = \n", "grid.knn.k = 1,two\n", "grid.perceptron.k = 1\n", "grid.knn = 1\n"):
-        with pytest.raises(ConfigError, match="^config line 1: "):
+        with pytest.raises(ConfigError, match="^config: line 1: "):
             config_from_text(text)
 
 

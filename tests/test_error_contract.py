@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -50,11 +51,16 @@ def call(argv):
     return code, err.getvalue()
 
 
+# a lowercase stage token, such as ``data``, ``grid.knn`` or ``annotate[economic]``, then ": "
+STAGE = re.compile(r"[a-z][a-z0-9_.\[\]-]*: ")
+
+
 def assert_contract(code, err):
     event(f"exit {code}")
     assert code in (0, 1, 2), err
     if code:
         assert err.endswith("\n") and err.count("\n") == 1, err
+        assert STAGE.match(err), err
 
 
 def argv_for(target, root, paths, path):
@@ -116,6 +122,17 @@ def test_unusable_output_file_is_config_error(inputs, argv):
     assert code == 1 and err.startswith("out: ") and err.count("\n") == 1, err
 
 
+# each exited 3 before: the run wrote these files outside any stage
+@pytest.mark.parametrize("name", ["ingest_report.txt", "vocabulary.csv", "dataset_cultural.csv", "config.txt",
+                                  "report.csv"])
+def test_output_file_that_is_a_directory_is_a_config_error(inputs, name):
+    root, paths, _ = inputs
+    out = root / f"blocked_{name}"
+    (out / name).mkdir(parents=True)
+    code, err = call(["run", *corpus_args(paths), *CHEAP_RUN, "--out", str(out)])
+    assert code == 1 and err.startswith("out: ") and err.count("\n") == 1, err
+
+
 NOISE = (b"\xff", b"\x80", b"\x00", b"\n", b",", b'"', b"{", b"nan", b"-", b"1e999")
 CELLS = ("", "nan", "inf", "-1", "1e999", "abc", "TRUE", "0", " ", '"')
 
@@ -163,11 +180,11 @@ PIPELINE_FLAGS = ("--threshold", "--k-folds", "--vocab-size", "--seed", "--model
 COMMAND_FLAGS = {
     "run": PIPELINE_FLAGS,
     "annotate": PIPELINE_FLAGS,
-    "concept-freq": PIPELINE_FLAGS + ("--n",),
+    "concept-freq": PIPELINE_FLAGS,
     "synth": ("--n-countries", "--n-publishers", "--n-articles", "--concept-pool", "--seed", "--regime",
               "--unknown-alignment-rate", "--extra-pairs"),
-    "train": ("--family", "--param", "--seed", "--barrier"),
-    "evaluate": ("--barrier",),
+    "train": ("--family", "--param", "--seed"),
+    "evaluate": ("--model", "--data"),
     "report": ("--format",),
 }
 
@@ -216,14 +233,40 @@ def test_bad_flag_values_never_exit_3(inputs, command_flags):
 
 @pytest.mark.parametrize("command,flags,message", [
     ("run", ["--seed", "-1"], "seed: must not be negative"),
-    ("synth", ["--seed", "-1"], "arguments: argument --seed: invalid seed value: '-1'"),
-    ("train", ["--seed", "-1"], "arguments: argument --seed: invalid seed value: '-1'"),
+    ("synth", ["--seed", "-1"], "synth: seed must be an integer >= 0, got -1"),
+    ("train", ["--seed", "-1"], "train: seed must be an integer >= 0, got -1"),
     ("run", ["--grid", "a\nb"], "arguments: grid.a\\nb: grid keys look like grid.<family>.<param>"),
 ])
 def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     root, paths, _ = inputs
     code, err = call(base_argv(command, root, paths) + flags)
     assert (code, err) == (1, message + "\n")
+
+
+# Each of these printed its cause with no stage before.
+@pytest.mark.parametrize("command,flags,code,message", [
+    ("train", ["--data", "{header_only}"], 2, "data: no instances in the dataset"),
+    ("evaluate", ["--data", "{header_only}"], 2, "data: no instances in the dataset"),
+    ("train", ["--data", "{one_class}", "--family", "naive_bayes"], 2,
+     "train: gaussian NB needs both classes in training data"),
+    ("train", ["--param", "k=0"], 1, "train: kNN: k must be an integer >= 1, got 0"),
+    ("synth", ["--n-articles", "0"], 1, "synth: counts must be positive"),
+], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range", "synth-no-articles"])
+def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
+    root, paths, files = inputs
+    datasets = {"header_only": tmp_path / "header_only.csv", "one_class": tmp_path / "one_class.csv"}
+    datasets["header_only"].write_bytes(files["dataset"].split(b"\n", 1)[0] + b"\n")
+    datasets["one_class"].write_text("article_id,label,f0\na0,TRUE,1.0\na1,TRUE,2.0\n", encoding="utf-8")
+    argv = base_argv(command, root, paths) + [flag.format(**datasets) for flag in flags]
+    assert call(argv) == (code, message + "\n")
+
+
+def test_nul_byte_in_a_path_is_a_config_error(inputs, tmp_path):
+    root, _, files = inputs
+    config = tmp_path / "config.txt"
+    config.write_bytes(re.sub(rb"(?m)^out = .*$", b"out = run\0", files["config"]))
+    assert call(["run", "--config", str(config)]) == (1, "config: holds a NUL byte\n")
+    assert call(["report", "--rows", str(root / "run" / "report\0.csv")]) == (1, "arguments: an argument holds a NUL byte\n")
 
 
 MODELS = Path(__file__).parent / "data" / "models"

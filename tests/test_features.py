@@ -127,13 +127,6 @@ def test_assemble_deterministic(profiles, publishers):
     assert np.array_equal(a.features, b.features)
 
 
-def test_vocabulary_save_load(tmp_path):
-    vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 1)))
-    path = tmp_path / "vocab.csv"
-    vocab.save(path)
-    assert ConceptVocabulary.load(path) == vocab
-
-
 def test_build_vocabulary_from_index():
     index = ConceptIndex({"a": {"X", "Y"}, "b": {"X"}, "c": {"X", "Z"}, "d": {"Z"}})
     vocab = build_vocabulary_from_index(index, k=2)

@@ -4,9 +4,10 @@
 version 1) for one small model per family, trained on ``two_blobs()`` with the
 family, hyperparameters and seed recorded in the file itself;
 ``predictions.json`` holds each model's predictions on the same data. The
-golden digests are those of the report files that ``run_pipeline`` wrote with
-default grids on the corpus built by ``golden_config``, once with the default
-protocol and once with ``nested=True``. The forest digests are those of the
+golden digests are those of the files that ``run_pipeline`` wrote with default
+grids on the corpus built by ``golden_config``: the reports, config, ingest
+report, vocabulary and datasets of the default run, and the reports and config
+of a run with ``nested=True``. The forest digests are those of the
 JSON state of a 200-tree forest fitted on ``concept_profile_matrix()``.
 """
 
@@ -29,6 +30,13 @@ GOLDEN_SHA256 = {
     "report.md": "7bc0c5b3dbf2ca30b23bfbd15dadc1bc06c0f7721c7622a634a3290e532a83f0",
     # with the run's temporary directory replaced by "<tmp>"
     "config.txt": "b6a45fee4e54709c9a8e219d5e88677691b77257cd11c0656a6512647f90d636",
+    "ingest_report.txt": "1e88089848647f846d4d10646753214211a89dd760a5db9a0761286bd4d182fa",
+    "vocabulary.csv": "9448ddf9a3817c8cc05e572092a7dba741db6434269b1caf8cf1d51eb9f6fb16",
+    "dataset_economic.csv": "7d396edbc9e2c0e9c2591a8aad9e236c808c18091093da95c0e8b827b60ed4e6",
+    "dataset_cultural.csv": "a750a733ab6c5a6b9a60be122bbb7dc5af8944af7f1341f88adc93cda289cbeb",
+    "dataset_geographical.csv": "2bf2168dcdc4de2b94464091a9bfffcc1135e7185ef69d34bb0b74250e837ce3",
+    "dataset_timezone.csv": "7b81da52d72c6d3f07163e42b6001cbd3699071a024c3960a101474fdc4016e2",
+    "dataset_political.csv": "7ffe23da4285966e6c04efceba76df74eb4af6232dabb3056df39d467af0ddc8",
 }
 NESTED_SHA256 = {
     "report.csv": "17c3fbe607cb1a4b69b28d5d4052db740aaaa166a4fe2cbbda5de80a83fc463c",

@@ -42,7 +42,7 @@ def write_publishers(tmp_path, rows, header=PUBLISHER_HEADER):
 def test_load_profiles_size_and_lookup(tmp_path):
     store = load_country_profiles(write_countries(tmp_path, COUNTRY_ROWS[:3]))
     assert len(store) == 3
-    assert store.lookup("GB").utc_offset == 0
+    assert store.get("GB").utc_offset == 0
 
 
 def test_latitude_out_of_range(tmp_path):
@@ -99,7 +99,7 @@ def test_utc_offset_out_of_range(tmp_path):
 def test_half_hour_zone_supported(tmp_path):
     row = COUNTRY_ROWS[1].replace("GB,54.0,-2.0,0", "IN,21.0,78.0,330")
     store = load_country_profiles(write_countries(tmp_path, [row]))
-    assert store.lookup("IN").utc_offset == 330
+    assert store.get("IN").utc_offset == 330
 
 
 def test_all_zero_cultural_vector_rejected(tmp_path):
@@ -223,7 +223,7 @@ def test_round_trip_fixture(tmp_path, profiles):
     reloaded = load_country_profiles(out)
     assert len(reloaded) == len(profiles)
     for p in profiles:
-        q = reloaded.lookup(p.country_code)
+        q = reloaded.get(p.country_code)
         assert q == p
 
 
@@ -257,7 +257,7 @@ def test_round_trip_bit_exact(tmp_path_factory, profiles_list):
     save_country_profiles(store, path)
     reloaded = load_country_profiles(path)
     for p in profiles_list:
-        assert reloaded.lookup(p.country_code) == p
+        assert reloaded.get(p.country_code) == p
 
 
 def test_minmax_scaling(profiles):
@@ -268,8 +268,8 @@ def test_minmax_scaling(profiles):
     assert np.allclose(econ.min(axis=0), 0.0)
     assert np.allclose(econ.max(axis=0), 1.0)
     # coordinates and offsets untouched
-    assert scaled.lookup("GB").utc_offset == 0
-    assert scaled.lookup("GB").latitude == 54.0
+    assert scaled.get("GB").utc_offset == 0
+    assert scaled.get("GB").latitude == 54.0
 
 
 def test_minmax_constant_feature(tmp_path):
@@ -278,5 +278,5 @@ def test_minmax_constant_feature(tmp_path):
         "AB,2.0,2.0,0," + ",".join(["5"] * 6) + "," + ",".join(["7"] * 13),
     ]
     store = load_country_profiles(write_countries(tmp_path, rows)).minmax_scaled()
-    assert set(store.lookup("AA").economic) == {0.5}
-    assert set(store.lookup("AA").cultural) == {0.5}
+    assert set(store.get("AA").economic) == {0.5}
+    assert set(store.get("AA").cultural) == {0.5}

@@ -142,3 +142,9 @@ def test_spec_validation():
         SyntheticSpec(regimes={"cultural": "sometimes"}).validate()
     with pytest.raises(ConfigError):
         SyntheticSpec(n_articles=0).validate()
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got "):
+            SyntheticSpec(seed=seed).validate()
+    for rate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="^unknown alignment rate must be in"):
+            SyntheticSpec(unknown_alignment_rate=rate).validate()
