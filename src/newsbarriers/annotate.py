@@ -20,6 +20,7 @@ from .errors import (
     IncompleteMetadata,
     LengthMismatch,
     MalformedRow,
+    MissingColumn,
     UnknownAlignment,
     ZeroVector,
 )
@@ -107,19 +108,26 @@ def build_barrier_dataset(
     vocab: ConceptVocabulary,
     threshold: float = SIMILARITY_THRESHOLD,
     profile_side: str = "source",
-    economic_features: Optional[Sequence[str]] = None,
+    economic_features: Sequence[str] = (),
 ) -> BarrierDataset:
     """Label every example for one barrier and assemble feature vectors.
 
+    ``economic_features`` narrows the economic block to those indicators.
     Examples that cannot be labeled (missing country metadata, unknown
     political alignment) are dropped and tallied by reason; instance order
     follows input order.
     """
+    columns = BARRIERS[kind].columns
+    if kind is BarrierKind.ECONOMIC and economic_features:
+        for name in economic_features:
+            if name not in columns:
+                raise MissingColumn(name)
+        columns = tuple(economic_features)
+    alignments = publishers.alignment_vocabulary
     dataset = BarrierDataset(
         barrier=kind,
         instances=[],
-        feature_names=tuple(f"c{i}" for i in range(len(vocab)))
-        + profile_feature_names(kind, publishers.alignment_vocabulary, economic_features),
+        feature_names=tuple(f"c{i}" for i in range(len(vocab))) + profile_feature_names(columns, alignments),
     )
     for example in examples:
         source = publishers.get(example.source_publisher_uri)
@@ -128,8 +136,8 @@ def build_barrier_dataset(
             dataset.dropped["missing_publisher"] += 1
             continue
         try:
-            a = barrier_profile(source, profiles, kind, publishers.alignment_vocabulary, economic_features)
-            b = barrier_profile(target, profiles, kind, publishers.alignment_vocabulary, economic_features)
+            a = barrier_profile(source, profiles, columns, alignments)
+            b = barrier_profile(target, profiles, columns, alignments)
             label = barrier_present(kind, a, b, threshold)
         except UnknownAlignment:
             dataset.dropped["unknown_alignment"] += 1

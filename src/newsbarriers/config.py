@@ -64,9 +64,11 @@ class PipelineConfig:
         if not -1.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold: must be a finite number in [-1, 1], got {self.threshold!r}")
         self.model_grids()
-        for name in self.economic_features:
+        for i, name in enumerate(self.economic_features):
             if name not in ECONOMIC_FEATURES:
                 raise ConfigError(f"economic_features: unknown indicator {name!r}")
+            if name in self.economic_features[:i]:
+                raise ConfigError(f"economic_features: repeated indicator {name!r}")
 
     def model_grids(self) -> dict:
         """The configured sweep values of each family, checked; a family left out sweeps its defaults."""
@@ -85,14 +87,6 @@ class PipelineConfig:
                     raise ConfigError(f"grid.{family.value}: {exc}") from None
             grids[family] = tuple(values)
         return grids
-
-
-def _format_grid_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def parse_family(name: str, key: str) -> ModelFamily:
@@ -151,7 +145,9 @@ def set_option(config: PipelineConfig, key: str, text: str) -> None:
 
 
 def format_option(value) -> str:
-    """The text of a scalar option value, as ``set_option`` parses it back."""
+    """The text of a scalar option or grid value, as ``set_option`` parses it back."""
+    if value is None:
+        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -166,7 +162,7 @@ def config_to_text(config: PipelineConfig) -> str:
         if f.name == "grids":
             for name in sorted(value):
                 param = FAMILIES[family_from_name(name)].sweep_param
-                joined = ",".join(_format_grid_value(v) for v in value[name])
+                joined = ",".join(format_option(v) for v in value[name])
                 lines.append(f"grid.{name}.{param} = {joined}")
             continue
         lines.append(f"{f.name} = {format_option(value)}")

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyCorpus
-from .ingest import ConceptIndex, SpreadingExample
+from .ingest import SpreadingExample
 from .knowledge import BarrierKind
 
 DEFAULT_VOCABULARY_SIZE = 300
@@ -69,8 +69,8 @@ def build_vocabulary(examples: Sequence[SpreadingExample], k: int = DEFAULT_VOCA
     return _rank(frequency, k)
 
 
-def build_vocabulary_from_index(index: ConceptIndex, k: int = DEFAULT_VOCABULARY_SIZE) -> ConceptVocabulary:
-    """Top-k concepts over every article in a concept index.
+def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -> ConceptVocabulary:
+    """Top-k concepts over every article of an article_id -> concepts index.
 
     This is the corpus-global alternative to the per-event default: supply a
     concept file covering all events and the vocabulary spans them all.
@@ -78,8 +78,8 @@ def build_vocabulary_from_index(index: ConceptIndex, k: int = DEFAULT_VOCABULARY
     if k < 1:
         raise ValueError("k must be at least 1")
     frequency: Counter = Counter()
-    for article in index.articles():
-        frequency.update(index.get(article))
+    for concepts in index.values():
+        frequency.update(concepts)
     return _rank(frequency, k)
 
 

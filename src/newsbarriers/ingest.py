@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import MalformedLine, MalformedRow, UnknownClassLabel
 from .knowledge import format_float
@@ -100,25 +100,6 @@ class IngestReport:
         return "\n".join(lines) + "\n"
 
 
-class ConceptIndex:
-    """article_id -> concept set, merged by union over repeated lines."""
-
-    def __init__(self, mapping: dict):
-        self._mapping = {k: frozenset(v) for k, v in mapping.items()}
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._mapping
-
-    def get(self, article_id: str) -> Optional[frozenset]:
-        return self._mapping.get(article_id)
-
-    def articles(self):
-        return self._mapping.keys()
-
-
 def parse_pairs(path) -> list:
     """Parse a pair CSV into ArticlePair rows, preserving file order."""
     pairs = []
@@ -188,8 +169,9 @@ def count_class_weight_inconsistencies(pairs: Sequence[ArticlePair]) -> int:
     return sum(1 for p in pairs if not p.class_weight_consistent())
 
 
-def load_concept_annotations(path) -> ConceptIndex:
-    """Load a line-delimited JSON file of {"article": id, "concepts": [...]}."""
+def load_concept_annotations(path) -> dict:
+    """Load a line-delimited JSON file of {"article": id, "concepts": [...]} as
+    article_id -> concept frozenset, merged by union over repeated lines."""
     mapping: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -208,10 +190,10 @@ def load_concept_annotations(path) -> ConceptIndex:
             if not all(isinstance(c, str) for c in concepts):
                 raise MalformedLine(lineno, "'concepts' must contain only strings")
             mapping.setdefault(article, set()).update(concepts)
-    return ConceptIndex(mapping)
+    return {article: frozenset(concepts) for article, concepts in mapping.items()}
 
 
-def to_spreading_examples(pairs, concepts: ConceptIndex, publishers, event_label: str):
+def to_spreading_examples(pairs, concepts: dict, publishers, event_label: str):
     """Reduce propagated pairs to source-article spreading examples.
 
     Pairs whose source or target publisher is absent from the publisher store,

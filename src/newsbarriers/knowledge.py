@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,15 +61,42 @@ CULTURAL_FEATURES = (
     "Indulgence-Restraint",
 )
 
-GEOGRAPHICAL_FEATURES = ("Latitude", "Longitude")
-TIME_ZONE_FEATURES = ("UTC-offset",)
 POLITICAL_FEATURE = "Political-Alignment"
-
-# UTC offsets observed on Earth, in minutes (UTC-12:00 .. UTC+14:00).
-UTC_OFFSET_RANGE = (-720, 840)
 
 COUNTRY_COLUMNS = ("country_code", "latitude", "longitude", "utc_offset") + CULTURAL_FEATURES + ECONOMIC_FEATURES
 PUBLISHER_COLUMNS = ("publisher_uri", "publisher_name", "country_code", "political_alignment")
+
+# Physical ranges: degrees for the coordinates, minutes for the UTC offsets
+# observed on Earth (UTC-12:00 .. UTC+14:00).
+COLUMN_RANGES = {"latitude": (-90.0, 90.0), "longitude": (-180.0, 180.0), "utc_offset": (-720, 840)}
+
+# Dataset header names of the countries.csv columns that are spelled differently there.
+HEADER_NAMES = {"latitude": "Latitude", "longitude": "Longitude", "utc_offset": "UTC-offset"}
+
+
+@dataclass(frozen=True)
+class Barrier:
+    """What one barrier reads from the metadata and how it labels a pair.
+
+    ``columns`` are the countries.csv columns of its profile block, in block
+    order; with none, the block is the publisher's political alignment,
+    one-hot encoded. ``cosine`` picks the label rule of
+    ``annotate.barrier_present``: cosine similarity against the threshold, or
+    else "some value differs by more than ``annotate.COORDINATE_EPSILON``".
+    """
+
+    title: str
+    columns: tuple
+    cosine: bool
+
+
+BARRIERS = {
+    BarrierKind.ECONOMIC: Barrier("Economic", ECONOMIC_FEATURES, cosine=True),
+    BarrierKind.CULTURAL: Barrier("Cultural", CULTURAL_FEATURES, cosine=True),
+    BarrierKind.GEOGRAPHICAL: Barrier("Geographical", ("latitude", "longitude"), cosine=False),
+    BarrierKind.TIME_ZONE: Barrier("Time Zone", ("utc_offset",), cosine=False),
+    BarrierKind.POLITICAL: Barrier("Political", (), cosine=False),
+}
 
 
 def normalize_uri(uri: str) -> str:
@@ -88,11 +115,7 @@ def normalize_alignment(alignment: str) -> Optional[str]:
 @dataclass(frozen=True)
 class CountryProfile:
     country_code: str
-    economic: tuple  # values ordered as ECONOMIC_FEATURES
-    cultural: tuple  # values ordered as CULTURAL_FEATURES
-    latitude: float
-    longitude: float
-    utc_offset: int  # signed minutes from UTC
+    values: dict  # each numeric COUNTRY_COLUMNS name -> float; utc_offset in whole minutes
 
 
 @dataclass(frozen=True)
@@ -101,7 +124,6 @@ class PublisherRecord:
     publisher_name: str
     country_code: str
     political_alignment: Optional[str] = None
-    incomplete: bool = False  # country_code not present in the profile store
 
 
 class ProfileStore:
@@ -127,28 +149,23 @@ class ProfileStore:
         return self._profiles.get(country_code)
 
     def minmax_scaled(self) -> "ProfileStore":
-        """Store with economic and cultural values min-max scaled per feature.
+        """Store with the cosine barriers' columns min-max scaled per column.
 
-        Constant features map to 0.5 so no vector collapses to all zeros.
+        Constant columns map to 0.5 so no vector collapses to all zeros.
         Intended for sensitivity studies; the default pipeline uses raw values.
         """
-        econ = np.array([p.economic for p in self], dtype=float)
-        cult = np.array([p.cultural for p in self], dtype=float)
-
-        def scale(block: np.ndarray) -> np.ndarray:
-            lo, hi = block.min(axis=0), block.max(axis=0)
-            span = hi - lo
-            out = np.full_like(block, 0.5)
-            nonconst = span > 0
-            out[:, nonconst] = (block[:, nonconst] - lo[nonconst]) / span[nonconst]
-            return out
-
-        econ_s, cult_s = scale(econ), scale(cult)
-        scaled = [
-            replace(p, economic=tuple(float(v) for v in econ_s[i]), cultural=tuple(float(v) for v in cult_s[i]))
-            for i, p in enumerate(self)
-        ]
-        return ProfileStore(scaled)
+        if not self._profiles:
+            return self
+        columns = [c for barrier in BARRIERS.values() if barrier.cosine for c in barrier.columns]
+        block = np.array([[p.values[c] for c in columns] for p in self], dtype=float)
+        lo, hi = block.min(axis=0), block.max(axis=0)
+        span = hi - lo
+        scaled = np.full_like(block, 0.5)
+        nonconst = span > 0
+        scaled[:, nonconst] = (block[:, nonconst] - lo[nonconst]) / span[nonconst]
+        return ProfileStore(
+            [replace(p, values={**p.values, **dict(zip(columns, row.tolist()))}) for p, row in zip(self, scaled)]
+        )
 
 
 class PublisherStore:
@@ -186,57 +203,53 @@ class PublisherStore:
 def parse_float(raw, row: int, column: str) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
-        raise NonFiniteValue(row, column, "" if raw is None else raw) from None
+    except ValueError:
+        raise NonFiniteValue(row, column, raw) from None
     if not math.isfinite(value):
         raise NonFiniteValue(row, column, raw)
     return value
 
 
-def _parse_ranged(raw: str, row: int, column: str, lo: float, hi: float) -> float:
-    value = parse_float(raw, row, column)
-    if not lo <= value <= hi:
-        raise RangeViolation(row, column, value, lo, hi)
-    return value
+def _read_rows(path, columns: Sequence[str]) -> Iterator:
+    """(row number, {header name: cell}) for each non-blank row of a metadata CSV.
+
+    The header must carry every name in ``columns`` (any order) and each row
+    as many fields as the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in columns:
+            if column not in header:
+                raise MissingColumn(column)
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
+            yield rownum, dict(zip(header, row))
 
 
 def load_country_profiles(path) -> ProfileStore:
     """Load countries.csv into a ProfileStore keyed by country code.
 
-    The header must carry every canonical column name (any order). Values must
-    be finite, coordinates and UTC offsets within their physical ranges, and
-    neither the economic nor the cultural vector may be all zero.
+    Values must be finite and within COLUMN_RANGES, and no cosine barrier's
+    columns may be all zero.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in COUNTRY_COLUMNS:
-            if column not in header:
-                raise MissingColumn(column)
-        profiles = []
-        for rownum, row in enumerate(reader, start=2):
-            code = (row["country_code"] or "").strip().upper()
-            if not code:
-                raise MalformedRow(rownum, "empty country_code")
-            lat = _parse_ranged(row["latitude"], rownum, "latitude", -90.0, 90.0)
-            lon = _parse_ranged(row["longitude"], rownum, "longitude", -180.0, 180.0)
-            utc = _parse_ranged(row["utc_offset"], rownum, "utc_offset", *UTC_OFFSET_RANGE)
-            economic = tuple(parse_float(row[c], rownum, c) for c in ECONOMIC_FEATURES)
-            cultural = tuple(parse_float(row[c], rownum, c) for c in CULTURAL_FEATURES)
-            if not any(economic):
-                raise ZeroVector(f"row {rownum}: economic vector for {code} is all zero")
-            if not any(cultural):
-                raise ZeroVector(f"row {rownum}: cultural vector for {code} is all zero")
-            profiles.append(
-                CountryProfile(
-                    country_code=code,
-                    economic=economic,
-                    cultural=cultural,
-                    latitude=lat,
-                    longitude=lon,
-                    utc_offset=int(utc),
-                )
-            )
+    profiles = []
+    for rownum, row in _read_rows(path, COUNTRY_COLUMNS):
+        code = row["country_code"].strip().upper()
+        if not code:
+            raise MalformedRow(rownum, "empty country_code")
+        values = {c: parse_float(row[c], rownum, c) for c in COUNTRY_COLUMNS[1:]}
+        for column, (lo, hi) in COLUMN_RANGES.items():
+            if not lo <= values[column] <= hi:
+                raise RangeViolation(rownum, column, values[column], lo, hi)
+        values["utc_offset"] = float(int(values["utc_offset"]))
+        for kind, barrier in BARRIERS.items():
+            if barrier.cosine and not any(values[c] for c in barrier.columns):
+                raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
+        profiles.append(CountryProfile(code, values))
     return ProfileStore(profiles)
 
 
@@ -254,107 +267,48 @@ def save_country_profiles(store: ProfileStore, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COUNTRY_COLUMNS)
         for p in store:
-            row = [p.country_code, format_float(p.latitude), format_float(p.longitude), str(p.utc_offset)]
-            row.extend(format_float(v) for v in p.cultural)
-            row.extend(format_float(v) for v in p.economic)
-            writer.writerow(row)
+            writer.writerow([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]])
 
 
-def load_publishers(path, store: ProfileStore) -> PublisherStore:
-    """Load publishers.csv; records whose country is absent from the profile
-    store are kept but flagged incomplete."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in PUBLISHER_COLUMNS:
-            if column not in header:
-                raise MissingColumn(column)
-        records = []
-        for rownum, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in PUBLISHER_COLUMNS):
-                raise MalformedRow(rownum, "wrong field count")
-            uri = normalize_uri(row["publisher_uri"])
-            if not uri:
-                raise MalformedRow(rownum, "empty publisher_uri")
-            code = (row["country_code"] or "").strip().upper()
-            records.append(
-                PublisherRecord(
-                    publisher_uri=uri,
-                    publisher_name=(row["publisher_name"] or "").strip(),
-                    country_code=code,
-                    political_alignment=normalize_alignment(row["political_alignment"] or ""),
-                    incomplete=code not in store,
-                )
+def load_publishers(path) -> PublisherStore:
+    """Load publishers.csv. A record whose country is absent from the profile
+    store is kept; ``barrier_profile`` finds it incomplete."""
+    records = []
+    for rownum, row in _read_rows(path, PUBLISHER_COLUMNS):
+        uri = normalize_uri(row["publisher_uri"])
+        if not uri:
+            raise MalformedRow(rownum, "empty publisher_uri")
+        records.append(
+            PublisherRecord(
+                publisher_uri=uri,
+                publisher_name=row["publisher_name"].strip(),
+                country_code=row["country_code"].strip().upper(),
+                political_alignment=normalize_alignment(row["political_alignment"]),
             )
+        )
     return PublisherStore(records)
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """What one barrier reads from the metadata and how it labels a pair.
-
-    ``read`` gives a country's values in ``columns`` order; None means the
-    block is the publisher's political alignment, one-hot encoded. ``cosine``
-    picks the label rule of ``annotate.barrier_present``: cosine similarity
-    against the threshold, or else "some value differs by more than
-    ``annotate.COORDINATE_EPSILON``".
-    """
-
-    title: str
-    columns: tuple
-    read: Optional[Callable[[CountryProfile], tuple]]
-    cosine: bool
-
-
-BARRIERS = {
-    BarrierKind.ECONOMIC: Barrier("Economic", ECONOMIC_FEATURES, lambda c: c.economic, cosine=True),
-    BarrierKind.CULTURAL: Barrier("Cultural", CULTURAL_FEATURES, lambda c: c.cultural, cosine=True),
-    BarrierKind.GEOGRAPHICAL: Barrier(
-        "Geographical", GEOGRAPHICAL_FEATURES, lambda c: (c.latitude, c.longitude), cosine=False
-    ),
-    BarrierKind.TIME_ZONE: Barrier("Time Zone", TIME_ZONE_FEATURES, lambda c: (c.utc_offset,), cosine=False),
-    BarrierKind.POLITICAL: Barrier("Political", (), None, cosine=False),
-}
-
-
-def _economic_subset(kind: BarrierKind, economic_features: Optional[Sequence[str]]) -> Optional[list]:
-    """Positions of the named economic indicators, or None for the barrier's full block."""
-    if kind is not BarrierKind.ECONOMIC or economic_features is None:
-        return None
-    for name in economic_features:
-        if name not in ECONOMIC_FEATURES:
-            raise MissingColumn(name)
-    return [ECONOMIC_FEATURES.index(name) for name in economic_features]
-
-
-def profile_feature_names(
-    kind: BarrierKind,
-    alignment_vocabulary: Sequence[str] = (),
-    economic_features: Optional[Sequence[str]] = None,
-) -> tuple:
-    """Column names of the profile block for one barrier kind."""
-    if BARRIERS[kind].read is None:
+def profile_feature_names(columns: Sequence[str], alignment_vocabulary: Sequence[str] = ()) -> tuple:
+    """Dataset header names of the profile block over ``columns`` (none: the political block)."""
+    if not columns:
         return tuple(f"{POLITICAL_FEATURE}={a}" for a in alignment_vocabulary)
-    subset = _economic_subset(kind, economic_features)
-    columns = BARRIERS[kind].columns
-    return columns if subset is None else tuple(columns[i] for i in subset)
+    return tuple(HEADER_NAMES.get(c, c) for c in columns)
 
 
 def barrier_profile(
     publisher: PublisherRecord,
     store: ProfileStore,
-    kind: BarrierKind,
+    columns: Sequence[str],
     alignment_vocabulary: Sequence[str] = (),
-    economic_features: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
-    """Numeric feature block describing one publisher for one barrier.
+    """Numeric feature block describing one publisher over a barrier's countries.csv ``columns``.
 
-    Every kind except POLITICAL resolves the publisher's country in the
-    profile store; POLITICAL needs only the alignment field, one-hot encoded
-    over ``alignment_vocabulary``.
+    With columns, the publisher's country is resolved in the profile store;
+    without, the block is the publisher's alignment, one-hot encoded over
+    ``alignment_vocabulary``.
     """
-    read = BARRIERS[kind].read
-    if read is None:
+    if not columns:
         if publisher.political_alignment is None:
             raise UnknownAlignment(f"publisher {publisher.publisher_uri} has no political alignment")
         onehot = np.zeros(len(alignment_vocabulary), dtype=float)
@@ -371,8 +325,4 @@ def barrier_profile(
         raise IncompleteMetadata(
             f"publisher {publisher.publisher_uri}: country {publisher.country_code!r} not in profile store"
         )
-    values = read(profile)
-    subset = _economic_subset(kind, economic_features)
-    if subset is not None:
-        values = [values[i] for i in subset]
-    return np.array(values, dtype=float)
+    return np.fromiter(map(profile.values.__getitem__, columns), dtype=float, count=len(columns))

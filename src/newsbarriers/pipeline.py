@@ -51,7 +51,7 @@ def ingest_corpus(config: PipelineConfig):
     if config.scale_profiles:
         profiles = profiles.minmax_scaled()
     with stage("publishers"):
-        publishers = load_publishers(config.publishers, profiles)
+        publishers = load_publishers(config.publishers)
     with stage("pairs"):
         pairs = parse_pairs(config.pairs)
     with stage("concepts"):
@@ -79,7 +79,6 @@ def annotate_corpus(config: PipelineConfig):
     vocab = build_vocab(config, examples, index)
     with stage("out"):
         vocab.save(out / "vocabulary.csv")
-    economic_features = tuple(config.economic_features) or None
     datasets = {}
     for name in config.barriers:
         kind = BarrierKind(name)
@@ -92,7 +91,7 @@ def annotate_corpus(config: PipelineConfig):
                 vocab,
                 threshold=config.threshold,
                 profile_side=config.profile_side,
-                economic_features=economic_features,
+                economic_features=config.economic_features,
             )
         with stage("out"):
             save_barrier_dataset(dataset, out / f"dataset_{name}.csv")

@@ -26,7 +26,14 @@ from .annotate import COORDINATE_EPSILON, SIMILARITY_THRESHOLD
 from .classifiers import check_seed
 from .errors import ConfigError
 from .ingest import ArticlePair, PropagationClass, serialize_pairs
-from .knowledge import BarrierKind, CountryProfile, ProfileStore, save_country_profiles
+from .knowledge import (
+    CULTURAL_FEATURES,
+    ECONOMIC_FEATURES,
+    BarrierKind,
+    CountryProfile,
+    ProfileStore,
+    save_country_profiles,
+)
 
 REGIMES = ("same", "diff", "mixed")
 
@@ -183,19 +190,21 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     rng = np.random.default_rng(spec.seed)
 
     codes = _country_codes(spec.n_countries)
-    economic = _vector_block(rng, spec.n_countries, 13, spec.regime(BarrierKind.ECONOMIC))
-    cultural = _vector_block(rng, spec.n_countries, 6, spec.regime(BarrierKind.CULTURAL))
+    economic = _vector_block(rng, spec.n_countries, len(ECONOMIC_FEATURES), spec.regime(BarrierKind.ECONOMIC))
+    cultural = _vector_block(rng, spec.n_countries, len(CULTURAL_FEATURES), spec.regime(BarrierKind.CULTURAL))
     coords = _coordinates(rng, spec.n_countries, spec.regime(BarrierKind.GEOGRAPHICAL))
     offsets = _offsets(rng, spec.n_countries, spec.regime(BarrierKind.TIME_ZONE))
 
     profiles = [
         CountryProfile(
-            country_code=codes[i],
-            economic=economic[i],
-            cultural=cultural[i],
-            latitude=coords[i][0],
-            longitude=coords[i][1],
-            utc_offset=offsets[i],
+            codes[i],
+            {
+                "latitude": coords[i][0],
+                "longitude": coords[i][1],
+                "utc_offset": float(offsets[i]),
+                **dict(zip(CULTURAL_FEATURES, cultural[i])),
+                **dict(zip(ECONOMIC_FEATURES, economic[i])),
+            },
         )
         for i in range(spec.n_countries)
     ]

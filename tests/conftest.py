@@ -87,5 +87,5 @@ def profiles(countries_file):
 
 
 @pytest.fixture
-def publishers(publishers_file, profiles):
-    return load_publishers(publishers_file, profiles)
+def publishers(publishers_file):
+    return load_publishers(publishers_file)

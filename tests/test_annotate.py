@@ -16,7 +16,7 @@ from newsbarriers.annotate import (
     load_barrier_dataset,
     save_barrier_dataset,
 )
-from newsbarriers.errors import IncompleteMetadata, LengthMismatch, UnknownAlignment, ZeroVector
+from newsbarriers.errors import IncompleteMetadata, LengthMismatch, MissingColumn, UnknownAlignment, ZeroVector
 from newsbarriers.features import build_vocabulary, vectorize_concepts
 from newsbarriers.ingest import (
     SpreadingExample,
@@ -26,6 +26,8 @@ from newsbarriers.ingest import (
     to_spreading_examples,
 )
 from newsbarriers.knowledge import (
+    BARRIERS,
+    CULTURAL_FEATURES,
     ECONOMIC_FEATURES,
     BarrierKind,
     CountryProfile,
@@ -134,15 +136,11 @@ def test_vector_barrier_symmetric(v, threshold):
     assert annotate_vector_barrier(v, w, threshold) == annotate_vector_barrier(w, v, threshold)
 
 
-def make_country(code, lat=0.0, lon=0.0, utc=0):
-    return CountryProfile(
-        country_code=code,
-        economic=tuple(float(i + 1) for i in range(13)),
-        cultural=tuple(float(i + 1) for i in range(6)),
-        latitude=lat,
-        longitude=lon,
-        utc_offset=utc,
-    )
+def make_country(code, lat=0.0, lon=0.0, utc=0, economic=range(1, 14), cultural=range(1, 7)):
+    values = {"latitude": lat, "longitude": lon, "utc_offset": float(utc)}
+    values.update(zip(ECONOMIC_FEATURES, map(float, economic)))
+    values.update(zip(CULTURAL_FEATURES, map(float, cultural)))
+    return CountryProfile(code, values)
 
 
 def make_publisher(uri, country, alignment=None):
@@ -154,7 +152,7 @@ def present(kind, a, b, countries, threshold=0.9):
     """Label of publishers ``a`` and ``b`` from their profile blocks over a store of ``countries``."""
     store = ProfileStore({c.country_code: c for c in countries}.values())
     vocab = tuple(sorted({p.political_alignment for p in (a, b) if p.political_alignment}))
-    block_a, block_b = (barrier_profile(p, store, kind, vocab) for p in (a, b))
+    block_a, block_b = (barrier_profile(p, store, BARRIERS[kind].columns, vocab) for p in (a, b))
     return barrier_present(kind, block_a, block_b, threshold)
 
 
@@ -230,7 +228,7 @@ def test_barrier_present_symmetric(kind, i, j, threshold):
         make_country("AA", 1.0, 2.0, 0),
         make_country("BB", 1.0, 2.0, 60),
         make_country("CC", 3.0, 4.0, 60),
-        CountryProfile("DD", tuple(float(13 - k) for k in range(13)), (6.0, 1.0, 1.0, 1.0, 1.0, 2.0), 3.0, 4.0, 0),
+        make_country("DD", 3.0, 4.0, 0, economic=range(13, 0, -1), cultural=(6, 1, 1, 1, 1, 2)),
     ]
     alignments = ["left-wing", "right-wing", "left-wing", "centrism"]
     a = make_publisher("a.x", countries[i].country_code, alignments[i])
@@ -320,6 +318,28 @@ def test_feature_names_per_barrier(demo_examples, profiles, publishers):
         "Political-Alignment=right-wing",
         "Political-Alignment=social-liberalism",
     )
+    # countries.csv columns keep their dataset header names
+    geographical = build_barrier_dataset(demo_examples, BarrierKind.GEOGRAPHICAL, profiles, publishers, vocab)
+    assert geographical.feature_names[3:] == ("Latitude", "Longitude")
+    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, publishers, vocab)
+    assert timezone.feature_names[3:] == ("UTC-offset",)
+
+
+def test_economic_features_narrow_the_block(demo_examples, profiles, publishers):
+    vocab = build_vocabulary(demo_examples, k=1)
+    narrowed = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab,
+                                     economic_features=("Health", "Rank"))
+    assert narrowed.feature_names == ("c0", "Health", "Rank")
+    # an empty subset means every indicator, as in PipelineConfig
+    full = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab, economic_features=())
+    assert full.feature_names == ("c0",) + ECONOMIC_FEATURES
+    # the subset narrows only the economic block
+    cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, publishers, vocab,
+                                     economic_features=("Rank",))
+    assert cultural.feature_names == ("c0",) + CULTURAL_FEATURES
+    with pytest.raises(MissingColumn):
+        build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab,
+                              economic_features=("NotAColumn",))
 
 
 def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, publishers):
@@ -364,19 +384,29 @@ def ladder_label(kind, source, target, profiles, threshold, economic_features):
     sc, tc = profiles.get(source.country_code), profiles.get(target.country_code)
     if sc is None or tc is None:
         raise IncompleteMetadata("country profile missing for at least one publisher")
+    sv, tv = sc.values, tc.values
     if kind is BarrierKind.TIME_ZONE:
-        return sc.utc_offset != tc.utc_offset
+        return sv["utc_offset"] != tv["utc_offset"]
     if kind is BarrierKind.GEOGRAPHICAL:
         if sc.country_code == tc.country_code:
             return False
-        return not (abs(sc.latitude - tc.latitude) <= 1e-6 and abs(sc.longitude - tc.longitude) <= 1e-6)
-    if kind is BarrierKind.ECONOMIC:
-        names = ECONOMIC_FEATURES if economic_features is None else economic_features
-        a = [sc.economic[ECONOMIC_FEATURES.index(n)] for n in names]
-        b = [tc.economic[ECONOMIC_FEATURES.index(n)] for n in names]
-    else:
-        a, b = sc.cultural, tc.cultural
-    return annotate_vector_barrier(a, b, threshold)
+        return not (abs(sv["latitude"] - tv["latitude"]) <= 1e-6 and abs(sv["longitude"] - tv["longitude"]) <= 1e-6)
+    names = (economic_features or ECONOMIC_FEATURES) if kind is BarrierKind.ECONOMIC else CULTURAL_FEATURES
+    return annotate_vector_barrier([sv[n] for n in names], [tv[n] for n in names], threshold)
+
+
+def ladder_block(kind, publisher, profiles, alignments, economic_features):
+    """The profile block of one publisher, read column by column from its country's values."""
+    if kind is BarrierKind.POLITICAL:
+        return [float(a == publisher.political_alignment) for a in alignments]
+    values = profiles.get(publisher.country_code).values
+    names = {
+        BarrierKind.ECONOMIC: economic_features or ECONOMIC_FEATURES,
+        BarrierKind.CULTURAL: CULTURAL_FEATURES,
+        BarrierKind.GEOGRAPHICAL: ("latitude", "longitude"),
+        BarrierKind.TIME_ZONE: ("utc_offset",),
+    }[kind]
+    return [values[n] for n in names]
 
 
 def ladder_dataset(examples, kind, profiles, publishers, threshold, side, economic_features):
@@ -401,7 +431,7 @@ def ladder_dataset(examples, kind, profiles, publishers, threshold, side, econom
             continue
         labels.append((ex.article_id, label))
         publisher = source if side == "source" else target
-        blocks.append(barrier_profile(publisher, profiles, kind, publishers.alignment_vocabulary, economic_features))
+        blocks.append(ladder_block(kind, publisher, profiles, publishers.alignment_vocabulary, economic_features))
     return labels, dropped, blocks
 
 
@@ -413,11 +443,11 @@ def synth_corpus(tmp_path_factory):
     # continuous indicator vectors with some zero entries, so cosines spread over the thresholds
     rng = np.random.default_rng(4)
     profiles = ProfileStore([
-        replace(p, economic=tuple(rng.uniform(0, 10, 13) * (rng.random(13) < 0.6)),
-                cultural=tuple(rng.uniform(1, 10, 6)))
+        replace(p, values={**p.values, **dict(zip(ECONOMIC_FEATURES, rng.uniform(0, 10, 13) * (rng.random(13) < 0.6))),
+                           **dict(zip(CULTURAL_FEATURES, rng.uniform(1, 10, 6)))})
         for p in load_country_profiles(paths["countries"])
     ])
-    publishers = load_publishers(paths["publishers"], profiles)
+    publishers = load_publishers(paths["publishers"])
     pairs = filter_propagated(parse_pairs(paths["pairs"]))
     examples, _ = to_spreading_examples(pairs, load_concept_annotations(paths["concepts"]), publishers, "synthetic")
     # one publisher outside the store and one country taken out of it cover the other drop reasons
@@ -444,7 +474,7 @@ def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
         by_id = {ex.article_id: ex for ex in examples}
         for instance, block in zip(dataset.instances, blocks):
             concepts = vectorize_concepts(by_id[instance.article_id], vocab)
-            assert instance.features.tolist() == concepts.tolist() + block.tolist()
+            assert instance.features.tolist() == concepts.tolist() + block
         seen.update(dropped)
         seen.update(str(label) for _, label in labels)
     reasons = {"missing_publisher", "unknown_alignment", "incomplete_metadata", "zero_vector"}

@@ -334,6 +334,7 @@ def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text)
     (["--grid", "svm.lam=0"], "grid.svm: SVM: lam must be a finite number > 0, got 0"),
     (["--threshold", "nan"], "threshold: must be a finite number in [-1, 1], got nan"),
     (["--threshold", "1.5"], "threshold: must be a finite number in [-1, 1], got 1.5"),
+    (["--economic-features", "Rank,Health,Rank"], "economic_features: repeated indicator 'Rank'"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, corpus, capsys, flags, message):
     out = tmp_path / "run"

@@ -1,6 +1,6 @@
 import pytest
 
-from newsbarriers.config import PipelineConfig, config_from_text, config_to_text, load_config
+from newsbarriers.config import PipelineConfig, config_from_text, config_to_text, format_option, load_config
 from newsbarriers.classifiers import ModelFamily
 from newsbarriers.errors import ConfigError
 
@@ -108,6 +108,21 @@ def test_validate_rejects_bad_values(tmp_path):
         with pytest.raises(ConfigError, match=f"^grids: .*{message}"):
             PipelineConfig(**ok, grids={name: [1]}).validate()
     PipelineConfig(**ok, threshold=-1.0, grids={"decision_tree": [2, None], "svm": [1]}).validate()
+
+
+def test_validate_rejects_a_repeated_indicator(tmp_path):
+    for name in ("pairs", "concepts", "countries", "publishers"):
+        (tmp_path / name).write_text("stub\n", encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in ("pairs", "concepts", "countries", "publishers")}
+    PipelineConfig(**paths, economic_features=("Rank", "Health")).validate()
+    with pytest.raises(ConfigError, match="^economic_features: repeated indicator 'Rank'$"):
+        PipelineConfig(**paths, economic_features=("Rank", "Rank")).validate()
+
+
+def test_format_option_writes_grid_values():
+    values = (None, 3, 0.0001, 1e-05, 2.5, True)
+    assert [format_option(v) for v in values] == ["none", "3", "0.0001", "1e-05", "2.5", "true"]
+    assert all(format_option(v) == repr(v) for v in (0.1, 1e-300, 123456789.125, -0.0))
 
 
 def test_load_config_missing_file(tmp_path):

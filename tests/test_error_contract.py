@@ -261,6 +261,29 @@ def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, m
     assert call(argv) == (code, message + "\n")
 
 
+# Scaling an empty profile store exited 3. Scaled or not, a header-only countries.csv
+# leaves every pair without its country.
+@pytest.mark.parametrize("flags", [[], ["--scale-profiles"]], ids=["raw", "scaled"])
+def test_header_only_countries_file_is_a_data_error(inputs, tmp_path, flags):
+    root, paths, files = inputs
+    countries = tmp_path / "countries.csv"
+    countries.write_bytes(files["countries"].split(b"\n", 1)[0] + b"\n")
+    argv = argv_for("countries", root, paths, countries) + flags
+    assert call(argv) == (2, "experiment[economic]: no instances in economic dataset\n")
+
+
+# csv.DictReader dropped the extra cell of a long row, and the file loaded.
+@pytest.mark.parametrize("target,width", [("countries", 23), ("publishers", 4)])
+def test_metadata_row_of_the_wrong_width_is_a_data_error(inputs, tmp_path, target, width):
+    root, paths, files = inputs
+    lines = files[target].split(b"\r\n")  # csv.writer ends rows with CRLF
+    lines[2] += b",extra"
+    bad = tmp_path / f"{target}.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    code, err = call(argv_for(target, root, paths, bad))
+    assert (code, err) == (2, f"{target}: malformed row 3: expected {width} fields, got {width + 1}\n")
+
+
 def test_nul_byte_in_a_path_is_a_config_error(inputs, tmp_path):
     root, _, files = inputs
     config = tmp_path / "config.txt"

@@ -11,8 +11,8 @@ from newsbarriers.features import (
     build_vocabulary_from_index,
     vectorize_concepts,
 )
-from newsbarriers.ingest import ConceptIndex, SpreadingExample
-from newsbarriers.knowledge import BarrierKind, barrier_profile
+from newsbarriers.ingest import SpreadingExample
+from newsbarriers.knowledge import BARRIERS, BarrierKind, barrier_profile
 
 
 def example(article_id, concepts, source="news.sky.com", target="stern.de"):
@@ -87,7 +87,7 @@ def test_vectorize_ignores_out_of_vocabulary(hits, noise):
 
 
 def block(publishers, profiles, uri, kind):
-    return barrier_profile(publishers.get(uri), profiles, kind, publishers.alignment_vocabulary)
+    return barrier_profile(publishers.get(uri), profiles, BARRIERS[kind].columns, publishers.alignment_vocabulary)
 
 
 def test_assemble_timezone_instance(profiles, publishers):
@@ -128,6 +128,6 @@ def test_assemble_deterministic(profiles, publishers):
 
 
 def test_build_vocabulary_from_index():
-    index = ConceptIndex({"a": {"X", "Y"}, "b": {"X"}, "c": {"X", "Z"}, "d": {"Z"}})
+    index = {"a": frozenset({"X", "Y"}), "b": frozenset({"X"}), "c": frozenset({"X", "Z"}), "d": frozenset({"Z"})}
     vocab = build_vocabulary_from_index(index, k=2)
     assert vocab.entries == (("X", 3), ("Z", 2))

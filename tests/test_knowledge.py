@@ -7,6 +7,7 @@ from newsbarriers.errors import (
     DuplicateCountry,
     DuplicatePublisher,
     IncompleteMetadata,
+    MalformedRow,
     MissingColumn,
     NonFiniteValue,
     RangeViolation,
@@ -14,6 +15,9 @@ from newsbarriers.errors import (
     ZeroVector,
 )
 from newsbarriers.knowledge import (
+    BARRIERS,
+    CULTURAL_FEATURES,
+    ECONOMIC_FEATURES,
     BarrierKind,
     CountryProfile,
     ProfileStore,
@@ -42,7 +46,7 @@ def write_publishers(tmp_path, rows, header=PUBLISHER_HEADER):
 def test_load_profiles_size_and_lookup(tmp_path):
     store = load_country_profiles(write_countries(tmp_path, COUNTRY_ROWS[:3]))
     assert len(store) == 3
-    assert store.get("GB").utc_offset == 0
+    assert store.get("GB").values["utc_offset"] == 0
 
 
 def test_latitude_out_of_range(tmp_path):
@@ -86,8 +90,17 @@ def test_nan_cell_rejected(tmp_path):
 
 def test_short_row_rejected(tmp_path):
     bad = ",".join(COUNTRY_ROWS[0].split(",")[:10])
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(MalformedRow, match="^malformed row 2: expected 23 fields, got 10$"):
         load_country_profiles(write_countries(tmp_path, [bad]))
+
+
+def test_long_row_rejected(tmp_path):
+    with pytest.raises(MalformedRow, match="^malformed row 3: expected 23 fields, got 24$"):
+        load_country_profiles(write_countries(tmp_path, [COUNTRY_ROWS[0], COUNTRY_ROWS[1] + ",7"]))
+    with pytest.raises(MalformedRow, match="^malformed row 2: expected 4 fields, got 5$"):
+        load_publishers(write_publishers(tmp_path, ["news.sky.com,Sky News,GB,right-wing,extra"]))
+    with pytest.raises(MalformedRow, match="^malformed row 2: expected 4 fields, got 3$"):
+        load_publishers(write_publishers(tmp_path, ["news.sky.com,Sky News,GB"]))
 
 
 def test_utc_offset_out_of_range(tmp_path):
@@ -99,7 +112,17 @@ def test_utc_offset_out_of_range(tmp_path):
 def test_half_hour_zone_supported(tmp_path):
     row = COUNTRY_ROWS[1].replace("GB,54.0,-2.0,0", "IN,21.0,78.0,330")
     store = load_country_profiles(write_countries(tmp_path, [row]))
-    assert store.get("IN").utc_offset == 330
+    assert store.get("IN").values["utc_offset"] == 330
+
+
+def test_utc_offset_truncated_to_whole_minutes(tmp_path):
+    rows = [COUNTRY_ROWS[1].replace("GB,54.0,-2.0,0", "IN,21.0,78.0,330.7"),
+            COUNTRY_ROWS[2].replace("DE,51.0,9.0,60", "XX,51.0,9.0,-30.5")]
+    store = load_country_profiles(write_countries(tmp_path, rows))
+    assert [store.get(c).values["utc_offset"] for c in ("IN", "XX")] == [330.0, -30.0]
+    out = tmp_path / "again.csv"
+    save_country_profiles(store, out)
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["330", "-30"]
 
 
 def test_all_zero_cultural_vector_rejected(tmp_path):
@@ -112,7 +135,6 @@ def test_all_zero_cultural_vector_rejected(tmp_path):
 def test_publisher_alignment_present(publishers):
     record = publishers.get("derstandard.at")
     assert record.political_alignment == "social-liberalism"
-    assert not record.incomplete
 
 
 def test_publisher_alignment_absent(publishers):
@@ -124,25 +146,28 @@ def test_alignment_normalization():
     assert normalize_alignment("") is None
 
 
-def test_duplicate_publisher(tmp_path, profiles):
+def test_duplicate_publisher(tmp_path):
     row = "news.sky.com,Sky News,GB,right-wing"
     with pytest.raises(DuplicatePublisher):
-        load_publishers(write_publishers(tmp_path, [row, row.upper()]), profiles)
+        load_publishers(write_publishers(tmp_path, [row, row.upper()]))
 
 
-def test_unknown_country_flagged_incomplete(publishers):
-    assert publishers.get("247wallst.com").incomplete
+def test_publisher_with_unknown_country_is_kept(publishers, profiles):
+    record = publishers.get("247wallst.com")
+    assert record.country_code == "US" and "US" not in profiles
+    with pytest.raises(IncompleteMetadata):
+        barrier_profile(record, profiles, BARRIERS[BarrierKind.TIME_ZONE].columns)
 
 
 def test_publisher_lookup_normalizes_uri(publishers):
     assert publishers.get(" News.Sky.Com ").publisher_name == "Sky News"
 
 
-def test_missing_publisher_column(tmp_path, profiles):
+def test_missing_publisher_column(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("publisher_uri,publisher_name,country_code\na,b,GB\n", encoding="utf-8")
     with pytest.raises(MissingColumn) as excinfo:
-        load_publishers(path, profiles)
+        load_publishers(path)
     assert excinfo.value.column == "political_alignment"
 
 
@@ -151,45 +176,45 @@ def test_alignment_vocabulary_sorted(publishers):
 
 
 def test_timezone_profile_gb(publishers, profiles):
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BarrierKind.TIME_ZONE)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.TIME_ZONE].columns)
     assert block.tolist() == [0.0]
 
 
 def test_political_one_hot(publishers, profiles):
     vocab = publishers.alignment_vocabulary
-    block = barrier_profile(publishers.get("derstandard.at"), profiles, BarrierKind.POLITICAL, vocab)
+    block = barrier_profile(publishers.get("derstandard.at"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
     assert block.tolist() == [0.0, 1.0]
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BarrierKind.POLITICAL, vocab)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
     assert block.tolist() == [1.0, 0.0]
 
 
 def test_economic_profile_is_13_wide(publishers, profiles):
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BarrierKind.ECONOMIC)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns)
     assert len(block) == 13
     assert block[0] == 13.0  # Rank column of the GB fixture row
 
 
 def test_cultural_and_geographic_blocks(publishers, profiles):
     sky = publishers.get("news.sky.com")
-    assert len(barrier_profile(sky, profiles, BarrierKind.CULTURAL)) == 6
-    geo = barrier_profile(sky, profiles, BarrierKind.GEOGRAPHICAL)
+    assert len(barrier_profile(sky, profiles, BARRIERS[BarrierKind.CULTURAL].columns)) == 6
+    geo = barrier_profile(sky, profiles, BARRIERS[BarrierKind.GEOGRAPHICAL].columns)
     assert geo.tolist() == [54.0, -2.0]
 
 
 def test_incomplete_metadata(publishers, profiles):
     with pytest.raises(IncompleteMetadata):
-        barrier_profile(publishers.get("247wallst.com"), profiles, BarrierKind.ECONOMIC)
+        barrier_profile(publishers.get("247wallst.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns)
 
 
 def test_unknown_alignment(publishers, profiles):
     with pytest.raises(UnknownAlignment):
-        barrier_profile(publishers.get("stern.de"), profiles, BarrierKind.POLITICAL,
+        barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
                         publishers.alignment_vocabulary)
 
 
 def test_unknown_alignment_is_incomplete_metadata(publishers, profiles):
     with pytest.raises(IncompleteMetadata):
-        barrier_profile(publishers.get("stern.de"), profiles, BarrierKind.POLITICAL,
+        barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
                         publishers.alignment_vocabulary)
 
 
@@ -199,8 +224,8 @@ def test_profile_deterministic_and_constant_width(publishers, profiles):
         widths = set()
         for record in publishers:
             try:
-                first = barrier_profile(record, profiles, kind, vocab)
-                second = barrier_profile(record, profiles, kind, vocab)
+                first = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
+                second = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
             except IncompleteMetadata:
                 continue
             assert np.array_equal(first, second)
@@ -209,12 +234,8 @@ def test_profile_deterministic_and_constant_width(publishers, profiles):
 
 
 def test_economic_subset(publishers, profiles):
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BarrierKind.ECONOMIC,
-                            economic_features=("Rank", "Health"))
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, ("Rank", "Health"))
     assert block.tolist() == [13.0, 90.6]
-    with pytest.raises(MissingColumn):
-        barrier_profile(publishers.get("news.sky.com"), profiles, BarrierKind.ECONOMIC,
-                        economic_features=("NotAColumn",))
 
 
 def test_round_trip_fixture(tmp_path, profiles):
@@ -239,14 +260,14 @@ def country_profiles(draw):
         economic = economic[:12] + (1.0,)
     if not any(cultural):
         cultural = cultural[:5] + (1.0,)
-    return CountryProfile(
-        country_code=code,
-        economic=economic,
-        cultural=cultural,
-        latitude=draw(st.floats(min_value=-90, max_value=90, allow_nan=False)),
-        longitude=draw(st.floats(min_value=-180, max_value=180, allow_nan=False)),
-        utc_offset=draw(st.integers(min_value=-720, max_value=840)),
-    )
+    values = {
+        "latitude": draw(st.floats(min_value=-90, max_value=90, allow_nan=False)),
+        "longitude": draw(st.floats(min_value=-180, max_value=180, allow_nan=False)),
+        "utc_offset": float(draw(st.integers(min_value=-720, max_value=840))),
+    }
+    values.update(zip(ECONOMIC_FEATURES, economic))
+    values.update(zip(CULTURAL_FEATURES, cultural))
+    return CountryProfile(code, values)
 
 
 @settings(max_examples=50, deadline=None)
@@ -262,14 +283,14 @@ def test_round_trip_bit_exact(tmp_path_factory, profiles_list):
 
 def test_minmax_scaling(profiles):
     scaled = profiles.minmax_scaled()
-    econ = np.array([p.economic for p in scaled])
+    econ = np.array([[p.values[c] for c in ECONOMIC_FEATURES] for p in scaled])
     assert econ.min() >= 0.0 and econ.max() <= 1.0
     # per-feature extremes hit 0 and 1 for non-constant columns
     assert np.allclose(econ.min(axis=0), 0.0)
     assert np.allclose(econ.max(axis=0), 1.0)
     # coordinates and offsets untouched
-    assert scaled.get("GB").utc_offset == 0
-    assert scaled.get("GB").latitude == 54.0
+    assert scaled.get("GB").values["utc_offset"] == 0
+    assert scaled.get("GB").values["latitude"] == 54.0
 
 
 def test_minmax_constant_feature(tmp_path):
@@ -278,5 +299,6 @@ def test_minmax_constant_feature(tmp_path):
         "AB,2.0,2.0,0," + ",".join(["5"] * 6) + "," + ",".join(["7"] * 13),
     ]
     store = load_country_profiles(write_countries(tmp_path, rows)).minmax_scaled()
-    assert set(store.get("AA").economic) == {0.5}
-    assert set(store.get("AA").cultural) == {0.5}
+    assert {store.get("AA").values[c] for c in ECONOMIC_FEATURES} == {0.5}
+    assert {store.get("AA").values[c] for c in CULTURAL_FEATURES} == {0.5}
+
