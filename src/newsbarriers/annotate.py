@@ -7,15 +7,13 @@ cultural blocks by cosine similarity against a threshold, geographical,
 time-zone and political blocks by whether any value differs.
 """
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     EmptyInput,
     IncompleteMetadata,
     LengthMismatch,
@@ -24,7 +22,7 @@ from .errors import (
     UnknownAlignment,
     ZeroVector,
 )
-from .features import ConceptVocabulary, LabeledInstance, assemble_instance
+from .features import ConceptVocabulary, assemble_instance
 from .ingest import SpreadingExample
 from .knowledge import (
     BARRIERS,
@@ -32,10 +30,9 @@ from .knowledge import (
     ProfileStore,
     PublisherStore,
     barrier_profile,
-    format_float,
-    parse_float,
     profile_feature_names,
 )
+from .tables import format_float, parse_float, read_table, write_table
 
 SIMILARITY_THRESHOLD = 0.9
 
@@ -77,7 +74,7 @@ def barrier_present(kind: BarrierKind, profile_a, profile_b, threshold: float = 
 
 @dataclass
 class BarrierDataset:
-    barrier: Optional[BarrierKind]  # None when read back from a CSV
+    barrier: BarrierKind
     instances: list
     dropped: Counter = field(default_factory=Counter)
     feature_names: tuple = ()
@@ -93,8 +90,7 @@ class BarrierDataset:
 
     def arrays(self):
         if not self.instances:
-            name = self.barrier.value if self.barrier else "the"
-            raise EmptyInput(f"no instances in {name} dataset")
+            raise EmptyInput(f"no instances in {self.barrier.value} dataset")
         X = np.stack([i.features for i in self.instances])
         y = np.array([i.label for i in self.instances], dtype=bool)
         return X, y
@@ -149,53 +145,36 @@ def build_barrier_dataset(
             dataset.dropped["zero_vector"] += 1
             continue
         profile = a if profile_side == "source" else b
-        dataset.instances.append(assemble_instance(example, kind, vocab, profile, label))
+        dataset.instances.append(assemble_instance(example, vocab, profile, label))
     return dataset
 
 
 def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
     """Materialize one barrier dataset as CSV: article_id, label, features."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("article_id", "label") + dataset.feature_names)
-        for instance in dataset.instances:
-            writer.writerow(
-                [instance.article_id, "TRUE" if instance.label else "FALSE"]
-                + [format_float(v) for v in instance.features]
-            )
+    rows = (
+        [instance.article_id, "TRUE" if instance.label else "FALSE"] + [format_float(v) for v in instance.features]
+        for instance in dataset.instances
+    )
+    write_table(path, ("article_id", "label") + dataset.feature_names, rows)
 
 
-def load_barrier_dataset(path) -> BarrierDataset:
-    """Read a dataset CSV as ``save_barrier_dataset`` writes it; the file does not name its barrier.
+def load_barrier_dataset(path):
+    """Features ``X`` and labels ``y`` of a dataset CSV as ``save_barrier_dataset`` writes it.
 
-    A missing file is a ConfigError; a bad header, a row of the wrong width, a
-    label other than TRUE/FALSE or a feature cell that is not a finite number
-    is a DataError naming the row.
+    A missing file is a ConfigError; a header that does not start with
+    article_id,label, a label other than TRUE/FALSE, a feature cell that is not
+    a finite number or no rows at all is a DataError.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError:
-        raise ConfigError("not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["article_id", "label"]:
+    X, y = [], []
+    with read_table(path) as (header, rows):
+        if header[:2] != ("article_id", "label"):
             raise MalformedRow(1, "header must start with article_id,label")
-        feature_names = tuple(header[2:])
-        instances = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
-            if row[1] not in ("TRUE", "FALSE"):
-                raise MalformedRow(rownum, f"label {row[1]!r} is not TRUE or FALSE")
-            instances.append(
-                LabeledInstance(
-                    features=np.array([parse_float(v, rownum, name) for name, v in zip(feature_names, row[2:])]),
-                    label=row[1] == "TRUE",
-                    article_id=row[0],
-                    barrier=None,
-                )
-            )
-    return BarrierDataset(barrier=None, instances=instances, feature_names=feature_names)
+        feature_names = header[2:]
+        for rownum, cells in rows:
+            if cells[1] not in ("TRUE", "FALSE"):
+                raise MalformedRow(rownum, f"label {cells[1]!r} is not TRUE or FALSE")
+            X.append([parse_float(v, rownum, name) for name, v in zip(feature_names, cells[2:])])
+            y.append(cells[1] == "TRUE")
+    if not y:
+        raise EmptyInput("no instances in the dataset")
+    return np.array(X, dtype=float), np.array(y, dtype=bool)

@@ -26,12 +26,12 @@ from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateTrainingSet, EmptyInput, LengthMismatch
+from .tables import atomic_writer, read_file
 
 
 class ModelFamily(Enum):
@@ -705,19 +705,16 @@ def save_model(model: TrainedModel, path) -> None:
         "standardization": model.estimator.get_state(model.estimator.STANDARDIZATION) or None,
         "parameters": model.estimator.get_state(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path) -> TrainedModel:
     """Read a saved model: a missing file is a ConfigError, a malformed one a DataError."""
+    text = read_file(path)
     try:
-        data = Path(path).read_bytes()
-    except OSError:
-        raise ConfigError("model: not found") from None
-    try:
-        payload = json.loads(data)
+        payload = json.loads(text)
         version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {version!r}")
@@ -731,4 +728,4 @@ def load_model(path) -> TrainedModel:
         est.set_state(est.STANDARDIZATION, {} if std is None else std, n_features, "standardization")
         return TrainedModel(spec.family, spec.hyperparameters, spec.seed, n_features, est)
     except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"model: malformed model file: {exc}") from None
+        raise DataError(f"malformed model file: {exc}") from None

@@ -8,7 +8,6 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .annotate import load_barrier_dataset
 from .classifiers import ModelSpec, load_model, save_model, train
@@ -17,6 +16,7 @@ from .errors import ConfigError, DataError
 from .evaluate import micro_metrics, parse_report_csv, render_report
 from .pipeline import annotate_corpus, build_vocab, ingest_corpus, make_out_dir, run_pipeline, stage
 from .synth import SyntheticSpec, generate_corpus
+from .tables import write_file
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
@@ -54,11 +54,6 @@ def _parse_param(text: str):
     if not sep:
         raise ConfigError(f"param: expected NAME=VALUE, got {text!r}")
     return key.strip(), parse_value(raw, "param")
-
-
-def _load_arrays(path):
-    with stage("data"):
-        return load_barrier_dataset(path).arrays()
 
 
 def cmd_run(args) -> int:
@@ -104,7 +99,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     params = dict(_parse_param(p) for p in args.param or ())
     spec = ModelSpec(family=parse_family(args.family, "family"), hyperparameters=params, seed=args.seed)
-    data = _load_arrays(args.data)
+    with stage("data"):
+        data = load_barrier_dataset(args.data)
     with stage("train"):
         model = train(spec, data)
     with stage("out"):
@@ -114,8 +110,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
-    X, y = _load_arrays(args.data)
+    with stage("model"):
+        model = load_model(args.model)
+    with stage("data"):
+        X, y = load_barrier_dataset(args.data)
     with stage("evaluate"):
         metrics = micro_metrics(model.predict_batch(X), y)
     print(f"ca={metrics.classification_accuracy!r}")
@@ -127,14 +125,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     with stage("rows"):
-        try:
-            text = Path(args.rows).read_text(encoding="utf-8")
-        except OSError:
-            raise ConfigError("not found") from None
-        rendered = render_report(parse_report_csv(text), args.format)
+        rendered = render_report(parse_report_csv(args.rows), args.format)
     if args.out:
         with stage("out"):
-            Path(args.out).write_text(rendered, encoding="utf-8")
+            write_file(args.out, rendered)
     else:
         print(rendered, end="")
     return 0

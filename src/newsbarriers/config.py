@@ -9,8 +9,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifiers import FAMILIES, ModelFamily, family_from_name
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .knowledge import ECONOMIC_FEATURES, BarrierKind
+from .tables import read_file
 
 ALL_BARRIERS = tuple(k.value for k in BarrierKind)
 ALL_MODELS = tuple(f.value for f in ModelFamily)
@@ -186,11 +187,10 @@ def config_from_text(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """Read a config file; every fault of the file, bytes that are not UTF-8 included, is a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise ConfigError("config: not found") from None
-    except UnicodeDecodeError as exc:
+        text = read_file(path)
+    except (ConfigError, DataError) as exc:
         raise ConfigError(f"config: {exc}") from None
     if "\0" in text:
         raise ConfigError("config: holds a NUL byte")  # options name paths, which cannot hold one

@@ -7,9 +7,7 @@ classes counts every prediction once; TP and FN count every gold label once).
 identity on every call.
 """
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +16,9 @@ from .annotate import BarrierDataset
 from .classifiers import FAMILIES, ModelFamily, ModelSpec, best_point, grid_predictions, sweep_full, train
 from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
 from .knowledge import BARRIERS, BarrierKind
+from .tables import csv_text, read_table
+
+REPORT_COLUMNS = ("barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1")
 
 
 @dataclass(frozen=True)
@@ -186,21 +187,11 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
         raise EmptyInput("no report rows")
     ordered = _sorted_rows(rows)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"))
-        for r in ordered:
-            writer.writerow(
-                (
-                    BARRIERS[r.barrier].title,
-                    FAMILIES[r.family].display_name,
-                    repr(r.metrics.classification_accuracy),
-                    repr(r.metrics.micro_precision),
-                    repr(r.metrics.micro_recall),
-                    repr(r.metrics.micro_f1),
-                )
-            )
-        return buf.getvalue()
+        cells = (
+            (BARRIERS[r.barrier].title, FAMILIES[r.family].display_name, *map(repr, astuple(r.metrics)))
+            for r in ordered
+        )
+        return csv_text(REPORT_COLUMNS, cells)
     if fmt != "markdown":
         raise ValueError(f"unknown report format: {fmt!r}")
     lines = ["| Barrier | Model | CA | Mic-Pre | Mic-Rec | Mic-F1 |", "| --- | --- | --- | --- | --- | --- |"]
@@ -219,26 +210,24 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
     return text
 
 
-def parse_report_csv(text: str) -> list:
-    """Read report rows back from csv output; anything else is a DataError."""
-    reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != ["barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1"]:
-        raise DataError("not a report csv")
+def parse_report_csv(path) -> list:
+    """Read report rows back from a file of csv output; anything else is a DataError."""
     title_to_barrier = {b.title: kind for kind, b in BARRIERS.items()}
     name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
-    for rownum, record in enumerate(reader, start=2):
-        if len(record) != 6:
-            raise MalformedRow(rownum, f"expected 6 fields, got {len(record)}")
-        if record[0] not in title_to_barrier:
-            raise MalformedRow(rownum, f"unknown barrier {record[0]!r}")
-        if record[1] not in name_to_family:
-            raise MalformedRow(rownum, f"unknown model {record[1]!r}")
-        try:
-            metrics = MetricSet(*(float(v) for v in record[2:]))
-        except ValueError:
-            raise MalformedRow(rownum, "metric is not a number") from None
-        rows.append(ReportRow(title_to_barrier[record[0]], name_to_family[record[1]], metrics))
+    with read_table(path) as (header, records):
+        if header != REPORT_COLUMNS:
+            raise DataError("not a report csv")
+        for rownum, record in records:
+            if record[0] not in title_to_barrier:
+                raise MalformedRow(rownum, f"unknown barrier {record[0]!r}")
+            if record[1] not in name_to_family:
+                raise MalformedRow(rownum, f"unknown model {record[1]!r}")
+            try:
+                metrics = MetricSet(*(float(v) for v in record[2:]))
+            except ValueError:
+                raise MalformedRow(rownum, "metric is not a number") from None
+            rows.append(ReportRow(title_to_barrier[record[0]], name_to_family[record[1]], metrics))
     return rows
 
 

@@ -4,7 +4,6 @@ Instances are the concatenation of a binary concept block (top-K concepts by
 document frequency) and a per-barrier publisher profile block.
 """
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import EmptyCorpus
 from .ingest import SpreadingExample
-from .knowledge import BarrierKind
+from .tables import write_table
 
 DEFAULT_VOCABULARY_SIZE = 300
 
@@ -32,10 +31,7 @@ class ConceptVocabulary:
         return tuple(c for c, _ in self.entries)
 
     def save(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("concept", "frequency"))
-            writer.writerows(self.entries)
+        write_table(path, ("concept", "frequency"), self.entries)
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,6 @@ class LabeledInstance:
     features: np.ndarray  # concept block then profile block
     label: bool  # True = barrier present
     article_id: str
-    barrier: BarrierKind
 
 
 def _rank(document_frequency: Counter, k: int) -> ConceptVocabulary:
@@ -89,12 +84,8 @@ def vectorize_concepts(example: SpreadingExample, vocab: ConceptVocabulary) -> n
 
 
 def assemble_instance(
-    example: SpreadingExample,
-    kind: BarrierKind,
-    vocab: ConceptVocabulary,
-    profile: np.ndarray,
-    label: bool,
+    example: SpreadingExample, vocab: ConceptVocabulary, profile: np.ndarray, label: bool
 ) -> LabeledInstance:
     """Concept block of the example's article followed by the given profile block, label attached."""
     features = np.concatenate([vectorize_concepts(example, vocab), profile])
-    return LabeledInstance(features=features, label=label, article_id=example.article_id, barrier=kind)
+    return LabeledInstance(features=features, label=label, article_id=example.article_id)

@@ -6,7 +6,6 @@ pair is reduced to its source article (the ``from`` side) joined with that
 article's concept annotations.
 """
 
-import csv
 import json
 import math
 from collections import Counter
@@ -15,7 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import MalformedLine, MalformedRow, UnknownClassLabel
-from .knowledge import format_float
+from .tables import format_float, open_text, read_table, write_table
 
 PAIR_COLUMNS = (
     "from",
@@ -103,20 +102,10 @@ class IngestReport:
 def parse_pairs(path) -> list:
     """Parse a pair CSV into ArticlePair rows, preserving file order."""
     pairs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, skipinitialspace=True)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "empty file, header expected") from None
-        if [h.strip() for h in header] != list(PAIR_COLUMNS):
+    with read_table(path) as (header, rows):
+        if header != PAIR_COLUMNS:
             raise MalformedRow(1, f"header mismatch, expected {','.join(PAIR_COLUMNS)}")
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PAIR_COLUMNS):
-                raise MalformedRow(rownum, f"expected {len(PAIR_COLUMNS)} fields, got {len(row)}")
-            cells = [c.strip() for c in row]
+        for rownum, cells in rows:
             try:
                 weight = float(cells[2])
             except ValueError:
@@ -126,38 +115,17 @@ def parse_pairs(path) -> list:
             klass = _CLASS_BY_KEY.get(cells[3].lower())
             if klass is None:
                 raise UnknownClassLabel(rownum, cells[3])
-            pairs.append(
-                ArticlePair(
-                    from_id=cells[0],
-                    to_id=cells[1],
-                    weight=weight,
-                    propagation_class=klass,
-                    from_publisher=cells[4],
-                    to_publisher=cells[5],
-                    from_publisher_uri=cells[6],
-                    to_publisher_uri=cells[7],
-                )
-            )
+            pairs.append(ArticlePair(cells[0], cells[1], weight, klass, *cells[4:]))
     return pairs
 
 
 def serialize_pairs(pairs: Sequence[ArticlePair], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PAIR_COLUMNS)
-        for p in pairs:
-            writer.writerow(
-                [
-                    p.from_id,
-                    p.to_id,
-                    format_float(p.weight),
-                    p.propagation_class.value,
-                    p.from_publisher,
-                    p.to_publisher,
-                    p.from_publisher_uri,
-                    p.to_publisher_uri,
-                ]
-            )
+    rows = (
+        (p.from_id, p.to_id, format_float(p.weight), p.propagation_class.value,
+         p.from_publisher, p.to_publisher, p.from_publisher_uri, p.to_publisher_uri)
+        for p in pairs
+    )
+    write_table(path, PAIR_COLUMNS, rows)
 
 
 def filter_propagated(pairs: Sequence[ArticlePair]) -> list:
@@ -173,7 +141,7 @@ def load_concept_annotations(path) -> dict:
     """Load a line-delimited JSON file of {"article": id, "concepts": [...]} as
     article_id -> concept frozenset, merged by union over repeated lines."""
     mapping: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

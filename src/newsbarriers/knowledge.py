@@ -7,8 +7,6 @@ alignment). Both stores are immutable after load and safe to read from
 multiple threads.
 """
 
-import csv
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -21,11 +19,11 @@ from .errors import (
     IncompleteMetadata,
     MalformedRow,
     MissingColumn,
-    NonFiniteValue,
     RangeViolation,
     UnknownAlignment,
     ZeroVector,
 )
+from .tables import format_float, parse_float, read_table, write_table
 
 
 class BarrierKind(Enum):
@@ -200,34 +198,11 @@ class PublisherStore:
         return self._alignment_vocabulary
 
 
-def parse_float(raw, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise NonFiniteValue(row, column, raw) from None
-    if not math.isfinite(value):
-        raise NonFiniteValue(row, column, raw)
-    return value
-
-
-def _read_rows(path, columns: Sequence[str]) -> Iterator:
-    """(row number, {header name: cell}) for each non-blank row of a metadata CSV.
-
-    The header must carry every name in ``columns`` (any order) and each row
-    as many fields as the header.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for column in columns:
-            if column not in header:
-                raise MissingColumn(column)
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(rownum, f"expected {len(header)} fields, got {len(row)}")
-            yield rownum, dict(zip(header, row))
+def _require_columns(header: tuple, columns: Sequence[str]) -> None:
+    """A metadata CSV's header must carry every name in ``columns``, in any order."""
+    for column in columns:
+        if column not in header:
+            raise MissingColumn(column)
 
 
 def load_country_profiles(path) -> ProfileStore:
@@ -237,55 +212,44 @@ def load_country_profiles(path) -> ProfileStore:
     columns may be all zero.
     """
     profiles = []
-    for rownum, row in _read_rows(path, COUNTRY_COLUMNS):
-        code = row["country_code"].strip().upper()
-        if not code:
-            raise MalformedRow(rownum, "empty country_code")
-        values = {c: parse_float(row[c], rownum, c) for c in COUNTRY_COLUMNS[1:]}
-        for column, (lo, hi) in COLUMN_RANGES.items():
-            if not lo <= values[column] <= hi:
-                raise RangeViolation(rownum, column, values[column], lo, hi)
-        values["utc_offset"] = float(int(values["utc_offset"]))
-        for kind, barrier in BARRIERS.items():
-            if barrier.cosine and not any(values[c] for c in barrier.columns):
-                raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
-        profiles.append(CountryProfile(code, values))
+    with read_table(path) as (header, rows):
+        _require_columns(header, COUNTRY_COLUMNS)
+        for rownum, cells in rows:
+            row = dict(zip(header, cells))
+            code = row["country_code"].upper()
+            if not code:
+                raise MalformedRow(rownum, "empty country_code")
+            values = {c: parse_float(row[c], rownum, c) for c in COUNTRY_COLUMNS[1:]}
+            for column, (lo, hi) in COLUMN_RANGES.items():
+                if not lo <= values[column] <= hi:
+                    raise RangeViolation(rownum, column, values[column], lo, hi)
+            values["utc_offset"] = float(int(values["utc_offset"]))
+            for kind, barrier in BARRIERS.items():
+                if barrier.cosine and not any(values[c] for c in barrier.columns):
+                    raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
+            profiles.append(CountryProfile(code, values))
     return ProfileStore(profiles)
-
-
-def format_float(value) -> str:
-    """Text that reads back as the same float: integral values below 1e16 without ``.0``, else ``repr``."""
-    value = float(value)
-    if value.is_integer() and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
 
 
 def save_country_profiles(store: ProfileStore, path) -> None:
     """Serialize a ProfileStore back to countries.csv, round-trip exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNTRY_COLUMNS)
-        for p in store:
-            writer.writerow([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]])
+    rows = ([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]] for p in store)
+    write_table(path, COUNTRY_COLUMNS, rows)
 
 
 def load_publishers(path) -> PublisherStore:
     """Load publishers.csv. A record whose country is absent from the profile
     store is kept; ``barrier_profile`` finds it incomplete."""
     records = []
-    for rownum, row in _read_rows(path, PUBLISHER_COLUMNS):
-        uri = normalize_uri(row["publisher_uri"])
-        if not uri:
-            raise MalformedRow(rownum, "empty publisher_uri")
-        records.append(
-            PublisherRecord(
-                publisher_uri=uri,
-                publisher_name=row["publisher_name"].strip(),
-                country_code=row["country_code"].strip().upper(),
-                political_alignment=normalize_alignment(row["political_alignment"]),
-            )
-        )
+    with read_table(path) as (header, rows):
+        _require_columns(header, PUBLISHER_COLUMNS)
+        for rownum, cells in rows:
+            row = dict(zip(header, cells))
+            uri = normalize_uri(row["publisher_uri"])
+            if not uri:
+                raise MalformedRow(rownum, "empty publisher_uri")
+            alignment = normalize_alignment(row["political_alignment"])
+            records.append(PublisherRecord(uri, row["publisher_name"], row["country_code"].upper(), alignment))
     return PublisherStore(records)
 
 

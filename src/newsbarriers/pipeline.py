@@ -4,8 +4,6 @@ Each stage materializes its output under the run directory so stages can be
 re-run and diffed independently. Failures carry a ``stage: cause`` message.
 """
 
-import csv
-import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,17 +21,18 @@ from .ingest import (
     to_spreading_examples,
 )
 from .knowledge import BarrierKind, load_country_profiles, load_publishers
+from .tables import write_file
 
 
 @contextmanager
 def stage(name: str):
     """Prefix errors with the stage name. A path that cannot be read or written is a
-    configuration error; bytes that are not UTF-8 or not CSV are a data error."""
+    configuration error."""
     try:
         yield
     except (ConfigError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    except (DataError, UnicodeDecodeError, csv.Error) as exc:
+    except DataError as exc:
         raise DataError(f"{name}: {exc}") from exc
 
 
@@ -75,7 +74,7 @@ def annotate_corpus(config: PipelineConfig):
     out = make_out_dir(config.out)
     profiles, publishers, index, examples, report = ingest_corpus(config)
     with stage("out"):
-        (out / "ingest_report.txt").write_text(report.render(), encoding="utf-8")
+        write_file(out / "ingest_report.txt", report.render())
     vocab = build_vocab(config, examples, index)
     with stage("out"):
         vocab.save(out / "vocabulary.csv")
@@ -99,21 +98,14 @@ def annotate_corpus(config: PipelineConfig):
     return datasets, report, vocab
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file renamed over ``path``: readers see old or new, never half."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    with stage("out"):
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-
-
 def run_pipeline(config: PipelineConfig):
     """Full run: write the config, annotate, cross-validate every model, write the reports.
 
     Both reports are rendered before either is written: a failed run leaves the old ones as they were."""
     config.validate()
     out = make_out_dir(config.out)
-    write_atomic(out / "config.txt", config_to_text(config))
+    with stage("out"):
+        write_file(out / "config.txt", config_to_text(config))
     datasets, report, vocab = annotate_corpus(config)
     families = [family_from_name(m) for m in config.models]
     grids = config.model_grids()
@@ -134,6 +126,7 @@ def run_pipeline(config: PipelineConfig):
             )
         footer.extend(dataset_footer(dataset))
     reports = {"report.csv": render_report(rows, "csv"), "report.md": render_report(rows, "markdown", footer=footer)}
-    for name, text in reports.items():
-        write_atomic(out / name, text)
+    with stage("out"):
+        for name, text in reports.items():
+            write_file(out / name, text)
     return rows

@@ -12,7 +12,6 @@ Per-barrier regimes shape the metadata:
   mixed  collisions happen by chance, labels follow the sampled values
 """
 
-import csv
 import itertools
 import json
 import math
@@ -29,11 +28,13 @@ from .ingest import ArticlePair, PropagationClass, serialize_pairs
 from .knowledge import (
     CULTURAL_FEATURES,
     ECONOMIC_FEATURES,
+    PUBLISHER_COLUMNS,
     BarrierKind,
     CountryProfile,
     ProfileStore,
     save_country_profiles,
 )
+from .tables import atomic_writer, read_table, write_table
 
 REGIMES = ("same", "diff", "mixed")
 
@@ -214,13 +215,11 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     country_of = [i % spec.n_countries for i in range(min(spec.n_publishers, spec.n_countries))]
     country_of += [int(rng.integers(0, spec.n_countries)) for _ in range(spec.n_publishers - len(country_of))]
     alignments = _alignments(rng, spec.n_publishers, spec.regime(BarrierKind.POLITICAL), spec.unknown_alignment_rate)
-    with open(out / "publishers.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("publisher_uri", "publisher_name", "country_code", "political_alignment"))
-        for i in range(spec.n_publishers):
-            writer.writerow(
-                (f"pub{i:03d}.example.com", f"Publisher {i}", codes[country_of[i]], alignments[i] or "")
-            )
+    publisher_rows = (
+        (f"pub{i:03d}.example.com", f"Publisher {i}", codes[country_of[i]], alignments[i] or "")
+        for i in range(spec.n_publishers)
+    )
+    write_table(out / "publishers.csv", PUBLISHER_COLUMNS, publisher_rows)
 
     country_diff = any(
         spec.regime(kind) == "diff"
@@ -309,14 +308,10 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
         )
 
     serialize_pairs(pairs, out / "pairs.csv")
-    with open(out / "concepts.jsonl", "w", encoding="utf-8") as fh:
-        for line in concept_lines:
-            fh.write(json.dumps(line) + "\n")
-    with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("pair_index", "article_id", "barrier", "label"))
-        writer.writerows(truth_rows)
-    with open(out / "synth_spec.json", "w", encoding="utf-8") as fh:
+    with atomic_writer(out / "concepts.jsonl") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in concept_lines)
+    write_table(out / "truth.csv", ("pair_index", "article_id", "barrier", "label"), truth_rows)
+    with atomic_writer(out / "synth_spec.json") as fh:
         json.dump(asdict(spec), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -333,9 +328,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
 def load_truth(path) -> dict:
     """truth.csv -> {barrier name: [(article_id, label string), ...] in pair order}."""
     by_barrier: dict = {name: [] for name in BARRIER_NAMES}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for _, article_id, barrier, label in reader:
+    with read_table(path) as (_, rows):
+        for _, (_, article_id, barrier, label) in rows:
             by_barrier[barrier].append((article_id, label))
     return by_barrier

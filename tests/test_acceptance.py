@@ -52,8 +52,7 @@ def report(criterion: int, message: str) -> None:
 
 def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
     instances = [
-        LabeledInstance(features=np.asarray(X[i], dtype=float), label=bool(y[i]),
-                        article_id=f"a{i:04d}", barrier=barrier)
+        LabeledInstance(features=np.asarray(X[i], dtype=float), label=bool(y[i]), article_id=f"a{i:04d}")
         for i in range(len(y))
     ]
     return BarrierDataset(barrier=barrier, instances=instances)

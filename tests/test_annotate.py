@@ -347,12 +347,11 @@ def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, publishers):
     dataset = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, publishers, vocab)
     path = tmp_path / "dataset.csv"
     save_barrier_dataset(dataset, path)
-    loaded = load_barrier_dataset(path)
-    assert loaded.feature_names == dataset.feature_names
-    assert [i.label for i in loaded.instances] == [i.label for i in dataset.instances]
-    for a, b in zip(loaded.instances, dataset.instances):
-        assert a.article_id == b.article_id
-        assert np.array_equal(a.features, b.features)
+    X, y = load_barrier_dataset(path)
+    want_X, want_y = dataset.arrays()
+    assert np.array_equal(X, want_X) and np.array_equal(y, want_y)
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    assert header == ",".join(("article_id", "label") + dataset.feature_names)
 
 
 def test_threshold_parameter_changes_labels(profiles, publishers):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -290,6 +291,66 @@ def test_nul_byte_in_a_path_is_a_config_error(inputs, tmp_path):
     config.write_bytes(re.sub(rb"(?m)^out = .*$", b"out = run\0", files["config"]))
     assert call(["run", "--config", str(config)]) == (1, "config: holds a NUL byte\n")
     assert call(["report", "--rows", str(root / "run" / "report\0.csv")]) == (1, "arguments: an argument holds a NUL byte\n")
+
+
+# ``--event $'\xff'`` reaches Python as a lone surrogate, which config.txt cannot hold in UTF-8:
+# the run exited 3 and left .config.txt.tmp in --out.
+def test_argument_that_is_not_utf8_is_a_config_error_and_leaves_no_temp_file(inputs, tmp_path):
+    _, paths, _ = inputs
+    out = tmp_path / "out"
+    code, err = call(["run", *corpus_args(paths), *CHEAP_RUN, "--event", "\udcff", "--out", str(out)])
+    assert (code, err.count("\n")) == (1, 1), err
+    assert err.startswith("out: 'utf-8' codec can't encode character '\\udcff'"), err
+    assert list(out.iterdir()) == []
+
+
+CSV_INPUTS = {"countries": "countries", "publishers": "publishers", "pairs": "pairs", "dataset": "data",
+              "report": "rows"}  # input -> stage name
+DIALECT_CASES = [(target, case) for target in CSV_INPUTS for case in ("bom", "blank", "duplicate", "short", "long")]
+DIALECT_CASES += [("concepts", "bom"), ("config", "bom")]
+
+
+def outputs(target, paths, data: bytes, work: Path):
+    """Exit code, stderr, stdout and every file written, when the command of ``target`` reads
+    ``data`` from ``work``/input and writes under ``work``."""
+    shutil.rmtree(work)
+    work.mkdir()
+    path = work / "input"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv_for(target, work, paths, path))
+    files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file() and p != path}
+    return code, err.getvalue(), out.getvalue(), files
+
+
+# Every input file is read in one dialect. A byte-order mark failed every input; a blank row
+# failed the report; a column named twice in a metadata or dataset header loaded, the last
+# copy winning.
+@pytest.mark.parametrize("target,case", DIALECT_CASES, ids=[f"{t}-{c}" for t, c in DIALECT_CASES])
+def test_one_input_dialect(inputs, tmp_path, target, case):
+    _, paths, files = inputs
+    data = files[target]
+    if case in ("bom", "blank"):
+        clean = outputs(target, paths, data, tmp_path)
+        assert clean[0] == 0, clean[1]
+        if case == "bom":
+            variant = b"\xef\xbb\xbf" + data
+        else:
+            rows = data.split(b"\r\n")  # csv.writer ends rows with CRLF
+            variant = b"\r\n".join(rows[:2] + [b""] + rows[2:])
+        assert outputs(target, paths, variant, tmp_path) == clean
+        return
+    rows = data.split(b"\r\n")[:-1]
+    width = rows[0].count(b",") + 1
+    if case == "duplicate":
+        rows = [row + b"," + row.rsplit(b",", 1)[-1] for row in rows]
+        message = f"malformed row 1: column {rows[0].rsplit(b',', 1)[-1].decode()!r} named twice"
+    else:
+        rows[2] = rows[2].rsplit(b",", 1)[0] if case == "short" else rows[2] + b",0"
+        message = f"malformed row 3: expected {width} fields, got {width + (1 if case == 'long' else -1)}"
+    code, err, _, _ = outputs(target, paths, b"".join(row + b"\r\n" for row in rows), tmp_path)
+    assert (code, err) == (2, f"{CSV_INPUTS[target]}: {message}\n")
 
 
 MODELS = Path(__file__).parent / "data" / "models"

@@ -20,8 +20,7 @@ from newsbarriers.knowledge import BarrierKind
 
 def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
     instances = [
-        LabeledInstance(features=np.asarray(X[i], dtype=float), label=bool(y[i]),
-                        article_id=f"a{i:04d}", barrier=barrier)
+        LabeledInstance(features=np.asarray(X[i], dtype=float), label=bool(y[i]), article_id=f"a{i:04d}")
         for i in range(len(y))
     ]
     return BarrierDataset(barrier=barrier, instances=instances)
@@ -174,10 +173,11 @@ def test_render_markdown_order_and_rounding():
     assert "0.70" in lines[3]
 
 
-def test_render_csv_round_trips():
+def test_render_csv_round_trips(tmp_path):
     rows = demo_rows()
-    text = render_report(rows, "csv")
-    assert parse_report_csv(text) == sorted(rows, key=lambda r: 0 if r.family is ModelFamily.UNIFORM else 1)
+    path = tmp_path / "report.csv"
+    path.write_text(render_report(rows, "csv"), encoding="utf-8", newline="")
+    assert parse_report_csv(path) == sorted(rows, key=lambda r: 0 if r.family is ModelFamily.UNIFORM else 1)
 
 
 def test_render_single_row():

@@ -93,17 +93,16 @@ def block(publishers, profiles, uri, kind):
 def test_assemble_timezone_instance(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.TIME_ZONE)
-    inst = assemble_instance(example("a", {"X", "Z"}), BarrierKind.TIME_ZONE, vocab, profile, True)
+    inst = assemble_instance(example("a", {"X", "Z"}), vocab, profile, True)
     assert inst.features.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert inst.label is True
     assert inst.article_id == "a"
-    assert inst.barrier is BarrierKind.TIME_ZONE
 
 
 def test_assemble_economic_length(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.ECONOMIC)
-    inst = assemble_instance(example("a", {"X"}), BarrierKind.ECONOMIC, vocab, profile, False)
+    inst = assemble_instance(example("a", {"X"}), vocab, profile, False)
     assert len(inst.features) == 3 + 13
     assert inst.features[3:].tolist() == profile.tolist()
 
@@ -115,15 +114,15 @@ def test_assemble_political_unknown_alignment(profiles, publishers):
     for error in (IncompleteMetadata, UnknownAlignment):
         with pytest.raises(error):
             profile = block(publishers, profiles, ex.source_publisher_uri, BarrierKind.POLITICAL)
-            assemble_instance(ex, BarrierKind.POLITICAL, vocab, profile, True)
+            assemble_instance(ex, vocab, profile, True)
 
 
 def test_assemble_deterministic(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2)))
     ex = example("a", {"X"})
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.CULTURAL)
-    a = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profile, True)
-    b = assemble_instance(ex, BarrierKind.CULTURAL, vocab, profile, True)
+    a = assemble_instance(ex, vocab, profile, True)
+    b = assemble_instance(ex, vocab, profile, True)
     assert np.array_equal(a.features, b.features)
 
 
