@@ -16,7 +16,7 @@ from .annotate import (
 )
 from .classifiers import ModelFamily, ModelSpec, TrainedModel, train
 from .evaluate import micro_metrics, render_report, run_experiment, stratified_kfold
-from .features import ConceptVocabulary, LabeledInstance, assemble_instance, build_vocabulary, vectorize_concepts
+from .features import ConceptVocabulary, LabeledInstance, assemble_instance, build_vocabulary
 from .ingest import (
     ArticlePair,
     PropagationClass,
@@ -69,5 +69,4 @@ __all__ = [
     "stratified_kfold",
     "to_spreading_examples",
     "train",
-    "vectorize_concepts",
 ]

@@ -22,7 +22,7 @@ from .errors import (
     UnknownAlignment,
     ZeroVector,
 )
-from .features import ConceptVocabulary, assemble_instance
+from .features import ConceptVocabulary, assemble_instance, concept_block
 from .ingest import SpreadingExample
 from .knowledge import (
     BARRIERS,
@@ -32,7 +32,7 @@ from .knowledge import (
     barrier_profile,
     profile_feature_names,
 )
-from .tables import format_float, parse_float, read_table, write_table
+from .tables import atomic_writer, csv_field, csv_text, format_float, parse_float, read_table
 
 SIMILARITY_THRESHOLD = 0.9
 
@@ -91,7 +91,8 @@ class BarrierDataset:
     def arrays(self):
         if not self.instances:
             raise EmptyInput(f"no instances in {self.barrier.value} dataset")
-        X = np.stack([i.features for i in self.instances])
+        concepts = np.stack([i.concepts for i in self.instances])
+        X = np.hstack([concepts, np.stack([i.profile for i in self.instances])])  # float64
         y = np.array([i.label for i in self.instances], dtype=bool)
         return X, y
 
@@ -106,12 +107,13 @@ def build_barrier_dataset(
     profile_side: str = "source",
     economic_features: Sequence[str] = (),
 ) -> BarrierDataset:
-    """Label every example for one barrier and assemble feature vectors.
+    """Label every example for one barrier and assemble its instances.
 
     ``economic_features`` narrows the economic block to those indicators.
     Examples that cannot be labeled (missing country metadata, unknown
     political alignment) are dropped and tallied by reason; instance order
-    follows input order.
+    follows input order. The concept block is built once per call and each
+    publisher's profile block once; instances hold references to both.
     """
     columns = BARRIERS[kind].columns
     if kind is BarrierKind.ECONOMIC and economic_features:
@@ -125,37 +127,55 @@ def build_barrier_dataset(
         instances=[],
         feature_names=tuple(f"c{i}" for i in range(len(vocab))) + profile_feature_names(columns, alignments),
     )
-    for example in examples:
-        source = publishers.get(example.source_publisher_uri)
-        target = publishers.get(example.target_publisher_uri)
-        if source is None or target is None:
-            dataset.dropped["missing_publisher"] += 1
+    blocks = {}  # publisher uri -> its profile block, or the drop reason it gives
+
+    def profile_of(uri):
+        if uri not in blocks:
+            publisher = publishers.get(uri)
+            try:
+                blocks[uri] = (barrier_profile(publisher, profiles, columns, alignments)
+                               if publisher else "missing_publisher")
+            except IncompleteMetadata as exc:
+                blocks[uri] = "unknown_alignment" if isinstance(exc, UnknownAlignment) else "incomplete_metadata"
+        return blocks[uri]
+
+    for example, concepts in zip(examples, concept_block(examples, vocab)):
+        a, b = profile_of(example.source_publisher_uri), profile_of(example.target_publisher_uri)
+        reasons = [x for x in (a, b) if isinstance(x, str)]
+        if reasons:  # a missing publisher outranks the other's missing metadata
+            dataset.dropped["missing_publisher" if "missing_publisher" in reasons else reasons[0]] += 1
             continue
         try:
-            a = barrier_profile(source, profiles, columns, alignments)
-            b = barrier_profile(target, profiles, columns, alignments)
             label = barrier_present(kind, a, b, threshold)
-        except UnknownAlignment:
-            dataset.dropped["unknown_alignment"] += 1
-            continue
-        except IncompleteMetadata:
-            dataset.dropped["incomplete_metadata"] += 1
-            continue
         except ZeroVector:
             dataset.dropped["zero_vector"] += 1
             continue
         profile = a if profile_side == "source" else b
-        dataset.instances.append(assemble_instance(example, vocab, profile, label))
+        dataset.instances.append(assemble_instance(example, concepts, profile, label))
     return dataset
 
 
 def save_barrier_dataset(dataset: BarrierDataset, path) -> None:
-    """Materialize one barrier dataset as CSV: article_id, label, features."""
-    rows = (
-        [instance.article_id, "TRUE" if instance.label else "FALSE"] + [format_float(v) for v in instance.features]
-        for instance in dataset.instances
-    )
-    write_table(path, ("article_id", "label") + dataset.feature_names, rows)
+    """Materialize one barrier dataset as CSV: article_id, label, features.
+
+    The bytes are those ``write_table`` writes with ``format_float`` on every cell.
+    The 0/1 concept block is rendered in one numpy pass, and each distinct profile
+    block (one per publisher) is formatted once.
+    """
+    instances = dataset.instances
+    concepts = np.stack([i.concepts for i in instances]) if instances else np.zeros((0, 0), dtype=np.uint8)
+    cells = np.full((len(instances), 2 * concepts.shape[1]), ord(","), dtype=np.uint8)
+    cells[:, 1::2] = concepts + ord("0")  # ",0,1,..." per row
+    text, width = cells.tobytes().decode("ascii"), cells.shape[1]
+    distinct = {id(i.profile): i.profile for i in instances}
+    profile_text = {key: "".join("," + format_float(v) for v in block) for key, block in distinct.items()}
+    with atomic_writer(path) as fh:
+        fh.write(csv_text(("article_id", "label") + dataset.feature_names, ()))
+        fh.writelines(
+            f"{csv_field(i.article_id)},{'TRUE' if i.label else 'FALSE'}{text[r * width:(r + 1) * width]}"
+            f"{profile_text[id(i.profile)]}\r\n"
+            for r, i in enumerate(instances)
+        )
 
 
 def load_barrier_dataset(path):

@@ -727,5 +727,6 @@ def load_model(path) -> TrainedModel:
         std = payload["standardization"]
         est.set_state(est.STANDARDIZATION, {} if std is None else std, n_features, "standardization")
         return TrainedModel(spec.family, spec.hyperparameters, spec.seed, n_features, est)
-    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    # RecursionError: json.loads on text nested deeper than the recursion limit
+    except (ConfigError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None

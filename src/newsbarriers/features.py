@@ -1,7 +1,7 @@
 """Concept vocabulary and feature-vector assembly.
 
-Instances are the concatenation of a binary concept block (top-K concepts by
-document frequency) and a per-barrier publisher profile block.
+An instance's features are a binary concept block (top-K concepts by document
+frequency) followed by a per-barrier publisher profile block.
 """
 
 from collections import Counter
@@ -26,25 +26,28 @@ class ConceptVocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def concepts(self) -> tuple:
-        return tuple(c for c, _ in self.entries)
-
     def save(self, path) -> None:
         write_table(path, ("concept", "frequency"), self.entries)
 
 
 @dataclass(frozen=True)
 class LabeledInstance:
-    features: np.ndarray  # concept block then profile block
+    """One dataset row. Both blocks are held by reference, not copied."""
+
+    concepts: np.ndarray  # uint8 0/1 row of the concept block
+    profile: np.ndarray  # float profile block, shared by every instance of one publisher
     label: bool  # True = barrier present
     article_id: str
 
 
-def _rank(document_frequency: Counter, k: int) -> ConceptVocabulary:
-    if not document_frequency:
+def _rank(concept_sets, k: int) -> ConceptVocabulary:
+    """The k concepts held by the most sets, ties broken by concept identifier."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    frequency = Counter(c for concepts in concept_sets for c in concepts)
+    if not frequency:
         raise EmptyCorpus("no concepts found in the corpus")
-    ordered = sorted(document_frequency.items(), key=lambda item: (-item[1], item[0]))
+    ordered = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
     return ConceptVocabulary(entries=tuple(ordered[:k]))
 
 
@@ -55,13 +58,7 @@ def build_vocabulary(examples: Sequence[SpreadingExample], k: int = DEFAULT_VOCA
     break lexicographically by concept identifier, so the ranking is
     independent of example order.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    by_article = {e.article_id: e.concepts for e in examples}
-    frequency: Counter = Counter()
-    for concepts in by_article.values():
-        frequency.update(concepts)
-    return _rank(frequency, k)
+    return _rank({e.article_id: e.concepts for e in examples}.values(), k)
 
 
 def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -> ConceptVocabulary:
@@ -70,22 +67,20 @@ def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -
     This is the corpus-global alternative to the per-event default: supply a
     concept file covering all events and the vocabulary spans them all.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    frequency: Counter = Counter()
-    for concepts in index.values():
-        frequency.update(concepts)
-    return _rank(frequency, k)
+    return _rank(index.values(), k)
 
 
-def vectorize_concepts(example: SpreadingExample, vocab: ConceptVocabulary) -> np.ndarray:
-    """Binary presence vector over the vocabulary, in rank order."""
-    return np.array([1.0 if concept in example.concepts else 0.0 for concept in vocab.concepts])
+def concept_block(examples: Sequence[SpreadingExample], vocab: ConceptVocabulary) -> np.ndarray:
+    """Binary presence matrix: one uint8 row per example, one column per vocabulary
+    entry in rank order. Concepts outside the vocabulary are ignored."""
+    column = {concept: j for j, (concept, _) in enumerate(vocab.entries)}
+    block = np.zeros((len(examples), len(vocab)), dtype=np.uint8)
+    block.flat[[i * len(vocab) + column[c] for i, e in enumerate(examples) for c in e.concepts if c in column]] = 1
+    return block
 
 
 def assemble_instance(
-    example: SpreadingExample, vocab: ConceptVocabulary, profile: np.ndarray, label: bool
+    example: SpreadingExample, concepts: np.ndarray, profile: np.ndarray, label: bool
 ) -> LabeledInstance:
-    """Concept block of the example's article followed by the given profile block, label attached."""
-    features = np.concatenate([vectorize_concepts(example, vocab), profile])
-    return LabeledInstance(features=features, label=label, article_id=example.article_id)
+    """The example's row of the concept block and the given profile block, label attached."""
+    return LabeledInstance(concepts=concepts, profile=profile, label=label, article_id=example.article_id)

@@ -149,6 +149,8 @@ def load_concept_annotations(path) -> dict:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLine(lineno, f"invalid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise MalformedLine(lineno, "invalid JSON: nested too deeply") from None
             if not isinstance(record, dict) or "article" not in record or "concepts" not in record:
                 raise MalformedLine(lineno, "expected fields 'article' and 'concepts'")
             article = record["article"]

@@ -12,6 +12,7 @@ import io
 import itertools
 import math
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -107,6 +108,15 @@ def write_table(path, header, rows) -> None:
     """Write ``header`` then each of ``rows`` as a CSV row, one row at a time."""
     with atomic_writer(path) as fh:
         csv.writer(fh).writerows(itertools.chain([header], rows))
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of two or more fields: quoted, each quote
+    doubled, when it holds a comma, a quote, CR or LF; as is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def csv_text(header, rows) -> str:

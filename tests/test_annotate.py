@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newsbarriers.annotate import (
+    BarrierDataset,
     annotate_vector_barrier,
     barrier_present,
     build_barrier_dataset,
@@ -17,7 +20,7 @@ from newsbarriers.annotate import (
     save_barrier_dataset,
 )
 from newsbarriers.errors import IncompleteMetadata, LengthMismatch, MissingColumn, UnknownAlignment, ZeroVector
-from newsbarriers.features import build_vocabulary, vectorize_concepts
+from newsbarriers.features import LabeledInstance, build_vocabulary
 from newsbarriers.ingest import (
     SpreadingExample,
     filter_propagated,
@@ -38,6 +41,7 @@ from newsbarriers.knowledge import (
     load_publishers,
 )
 from newsbarriers.synth import SyntheticSpec, generate_corpus
+from newsbarriers.tables import format_float
 
 unit_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=8
@@ -293,7 +297,7 @@ def test_instances_share_one_feature_length(demo_examples, profiles, publishers)
     vocab = build_vocabulary(demo_examples, k=5)
     for kind in BarrierKind:
         dataset = build_barrier_dataset(demo_examples, kind, profiles, publishers, vocab)
-        lengths = {len(i.features) for i in dataset.instances}
+        lengths = {len(i.concepts) + len(i.profile) for i in dataset.instances}
         assert len(lengths) == 1
         assert lengths == {len(dataset.feature_names)}
 
@@ -369,8 +373,8 @@ def test_build_dataset_profile_side_target(profiles, publishers):
     vocab = build_vocabulary(ex, k=1)
     src = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="source")
     tgt = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="target")
-    assert src.instances[0].features.tolist() == [1.0, 0.0]  # GB offset 0
-    assert tgt.instances[0].features.tolist() == [1.0, 60.0]  # DE offset 60
+    assert src.arrays()[0].tolist() == [[1.0, 0.0]]  # GB offset 0
+    assert tgt.arrays()[0].tolist() == [[1.0, 60.0]]  # DE offset 60
     assert src.instances[0].label is tgt.instances[0].label is True
 
 
@@ -406,6 +410,11 @@ def ladder_block(kind, publisher, profiles, alignments, economic_features):
         BarrierKind.TIME_ZONE: ("utc_offset",),
     }[kind]
     return [values[n] for n in names]
+
+
+def presence(example, vocab) -> list:
+    """The per-entry concept presence test the concept block replaced, kept as a reference."""
+    return [1.0 if concept in example.concepts else 0.0 for concept, _ in vocab.entries]
 
 
 def ladder_dataset(examples, kind, profiles, publishers, threshold, side, economic_features):
@@ -471,10 +480,63 @@ def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
         assert [(i.article_id, i.label) for i in dataset.instances] == labels
         assert dataset.dropped == dropped
         by_id = {ex.article_id: ex for ex in examples}
-        for instance, block in zip(dataset.instances, blocks):
-            concepts = vectorize_concepts(by_id[instance.article_id], vocab)
-            assert instance.features.tolist() == concepts.tolist() + block
+        rows = [presence(by_id[i.article_id], vocab) + block for i, block in zip(dataset.instances, blocks)]
+        assert [i.concepts.tolist() + i.profile.tolist() for i in dataset.instances] == rows
+        if rows:
+            # the float64 matrix the per-instance concatenations stacked to, bit for bit
+            X, _ = dataset.arrays()
+            assert X.tobytes() == np.stack([np.array(row, dtype=float) for row in rows]).tobytes()
         seen.update(dropped)
         seen.update(str(label) for _, label in labels)
     reasons = {"missing_publisher", "unknown_alignment", "incomplete_metadata", "zero_vector"}
     assert set(seen) == reasons | {"True", "False"}
+
+
+def per_cell_csv(dataset) -> bytes:
+    """The dataset writer the block writer replaced, kept as a reference: ``csv.writer``
+    with ``format_float`` on every cell of each concatenated feature row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("article_id", "label") + dataset.feature_names)
+    for i in dataset.instances:
+        features = np.concatenate([i.concepts, i.profile])
+        writer.writerow([i.article_id, "TRUE" if i.label else "FALSE"] + [format_float(v) for v in features])
+    return buf.getvalue().encode("utf-8")
+
+
+# NUL is left out: csv.writer of Python 3.10 refuses it, and its csv reader never yields it
+ARTICLE_IDS = st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)), max_size=6) | (
+    st.sampled_from(["", "a,b", 'say "hi"', "x\ry", "x\ny", "\r\n", '"', ",", " lead", "a1"])
+)
+PROFILE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1e16, -1e16, 1e16 - 2, 1e-300, -5.0, 2.5, -0.1, 1 / 3, 123456.789]
+)
+
+
+@st.composite
+def datasets(draw):
+    """A dataset whose instances share a few profile blocks by reference, as built ones do;
+    the profile block may be empty (a political block over no alignments)."""
+    n_concepts = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 4))
+    pool = [np.array(draw(st.lists(PROFILE_VALUES, min_size=width, max_size=width)), dtype=float)
+            for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(0, 8))
+    concepts = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n_concepts, max_size=n_concepts),
+                                      min_size=n, max_size=n)), dtype=np.uint8).reshape(n, n_concepts)
+    ids = draw(st.lists(ARTICLE_IDS, min_size=1, max_size=n)) if n else []
+    instances = [
+        LabeledInstance(concepts=concepts[r], profile=pool[draw(st.integers(0, len(pool) - 1))],
+                        label=draw(st.booleans()), article_id=ids[r % len(ids)])  # ids repeat
+        for r in range(n)
+    ]
+    names = tuple(f"c{j}" for j in range(n_concepts)) + tuple(f"p,{j}" for j in range(width))
+    return BarrierDataset(barrier=BarrierKind.POLITICAL, instances=instances, feature_names=names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(datasets())
+def test_dataset_writer_bytes_equal_the_per_cell_writer(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("writer") / "dataset.csv"
+    save_barrier_dataset(dataset, path)
+    assert path.read_bytes() == per_cell_csv(dataset)

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from newsbarriers.cli import main
@@ -136,14 +136,18 @@ def test_output_file_that_is_a_directory_is_a_config_error(inputs, name):
 
 NOISE = (b"\xff", b"\x80", b"\x00", b"\n", b",", b'"', b"{", b"nan", b"-", b"1e999")
 CELLS = ("", "nan", "inf", "-1", "1e999", "abc", "TRUE", "0", " ", '"')
+# JSON nested deeper than the interpreter's recursion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
+MUTATIONS = ("truncate", "insert", "drop", "repeat", "cell", "width", "deep")
 
 
-@st.composite
-def mutations(draw, data: bytes):
-    """``data`` truncated, with bytes inserted, a line dropped or repeated, or one cell replaced
-    or its row made one field shorter or longer."""
+def mutate(data: bytes, kind: str, draw) -> bytes:
+    """``data`` truncated, with bytes inserted, a line dropped or repeated, one cell replaced
+    or its row made one field shorter or longer (drawn with ``draw``), or a first line of
+    JSON nested too deeply put before it."""
+    if kind == "deep":
+        return DEEP + b"\n" + data
     lines = data.split(b"\n")
-    kind = draw(st.sampled_from(("truncate", "insert", "drop", "repeat", "cell", "width")))
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data)))]
     if kind == "insert":
@@ -166,12 +170,29 @@ def mutations(draw, data: bytes):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(target=st.sampled_from(PIPELINE_FILES + ("dataset", "report", "config", "model")), data=st.data())
-def test_mutated_inputs_never_exit_3(inputs, target, data):
+@given(target=st.sampled_from(PIPELINE_FILES + ("dataset", "report", "config", "model")),
+       kind=st.sampled_from(MUTATIONS), data=st.data())
+# json.loads raised RecursionError on these, which exited 3
+@example(target="concepts", kind="deep", data=None)
+@example(target="model", kind="deep", data=None)
+def test_mutated_inputs_never_exit_3(inputs, target, kind, data):
     root, paths, files = inputs
     path = root / f"mutated_{target}"
-    path.write_bytes(data.draw(mutations(files[target])))
+    path.write_bytes(mutate(files[target], kind, data and data.draw))
     assert_contract(*call(argv_for(target, root, paths, path)))
+
+
+@pytest.mark.parametrize("target,prefix", [
+    ("concepts", "concepts: malformed line 3: invalid JSON: nested too deeply\n"),
+    ("model", "model: malformed model file: maximum recursion depth exceeded"),
+], ids=["concepts", "model"])
+def test_json_nested_too_deeply_is_a_data_error(inputs, target, prefix):
+    root, paths, files = inputs
+    lines = files[target].split(b"\n")
+    path = root / f"deep_{target}"
+    path.write_bytes(b"\n".join(lines[:2] + [DEEP] + lines[2:]) if target == "concepts" else DEEP)
+    code, err = call(argv_for(target, root, paths, path))
+    assert (code, err.count("\n")) == (2, 1) and err.startswith(prefix), err
 
 
 BAD_VALUES = ("", " ", "nan", "inf", "-1", "0", "1.5", "1e999", "abc", "none", ",", "knn", "political,x",
@@ -356,10 +377,12 @@ def test_one_input_dialect(inputs, tmp_path, target, case):
 MODELS = Path(__file__).parent / "data" / "models"
 MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json") if p.stem != "predictions")
 MODEL_SECTIONS = ("parameters", "standardization", "n_features")
+# a leaf written as DEEP: json.dumps itself cannot nest that deep
+DEEP_LEAF = "<nested too deeply>"
 # wrong type, out of range (every saved model has 3 features), not finite, null, or finite
-# but subnormal or huge, so that a score overflows
+# but subnormal or huge, so that a score overflows, or nested too deeply
 LEAF_VALUES = (None, "x", True, False, [], {}, 0, -1, -2, 3, 99, 2**70, 0.5, 1.5, -1.0, 0.0, math.inf, math.nan,
-               5e-324, 1e308, -1e308)
+               5e-324, 1e308, -1e308, DEEP_LEAF)
 
 
 def model_payload(name: str) -> dict:
@@ -397,7 +420,7 @@ def mutated(payload: dict, path: tuple, value) -> dict:
 
 def evaluate_payload(payload, dataset, tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(json.dumps(payload).replace(json.dumps(DEEP_LEAF), DEEP.decode()), encoding="utf-8")
     return call(["evaluate", "--model", str(path), "--data", str(dataset)])
 
 
@@ -419,6 +442,8 @@ def model_mutations(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=model_mutations())
+# json.loads raised RecursionError on this, which exited 3
+@example(case=("svm", ("parameters", "weights"), mutated(model_payload("svm"), ("parameters", "weights"), DEEP_LEAF)))
 def test_structurally_mutated_model_files_never_exit_3(model_dataset, tmp_path, case):
     name, path, payload = case
     code, err = evaluate_payload(payload, model_dataset, tmp_path)

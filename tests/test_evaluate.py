@@ -19,8 +19,12 @@ from newsbarriers.knowledge import BarrierKind
 
 
 def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
+    """A dataset whose ``arrays()`` are ``X`` and ``y``: each row of X as the profile
+    block, after an empty concept block."""
+    no_concepts = np.zeros(0, dtype=np.uint8)
     instances = [
-        LabeledInstance(features=np.asarray(X[i], dtype=float), label=bool(y[i]), article_id=f"a{i:04d}")
+        LabeledInstance(concepts=no_concepts, profile=np.asarray(X[i], dtype=float), label=bool(y[i]),
+                        article_id=f"a{i:04d}")
         for i in range(len(y))
     ]
     return BarrierDataset(barrier=barrier, instances=instances)

@@ -9,7 +9,7 @@ from newsbarriers.features import (
     assemble_instance,
     build_vocabulary,
     build_vocabulary_from_index,
-    vectorize_concepts,
+    concept_block,
 )
 from newsbarriers.ingest import SpreadingExample
 from newsbarriers.knowledge import BARRIERS, BarrierKind, barrier_profile
@@ -71,19 +71,36 @@ def test_vocabulary_permutation_invariant(order, rnd):
     assert build_vocabulary(shuffled, k=4) == build_vocabulary(base, k=4)
 
 
-def test_vectorize_all_hits_and_misses():
+def presence(example, vocab) -> list:
+    """The per-entry presence test the concept block replaced, kept as a reference."""
+    return [1 if concept in example.concepts else 0 for concept, _ in vocab.entries]
+
+
+def test_concept_block_hits_and_misses():
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
-    assert vectorize_concepts(example("a", {"X", "Y", "Z"}), vocab).tolist() == [1, 1, 1]
-    assert vectorize_concepts(example("a", {"Q"}), vocab).tolist() == [0, 0, 0]
-    assert vectorize_concepts(example("a", {"Z", "X"}), vocab).tolist() == [1, 0, 1]
+    block = concept_block([example("a", {"X", "Y", "Z"}), example("b", {"Q"}), example("c", {"Z", "X"})], vocab)
+    assert block.dtype == np.uint8
+    assert block.tolist() == [[1, 1, 1], [0, 0, 0], [1, 0, 1]]
+    assert concept_block([], vocab).shape == (0, 3)
 
 
 @given(st.sets(st.sampled_from(["A", "B", "C", "D", "E"])), st.sets(st.text("abc", max_size=3)))
-def test_vectorize_ignores_out_of_vocabulary(hits, noise):
+def test_concept_block_ignores_out_of_vocabulary(hits, noise):
     vocab = ConceptVocabulary(entries=(("A", 5), ("B", 4), ("C", 3)))
-    with_noise = vectorize_concepts(example("a", hits | {f"oov_{n}" for n in noise}), vocab)
-    without = vectorize_concepts(example("a", hits), vocab)
-    assert np.array_equal(with_noise, without)
+    block = concept_block([example("a", hits | {f"oov_{n}" for n in noise}), example("a", hits)], vocab)
+    assert np.array_equal(block[0], block[1])
+
+
+@given(st.lists(st.sets(st.text("ABCDEF", max_size=2)), max_size=12),
+       st.lists(st.text("ABCDEF", max_size=2), min_size=1, max_size=8, unique=True))
+def test_concept_block_rows_equal_the_presence_test(concept_sets, ranked):
+    # vocabulary entries are a subset of the concepts the examples draw from, so rows
+    # mix hits with out-of-vocabulary concepts
+    vocab = ConceptVocabulary(entries=tuple((c, 1) for c in ranked))
+    examples = [example(f"a{i}", concepts) for i, concepts in enumerate(concept_sets)]
+    block = concept_block(examples, vocab)
+    assert block.shape == (len(examples), len(vocab))
+    assert block.tolist() == [presence(e, vocab) for e in examples]
 
 
 def block(publishers, profiles, uri, kind):
@@ -93,8 +110,12 @@ def block(publishers, profiles, uri, kind):
 def test_assemble_timezone_instance(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.TIME_ZONE)
-    inst = assemble_instance(example("a", {"X", "Z"}), vocab, profile, True)
-    assert inst.features.tolist() == [1.0, 0.0, 1.0, 0.0]
+    ex = example("a", {"X", "Z"})
+    concepts = concept_block([ex], vocab)[0]
+    inst = assemble_instance(ex, concepts, profile, True)
+    assert inst.concepts.tolist() == [1, 0, 1] and inst.profile.tolist() == [0.0]
+    # both blocks are referenced, not copied
+    assert inst.concepts is concepts and inst.profile is profile
     assert inst.label is True
     assert inst.article_id == "a"
 
@@ -102,9 +123,10 @@ def test_assemble_timezone_instance(profiles, publishers):
 def test_assemble_economic_length(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.ECONOMIC)
-    inst = assemble_instance(example("a", {"X"}), vocab, profile, False)
-    assert len(inst.features) == 3 + 13
-    assert inst.features[3:].tolist() == profile.tolist()
+    ex = example("a", {"X"})
+    inst = assemble_instance(ex, concept_block([ex], vocab)[0], profile, False)
+    assert len(inst.concepts) + len(inst.profile) == 3 + 13
+    assert inst.profile.tolist() == profile.tolist()
 
 
 def test_assemble_political_unknown_alignment(profiles, publishers):
@@ -114,16 +136,16 @@ def test_assemble_political_unknown_alignment(profiles, publishers):
     for error in (IncompleteMetadata, UnknownAlignment):
         with pytest.raises(error):
             profile = block(publishers, profiles, ex.source_publisher_uri, BarrierKind.POLITICAL)
-            assemble_instance(ex, vocab, profile, True)
+            assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
 
 
 def test_assemble_deterministic(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2)))
     ex = example("a", {"X"})
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.CULTURAL)
-    a = assemble_instance(ex, vocab, profile, True)
-    b = assemble_instance(ex, vocab, profile, True)
-    assert np.array_equal(a.features, b.features)
+    a = assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
+    b = assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
+    assert np.array_equal(a.concepts, b.concepts) and np.array_equal(a.profile, b.profile)
 
 
 def test_build_vocabulary_from_index():
