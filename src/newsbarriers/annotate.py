@@ -24,14 +24,7 @@ from .errors import (
 )
 from .features import ConceptVocabulary, assemble_instance, concept_block
 from .ingest import SpreadingExample
-from .knowledge import (
-    BARRIERS,
-    BarrierKind,
-    ProfileStore,
-    PublisherStore,
-    barrier_profile,
-    profile_feature_names,
-)
+from .knowledge import BARRIERS, BarrierKind, barrier_profile, profile_feature_names
 from .tables import atomic_writer, csv_field, csv_text, format_float, parse_float, read_table
 
 SIMILARITY_THRESHOLD = 0.9
@@ -100,8 +93,8 @@ class BarrierDataset:
 def build_barrier_dataset(
     examples: Sequence[SpreadingExample],
     kind: BarrierKind,
-    profiles: ProfileStore,
-    publishers: PublisherStore,
+    profiles: dict,
+    alignments: Sequence[str],
     vocab: ConceptVocabulary,
     threshold: float = SIMILARITY_THRESHOLD,
     profile_side: str = "source",
@@ -109,11 +102,14 @@ def build_barrier_dataset(
 ) -> BarrierDataset:
     """Label every example for one barrier and assemble its instances.
 
+    ``profiles`` is ``load_country_profiles``' dict and ``alignments`` the
+    political block's vocabulary (``knowledge.alignment_vocabulary``).
     ``economic_features`` narrows the economic block to those indicators.
     Examples that cannot be labeled (missing country metadata, unknown
-    political alignment) are dropped and tallied by reason; instance order
-    follows input order. The concept block is built once per call and each
-    publisher's profile block once; instances hold references to both.
+    political alignment) are dropped and tallied by reason, the source's
+    reason before the target's; instance order follows input order. The
+    concept block is built once per call and each publisher's profile block
+    once; instances hold references to both.
     """
     columns = BARRIERS[kind].columns
     if kind is BarrierKind.ECONOMIC and economic_features:
@@ -121,7 +117,6 @@ def build_barrier_dataset(
             if name not in columns:
                 raise MissingColumn(name)
         columns = tuple(economic_features)
-    alignments = publishers.alignment_vocabulary
     dataset = BarrierDataset(
         barrier=kind,
         instances=[],
@@ -129,21 +124,20 @@ def build_barrier_dataset(
     )
     blocks = {}  # publisher uri -> its profile block, or the drop reason it gives
 
-    def profile_of(uri):
+    def profile_of(publisher):
+        uri = publisher.publisher_uri
         if uri not in blocks:
-            publisher = publishers.get(uri)
             try:
-                blocks[uri] = (barrier_profile(publisher, profiles, columns, alignments)
-                               if publisher else "missing_publisher")
+                blocks[uri] = barrier_profile(publisher, profiles, columns, alignments)
             except IncompleteMetadata as exc:
                 blocks[uri] = "unknown_alignment" if isinstance(exc, UnknownAlignment) else "incomplete_metadata"
         return blocks[uri]
 
     for example, concepts in zip(examples, concept_block(examples, vocab)):
-        a, b = profile_of(example.source_publisher_uri), profile_of(example.target_publisher_uri)
-        reasons = [x for x in (a, b) if isinstance(x, str)]
-        if reasons:  # a missing publisher outranks the other's missing metadata
-            dataset.dropped["missing_publisher" if "missing_publisher" in reasons else reasons[0]] += 1
+        a, b = profile_of(example.source), profile_of(example.target)
+        reason = a if isinstance(a, str) else b if isinstance(b, str) else None
+        if reason:
+            dataset.dropped[reason] += 1
             continue
         try:
             label = barrier_present(kind, a, b, threshold)

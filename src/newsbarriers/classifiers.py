@@ -18,7 +18,6 @@ identical learned parameters and predictions.
 """
 
 import inspect
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateTrainingSet, EmptyInput, LengthMismatch
-from .tables import atomic_writer, read_file
+from .tables import decode_json, read_file, write_json
 
 
 class ModelFamily(Enum):
@@ -479,7 +478,6 @@ class RandomForest(Stateful):
         self.max_features = max_features
         self.seed = seed
         self.trees_: list = []
-        self.bootstrap_indices_: list = []
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -487,14 +485,12 @@ class RandomForest(Stateful):
         n, d = X.shape
         max_features = self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1
         self.trees_ = []
-        self.bootstrap_indices_ = []
         for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators):
             rng = np.random.default_rng(child)
             boot = rng.integers(0, n, size=n)
             tree = DecisionTreeCART(max_features=max_features, rng=rng)
             tree.fit(X[boot], y[boot])
             self.trees_.append(tree)
-            self.bootstrap_indices_.append(boot)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -705,16 +701,14 @@ def save_model(model: TrainedModel, path) -> None:
         "standardization": model.estimator.get_state(model.estimator.STANDARDIZATION) or None,
         "parameters": model.estimator.get_state(),
     }
-    with atomic_writer(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> TrainedModel:
     """Read a saved model: a missing file is a ConfigError, a malformed one a DataError."""
     text = read_file(path)
     try:
-        payload = json.loads(text)
+        payload = decode_json(text)
         version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format: {version!r}")
@@ -727,6 +721,5 @@ def load_model(path) -> TrainedModel:
         std = payload["standardization"]
         est.set_state(est.STANDARDIZATION, {} if std is None else std, n_features, "standardization")
         return TrainedModel(spec.family, spec.hyperparameters, spec.seed, n_features, est)
-    # RecursionError: json.loads on text nested deeper than the recursion limit
-    except (ConfigError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+    except (ConfigError, DataError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None

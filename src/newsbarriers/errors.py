@@ -26,7 +26,6 @@ class NonFiniteValue(DataError):
     def __init__(self, row: int, column: str, value: str = ""):
         self.row = row
         self.column = column
-        self.value = value
         super().__init__(f"non-finite value in row {row}, column {column!r}: {value!r}")
 
 
@@ -36,20 +35,15 @@ class RangeViolation(NonFiniteValue):
     def __init__(self, row: int, column: str, value: float, lo: float, hi: float):
         self.row = row
         self.column = column
-        self.value = value
         DataError.__init__(self, f"value {value!r} in row {row}, column {column!r} outside [{lo}, {hi}]")
 
 
 class DuplicateCountry(DataError):
-    def __init__(self, country_code: str):
-        self.country_code = country_code
-        super().__init__(f"duplicate country_code: {country_code}")
+    """A country_code on more than one row of countries.csv."""
 
 
 class DuplicatePublisher(DataError):
-    def __init__(self, publisher_uri: str):
-        self.publisher_uri = publisher_uri
-        super().__init__(f"duplicate publisher_uri: {publisher_uri}")
+    """A publisher_uri, once normalized, on more than one row of publishers.csv."""
 
 
 class MalformedRow(DataError):
@@ -67,7 +61,6 @@ class MalformedLine(DataError):
 class UnknownClassLabel(DataError):
     def __init__(self, row: int, label: str):
         self.row = row
-        self.label = label
         super().__init__(f"unknown propagation class in row {row}: {label!r}")
 
 
@@ -100,8 +93,4 @@ class DegenerateTrainingSet(DataError):
 
 
 class TooFewPerClass(DataError):
-    def __init__(self, label: bool, count: int, k: int):
-        self.label = label
-        self.count = count
-        self.k = k
-        super().__init__(f"class {label} has {count} instances, fewer than k={k} folds")
+    """A class with fewer instances than cross-validation folds."""

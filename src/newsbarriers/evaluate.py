@@ -66,7 +66,7 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[
     for label in (False, True):
         members = [i for i in range(n) if labels[i] == label]
         if len(members) < k:
-            raise TooFewPerClass(label, len(members), k)
+            raise TooFewPerClass(f"class {label} has {len(members)} instances, fewer than k={k} folds")
         members.sort(key=lambda i: (ids[i], i))
         order = rng.permutation(len(members))
         for position, j in enumerate(order):
@@ -151,27 +151,27 @@ def run_experiment(
     """
     X, y = dataset.arrays()
     assignment = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
-    rows = []
-    for m, family in enumerate(families):
-        values = (grids or {}).get(family, FAMILIES[family].sweep_values)
-        pooled = np.empty(len(y), dtype=bool)
-        per_fold = []
-        for fold in range(k):
-            tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
+    sweeps = [(grids or {}).get(family, FAMILIES[family].sweep_values) for family in families]
+    pooled = np.empty((len(families), len(y)), dtype=bool)
+    per_fold = [[] for _ in families]
+    for fold in range(k):
+        tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
+        train_data, X_te, y_te = (X[tr], y[tr]), X[te], y[te]  # sliced once per fold, shared by every family
+        for m, (family, values) in enumerate(zip(families, sweeps)):
             fold_seed = _child_seed(seed, m, fold)
-            train_data = (X[tr], y[tr])
             if nested and len(values) > 1:
                 value = _select_nested(family, values, train_data, fold_seed)
                 spec = ModelSpec(family, {FAMILIES[family].sweep_param: value}, fold_seed)
-                preds = train(spec, train_data).predict_batch(X[te])
+                preds = train(spec, train_data).predict_batch(X_te)
             else:
-                _, preds = sweep_full(family, values, train_data, (X[te], y[te]), fold_seed)
-            pooled[te] = preds
+                _, preds = sweep_full(family, values, train_data, (X_te, y_te), fold_seed)
+            pooled[m, te] = preds
             if fold_mean:
-                per_fold.append(micro_metrics(preds, y[te]))
-        metrics = _mean_metrics(per_fold) if fold_mean else micro_metrics(pooled, y)
-        rows.append(ReportRow(barrier=dataset.barrier, family=family, metrics=metrics))
-    return rows
+                per_fold[m].append(micro_metrics(preds, y_te))
+    return [
+        ReportRow(dataset.barrier, family, _mean_metrics(per_fold[m]) if fold_mean else micro_metrics(pooled[m], y))
+        for m, family in enumerate(families)
+    ]
 
 
 def _sorted_rows(rows: Sequence[ReportRow]) -> list:

@@ -6,7 +6,6 @@ pair is reduced to its source article (the ``from`` side) joined with that
 article's concept annotations.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,7 +13,8 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import MalformedLine, MalformedRow, UnknownClassLabel
-from .tables import format_float, open_text, read_table, write_table
+from .knowledge import PublisherRecord, normalize_uri
+from .tables import format_float, read_json_lines, read_table, write_table
 
 PAIR_COLUMNS = (
     "from",
@@ -64,9 +64,8 @@ class ArticlePair:
 @dataclass(frozen=True)
 class SpreadingExample:
     article_id: str
-    source_publisher_uri: str
-    target_publisher_uri: str
-    event_label: str
+    source: PublisherRecord
+    target: PublisherRecord
     concepts: frozenset
 
 
@@ -141,54 +140,41 @@ def load_concept_annotations(path) -> dict:
     """Load a line-delimited JSON file of {"article": id, "concepts": [...]} as
     article_id -> concept frozenset, merged by union over repeated lines."""
     mapping: dict = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(lineno, f"invalid JSON: {exc.msg}") from None
-            except RecursionError:
-                raise MalformedLine(lineno, "invalid JSON: nested too deeply") from None
-            if not isinstance(record, dict) or "article" not in record or "concepts" not in record:
-                raise MalformedLine(lineno, "expected fields 'article' and 'concepts'")
-            article = record["article"]
-            concepts = record["concepts"]
-            if not isinstance(article, str) or not isinstance(concepts, list):
-                raise MalformedLine(lineno, "'article' must be a string and 'concepts' a list")
-            if not all(isinstance(c, str) for c in concepts):
-                raise MalformedLine(lineno, "'concepts' must contain only strings")
-            mapping.setdefault(article, set()).update(concepts)
+    for lineno, record in read_json_lines(path):
+        if not isinstance(record, dict) or "article" not in record or "concepts" not in record:
+            raise MalformedLine(lineno, "expected fields 'article' and 'concepts'")
+        article = record["article"]
+        concepts = record["concepts"]
+        if not isinstance(article, str) or not isinstance(concepts, list):
+            raise MalformedLine(lineno, "'article' must be a string and 'concepts' a list")
+        if not all(isinstance(c, str) for c in concepts):
+            raise MalformedLine(lineno, "'concepts' must contain only strings")
+        mapping.setdefault(article, set()).update(concepts)
     return {article: frozenset(concepts) for article, concepts in mapping.items()}
 
 
-def to_spreading_examples(pairs, concepts: dict, publishers, event_label: str):
+def to_spreading_examples(pairs, concepts: dict, publishers: dict):
     """Reduce propagated pairs to source-article spreading examples.
 
-    Pairs whose source or target publisher is absent from the publisher store,
-    or whose source article has no concept annotation, are dropped and tallied
-    by reason. Duplicate source articles stay distinct examples.
+    Each pair's publisher uris are looked up, normalized, in ``publishers``
+    (``load_publishers``' dict), and the example carries both records. Pairs
+    whose source or target publisher is absent, or whose source article has no
+    concept annotation, are dropped and tallied by reason. Duplicate source
+    articles stay distinct examples.
     """
     examples = []
     report = IngestReport(propagated=len(pairs))
     for pair in pairs:
-        if publishers.get(pair.from_publisher_uri) is None or publishers.get(pair.to_publisher_uri) is None:
+        source = publishers.get(normalize_uri(pair.from_publisher_uri))
+        target = publishers.get(normalize_uri(pair.to_publisher_uri))
+        if source is None or target is None:
             report.drops["missing_publisher"] += 1
             continue
         concept_set = concepts.get(pair.from_id)
         if not concept_set:
             report.drops["missing_concepts"] += 1
             continue
-        examples.append(
-            SpreadingExample(
-                article_id=pair.from_id,
-                source_publisher_uri=pair.from_publisher_uri,
-                target_publisher_uri=pair.to_publisher_uri,
-                event_label=event_label,
-                concepts=concept_set,
-            )
-        )
+        examples.append(SpreadingExample(pair.from_id, source, target, concept_set))
     report.examples = len(examples)
     report.unique_source_articles = len({e.article_id for e in examples})
     return examples, report

@@ -3,13 +3,13 @@
 Two CSV files feed this module: ``countries.csv`` (one row per country with
 economic indicators, cultural dimensions, coordinates, and UTC offset) and
 ``publishers.csv`` (publisher URI, display name, country, optional political
-alignment). Both stores are immutable after load and safe to read from
-multiple threads.
+alignment). Each loads into a plain dict: ``{country_code: CountryProfile}`` and
+``{normalized publisher uri: PublisherRecord}``.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,78 +124,31 @@ class PublisherRecord:
     political_alignment: Optional[str] = None
 
 
-class ProfileStore:
-    """Immutable country_code -> CountryProfile mapping."""
+def minmax_scaled(profiles: dict) -> dict:
+    """Profiles with the cosine barriers' columns min-max scaled per column.
 
-    def __init__(self, profiles: Sequence[CountryProfile]):
-        self._profiles: dict[str, CountryProfile] = {}
-        for p in profiles:
-            if p.country_code in self._profiles:
-                raise DuplicateCountry(p.country_code)
-            self._profiles[p.country_code] = p
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __contains__(self, country_code: str) -> bool:
-        return country_code in self._profiles
-
-    def __iter__(self) -> Iterator[CountryProfile]:
-        return iter(self._profiles.values())
-
-    def get(self, country_code: str) -> Optional[CountryProfile]:
-        return self._profiles.get(country_code)
-
-    def minmax_scaled(self) -> "ProfileStore":
-        """Store with the cosine barriers' columns min-max scaled per column.
-
-        Constant columns map to 0.5 so no vector collapses to all zeros.
-        Intended for sensitivity studies; the default pipeline uses raw values.
-        """
-        if not self._profiles:
-            return self
-        columns = [c for barrier in BARRIERS.values() if barrier.cosine for c in barrier.columns]
-        block = np.array([[p.values[c] for c in columns] for p in self], dtype=float)
-        lo, hi = block.min(axis=0), block.max(axis=0)
-        span = hi - lo
-        scaled = np.full_like(block, 0.5)
-        nonconst = span > 0
-        scaled[:, nonconst] = (block[:, nonconst] - lo[nonconst]) / span[nonconst]
-        return ProfileStore(
-            [replace(p, values={**p.values, **dict(zip(columns, row.tolist()))}) for p, row in zip(self, scaled)]
-        )
+    Constant columns map to 0.5 so no vector collapses to all zeros.
+    Intended for sensitivity studies; the default pipeline uses raw values.
+    """
+    if not profiles:
+        return profiles
+    columns = [c for barrier in BARRIERS.values() if barrier.cosine for c in barrier.columns]
+    block = np.array([[p.values[c] for c in columns] for p in profiles.values()], dtype=float)
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    span = hi - lo
+    scaled = np.full_like(block, 0.5)
+    nonconst = span > 0
+    scaled[:, nonconst] = (block[:, nonconst] - lo[nonconst]) / span[nonconst]
+    return {
+        code: replace(p, values={**p.values, **dict(zip(columns, row.tolist()))})
+        for (code, p), row in zip(profiles.items(), scaled)
+    }
 
 
-class PublisherStore:
-    """Immutable normalized-URI -> PublisherRecord mapping."""
-
-    def __init__(self, records: Sequence[PublisherRecord]):
-        self._records: dict[str, PublisherRecord] = {}
-        for r in records:
-            if r.publisher_uri in self._records:
-                raise DuplicatePublisher(r.publisher_uri)
-            self._records[r.publisher_uri] = r
-        # Closed vocabulary for the political one-hot block, alphabetical so the
-        # encoding does not depend on file row order. Unknown stays out of it.
-        self._alignment_vocabulary = tuple(
-            sorted({r.political_alignment for r in records if r.political_alignment is not None})
-        )
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, uri: str) -> bool:
-        return normalize_uri(uri) in self._records
-
-    def __iter__(self) -> Iterator[PublisherRecord]:
-        return iter(self._records.values())
-
-    def get(self, uri: str) -> Optional[PublisherRecord]:
-        return self._records.get(normalize_uri(uri))
-
-    @property
-    def alignment_vocabulary(self) -> tuple:
-        return self._alignment_vocabulary
+def alignment_vocabulary(publishers: dict) -> tuple:
+    """Closed vocabulary of the political one-hot block, alphabetical so the encoding
+    does not depend on file row order. Unknown stays out of it."""
+    return tuple(sorted({r.political_alignment for r in publishers.values() if r.political_alignment is not None}))
 
 
 def _require_columns(header: tuple, columns: Sequence[str]) -> None:
@@ -205,13 +158,13 @@ def _require_columns(header: tuple, columns: Sequence[str]) -> None:
             raise MissingColumn(column)
 
 
-def load_country_profiles(path) -> ProfileStore:
-    """Load countries.csv into a ProfileStore keyed by country code.
+def load_country_profiles(path) -> dict:
+    """Load countries.csv as ``{country_code: CountryProfile}``; a code seen twice is a DataError.
 
     Values must be finite and within COLUMN_RANGES, and no cosine barrier's
     columns may be all zero.
     """
-    profiles = []
+    profiles = {}
     with read_table(path) as (header, rows):
         _require_columns(header, COUNTRY_COLUMNS)
         for rownum, cells in rows:
@@ -227,20 +180,23 @@ def load_country_profiles(path) -> ProfileStore:
             for kind, barrier in BARRIERS.items():
                 if barrier.cosine and not any(values[c] for c in barrier.columns):
                     raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
-            profiles.append(CountryProfile(code, values))
-    return ProfileStore(profiles)
+            if code in profiles:
+                raise DuplicateCountry(f"duplicate country_code: {code}")
+            profiles[code] = CountryProfile(code, values)
+    return profiles
 
 
-def save_country_profiles(store: ProfileStore, path) -> None:
-    """Serialize a ProfileStore back to countries.csv, round-trip exact."""
-    rows = ([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]] for p in store)
+def save_country_profiles(profiles: dict, path) -> None:
+    """Serialize ``{country_code: CountryProfile}`` back to countries.csv, round-trip exact."""
+    rows = ([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]] for p in profiles.values())
     write_table(path, COUNTRY_COLUMNS, rows)
 
 
-def load_publishers(path) -> PublisherStore:
-    """Load publishers.csv. A record whose country is absent from the profile
-    store is kept; ``barrier_profile`` finds it incomplete."""
-    records = []
+def load_publishers(path) -> dict:
+    """Load publishers.csv as ``{normalized uri: PublisherRecord}``; a uri seen twice is a
+    DataError. A record whose country has no profile is kept; ``barrier_profile`` finds it
+    incomplete."""
+    records = {}
     with read_table(path) as (header, rows):
         _require_columns(header, PUBLISHER_COLUMNS)
         for rownum, cells in rows:
@@ -248,9 +204,11 @@ def load_publishers(path) -> PublisherStore:
             uri = normalize_uri(row["publisher_uri"])
             if not uri:
                 raise MalformedRow(rownum, "empty publisher_uri")
+            if uri in records:
+                raise DuplicatePublisher(f"duplicate publisher_uri: {uri}")
             alignment = normalize_alignment(row["political_alignment"])
-            records.append(PublisherRecord(uri, row["publisher_name"], row["country_code"].upper(), alignment))
-    return PublisherStore(records)
+            records[uri] = PublisherRecord(uri, row["publisher_name"], row["country_code"].upper(), alignment)
+    return records
 
 
 def profile_feature_names(columns: Sequence[str], alignment_vocabulary: Sequence[str] = ()) -> tuple:
@@ -262,13 +220,13 @@ def profile_feature_names(columns: Sequence[str], alignment_vocabulary: Sequence
 
 def barrier_profile(
     publisher: PublisherRecord,
-    store: ProfileStore,
+    profiles: dict,
     columns: Sequence[str],
     alignment_vocabulary: Sequence[str] = (),
 ) -> np.ndarray:
     """Numeric feature block describing one publisher over a barrier's countries.csv ``columns``.
 
-    With columns, the publisher's country is resolved in the profile store;
+    With columns, the publisher's country is looked up in ``profiles``;
     without, the block is the publisher's alignment, one-hot encoded over
     ``alignment_vocabulary``.
     """
@@ -284,7 +242,7 @@ def barrier_profile(
             ) from None
         return onehot
 
-    profile = store.get(publisher.country_code)
+    profile = profiles.get(publisher.country_code)
     if profile is None:
         raise IncompleteMetadata(
             f"publisher {publisher.publisher_uri}: country {publisher.country_code!r} not in profile store"

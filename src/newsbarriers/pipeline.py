@@ -20,7 +20,7 @@ from .ingest import (
     parse_pairs,
     to_spreading_examples,
 )
-from .knowledge import BarrierKind, load_country_profiles, load_publishers
+from .knowledge import BarrierKind, alignment_vocabulary, load_country_profiles, load_publishers, minmax_scaled
 from .tables import write_file
 
 
@@ -44,11 +44,11 @@ def make_out_dir(path) -> Path:
 
 
 def ingest_corpus(config: PipelineConfig):
-    """Load stores and restructure the pair file into spreading examples."""
+    """Load the metadata and restructure the pair file into spreading examples."""
     with stage("countries"):
         profiles = load_country_profiles(config.countries)
     if config.scale_profiles:
-        profiles = profiles.minmax_scaled()
+        profiles = minmax_scaled(profiles)
     with stage("publishers"):
         publishers = load_publishers(config.publishers)
     with stage("pairs"):
@@ -56,7 +56,7 @@ def ingest_corpus(config: PipelineConfig):
     with stage("concepts"):
         index = load_concept_annotations(config.concepts)
     propagated = filter_propagated(pairs)
-    examples, report = to_spreading_examples(propagated, index, publishers, config.event)
+    examples, report = to_spreading_examples(propagated, index, publishers)
     report.total_pairs = len(pairs)
     report.class_weight_inconsistencies = count_class_weight_inconsistencies(pairs)
     return profiles, publishers, index, examples, report
@@ -73,6 +73,7 @@ def annotate_corpus(config: PipelineConfig):
     """Ingest, build the vocabulary, and materialize per-barrier datasets."""
     out = make_out_dir(config.out)
     profiles, publishers, index, examples, report = ingest_corpus(config)
+    alignments = alignment_vocabulary(publishers)
     with stage("out"):
         write_file(out / "ingest_report.txt", report.render())
     vocab = build_vocab(config, examples, index)
@@ -86,7 +87,7 @@ def annotate_corpus(config: PipelineConfig):
                 examples,
                 kind,
                 profiles,
-                publishers,
+                alignments,
                 vocab,
                 threshold=config.threshold,
                 profile_side=config.profile_side,

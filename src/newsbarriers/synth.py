@@ -13,7 +13,6 @@ Per-barrier regimes shape the metadata:
 """
 
 import itertools
-import json
 import math
 import string
 from dataclasses import asdict, dataclass, field
@@ -31,10 +30,9 @@ from .knowledge import (
     PUBLISHER_COLUMNS,
     BarrierKind,
     CountryProfile,
-    ProfileStore,
     save_country_profiles,
 )
-from .tables import atomic_writer, read_table, write_table
+from .tables import read_table, write_json, write_table
 
 REGIMES = ("same", "diff", "mixed")
 
@@ -196,8 +194,8 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     coords = _coordinates(rng, spec.n_countries, spec.regime(BarrierKind.GEOGRAPHICAL))
     offsets = _offsets(rng, spec.n_countries, spec.regime(BarrierKind.TIME_ZONE))
 
-    profiles = [
-        CountryProfile(
+    profiles = {
+        codes[i]: CountryProfile(
             codes[i],
             {
                 "latitude": coords[i][0],
@@ -208,8 +206,8 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
             },
         )
         for i in range(spec.n_countries)
-    ]
-    save_country_profiles(ProfileStore(profiles), out / "countries.csv")
+    }
+    save_country_profiles(profiles, out / "countries.csv")
 
     # round-robin start covers every country when publishers allow it
     country_of = [i % spec.n_countries for i in range(min(spec.n_publishers, spec.n_countries))]
@@ -308,12 +306,9 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
         )
 
     serialize_pairs(pairs, out / "pairs.csv")
-    with atomic_writer(out / "concepts.jsonl") as fh:
-        fh.writelines(json.dumps(line) + "\n" for line in concept_lines)
+    write_json(out / "concepts.jsonl", concept_lines, lines=True)
     write_table(out / "truth.csv", ("pair_index", "article_id", "barrier", "label"), truth_rows)
-    with atomic_writer(out / "synth_spec.json") as fh:
-        json.dump(asdict(spec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "synth_spec.json", asdict(spec))
 
     return {
         "pairs": out / "pairs.csv",

@@ -2,21 +2,23 @@
 
 Inputs are UTF-8, with or without a byte-order mark. Every CSV has one dialect:
 header names and cells stripped, each name once, rows with no text skipped,
-every other row as wide as the header; a row number is a line number. Every
-file is written to ``.<name>.tmp`` and renamed over its name, so a reader sees
-the old file or the new one, never part of one.
+every other row as wide as the header; a row number is a line number. JSON
+that does not parse, or nests deeper than the recursion limit, is a DataError.
+Every file is written to ``.<name>.tmp`` and renamed over its name, so a reader
+sees the old file or the new one, never part of one.
 """
 
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, DataError, MalformedRow, NonFiniteValue
+from .errors import ConfigError, DataError, MalformedLine, MalformedRow, NonFiniteValue
 
 
 def format_float(value) -> str:
@@ -55,6 +57,24 @@ def open_text(path):
 def read_file(path) -> str:
     with open_text(path) as fh:
         return fh.read()
+
+
+def decode_json(text: str, line=None):
+    """The value of the JSON ``text``; on a JSON-lines file's ``line``, errors are MalformedLines."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        if line is None:
+            raise DataError(str(exc)) from None
+        raise MalformedLine(line, f"invalid JSON: {getattr(exc, 'msg', 'nested too deeply')}") from None
+
+
+def read_json_lines(path):
+    """``(line number, value)`` for each line of the JSON-lines file at ``path`` that holds text."""
+    with open_text(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                yield n, decode_json(line, n)
 
 
 def _rows(reader, width: int):
@@ -102,6 +122,15 @@ def atomic_writer(path):
 def write_file(path, text: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(text)
+
+
+def write_json(path, value, lines: bool = False) -> None:
+    """``value`` as JSON indented by one with sorted keys; with ``lines``, each item on a line of its own."""
+    with atomic_writer(path) as fh:
+        if lines:
+            fh.writelines(json.dumps(item) + "\n" for item in value)
+        else:
+            fh.write(json.dumps(value, indent=1, sort_keys=True) + "\n")
 
 
 def write_table(path, header, rows) -> None:

@@ -34,11 +34,12 @@ from newsbarriers.knowledge import (
     ECONOMIC_FEATURES,
     BarrierKind,
     CountryProfile,
-    ProfileStore,
     PublisherRecord,
+    alignment_vocabulary,
     barrier_profile,
     load_country_profiles,
     load_publishers,
+    minmax_scaled,
 )
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 from newsbarriers.tables import format_float
@@ -154,7 +155,7 @@ def make_publisher(uri, country, alignment=None):
 
 def present(kind, a, b, countries, threshold=0.9):
     """Label of publishers ``a`` and ``b`` from their profile blocks over a store of ``countries``."""
-    store = ProfileStore({c.country_code: c for c in countries}.values())
+    store = {c.country_code: c for c in countries}
     vocab = tuple(sorted({p.political_alignment for p in (a, b) if p.political_alignment}))
     block_a, block_b = (barrier_profile(p, store, BARRIERS[kind].columns, vocab) for p in (a, b))
     return barrier_present(kind, block_a, block_b, threshold)
@@ -242,113 +243,112 @@ def test_barrier_present_symmetric(kind, i, j, threshold):
         assert present(kind, a, b, countries, threshold) is False
 
 
-def example(article_id, source, target, concepts=("X",)):
-    return SpreadingExample(
-        article_id=article_id,
-        source_publisher_uri=source,
-        target_publisher_uri=target,
-        event_label="demo",
-        concepts=frozenset(concepts),
-    )
+@pytest.fixture
+def alignments(publishers):
+    return alignment_vocabulary(publishers)
+
+
+def example(publishers, article_id, source, target, concepts=("X",)):
+    return SpreadingExample(article_id, publishers[source], publishers[target], frozenset(concepts))
 
 
 @pytest.fixture
-def demo_examples():
+def demo_examples(publishers):
     return [
-        example("English881", "news.sky.com", "247wallst.com", {"Earthquake", "Richter_scale"}),
-        example("German237", "aargauerzeitung.ch", "aargauerzeitung.ch", {"FIFA_World_Cup"}),
-        example("Extra1", "derstandard.at", "dailymail.co.uk", {"Earthquake"}),
-        example("Extra2", "stern.de", "dailymail.co.uk", {"FIFA_World_Cup"}),
+        example(publishers, "English881", "news.sky.com", "247wallst.com", {"Earthquake", "Richter_scale"}),
+        example(publishers, "German237", "aargauerzeitung.ch", "aargauerzeitung.ch", {"FIFA_World_Cup"}),
+        example(publishers, "Extra1", "derstandard.at", "dailymail.co.uk", {"Earthquake"}),
+        example(publishers, "Extra2", "stern.de", "dailymail.co.uk", {"FIFA_World_Cup"}),
     ]
 
 
-def test_build_dataset_accounting_and_order(demo_examples, profiles, publishers):
+def test_build_dataset_accounting_and_order(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
     for kind in BarrierKind:
-        dataset = build_barrier_dataset(demo_examples, kind, profiles, publishers, vocab)
+        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
         assert len(dataset.instances) + dataset.total_dropped == len(demo_examples)
         ids = [i.article_id for i in dataset.instances]
         assert ids == [e.article_id for e in demo_examples if e.article_id in ids]
 
 
-def test_build_dataset_drop_reasons(demo_examples, profiles, publishers):
+def test_build_dataset_drop_reasons(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, publishers, vocab)
+    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
     # English881 targets a publisher with an unmapped country
     assert timezone.dropped["incomplete_metadata"] == 1
     assert [i.article_id for i in timezone.instances] == ["German237", "Extra1", "Extra2"]
 
-    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, publishers, vocab)
+    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, alignments, vocab)
     # watson and stern have no alignment; 247wallst.com has none either
     assert political.dropped["unknown_alignment"] == 3
     assert [i.article_id for i in political.instances] == ["Extra1"]
     assert political.instances[0].label is True  # social-liberalism vs right-wing
 
 
-def test_same_publisher_pair_labels_false_everywhere(demo_examples, profiles, publishers):
+def test_same_publisher_pair_labels_false_everywhere(demo_examples, profiles, publishers, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    same = [example("German237", "aargauerzeitung.ch", "aargauerzeitung.ch")]
+    same = [example(publishers, "German237", "aargauerzeitung.ch", "aargauerzeitung.ch")]
     for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
-        dataset = build_barrier_dataset(same, kind, profiles, publishers, vocab)
+        dataset = build_barrier_dataset(same, kind, profiles, alignments, vocab)
         assert [i.label for i in dataset.instances] == [False]
 
 
-def test_instances_share_one_feature_length(demo_examples, profiles, publishers):
+def test_instances_share_one_feature_length(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
     for kind in BarrierKind:
-        dataset = build_barrier_dataset(demo_examples, kind, profiles, publishers, vocab)
+        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
         lengths = {len(i.concepts) + len(i.profile) for i in dataset.instances}
         assert len(lengths) == 1
         assert lengths == {len(dataset.feature_names)}
 
 
-def test_class_counts(demo_examples, profiles, publishers):
+def test_class_counts(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    dataset = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, publishers, vocab)
+    dataset = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
     n_true, n_false = dataset.class_counts
     assert n_true + n_false == len(dataset.instances)
     labels = [i.label for i in dataset.instances]
     assert n_true == sum(labels)
 
 
-def test_feature_names_per_barrier(demo_examples, profiles, publishers):
+def test_feature_names_per_barrier(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=3)
-    economic = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab)
+    economic = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab)
     assert economic.feature_names[:3] == ("c0", "c1", "c2")
     assert economic.feature_names[3] == "Rank"
     assert len(economic.feature_names) == 3 + 13
-    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, publishers, vocab)
+    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, alignments, vocab)
     assert political.feature_names[3:] == (
         "Political-Alignment=right-wing",
         "Political-Alignment=social-liberalism",
     )
     # countries.csv columns keep their dataset header names
-    geographical = build_barrier_dataset(demo_examples, BarrierKind.GEOGRAPHICAL, profiles, publishers, vocab)
+    geographical = build_barrier_dataset(demo_examples, BarrierKind.GEOGRAPHICAL, profiles, alignments, vocab)
     assert geographical.feature_names[3:] == ("Latitude", "Longitude")
-    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, publishers, vocab)
+    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
     assert timezone.feature_names[3:] == ("UTC-offset",)
 
 
-def test_economic_features_narrow_the_block(demo_examples, profiles, publishers):
+def test_economic_features_narrow_the_block(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=1)
-    narrowed = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab,
+    narrowed = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab,
                                      economic_features=("Health", "Rank"))
     assert narrowed.feature_names == ("c0", "Health", "Rank")
     # an empty subset means every indicator, as in PipelineConfig
-    full = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab, economic_features=())
+    full = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab, economic_features=())
     assert full.feature_names == ("c0",) + ECONOMIC_FEATURES
     # the subset narrows only the economic block
-    cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, publishers, vocab,
+    cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab,
                                      economic_features=("Rank",))
     assert cultural.feature_names == ("c0",) + CULTURAL_FEATURES
     with pytest.raises(MissingColumn):
-        build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, publishers, vocab,
+        build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab,
                               economic_features=("NotAColumn",))
 
 
-def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, publishers):
+def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=4)
-    dataset = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, publishers, vocab)
+    dataset = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab)
     path = tmp_path / "dataset.csv"
     save_barrier_dataset(dataset, path)
     X, y = load_barrier_dataset(path)
@@ -358,21 +358,21 @@ def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, publishers):
     assert header == ",".join(("article_id", "label") + dataset.feature_names)
 
 
-def test_threshold_parameter_changes_labels(profiles, publishers):
+def test_threshold_parameter_changes_labels(profiles, publishers, alignments):
     # GB vs DE cultural similarity sits between the default and a higher threshold
-    ex = [example("a", "news.sky.com", "stern.de")]
+    ex = [example(publishers, "a", "news.sky.com", "stern.de")]
     vocab = build_vocabulary(ex, k=1)
-    strict = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, publishers, vocab, threshold=0.999)
-    loose = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, publishers, vocab, threshold=0.5)
+    strict = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, alignments, vocab, threshold=0.999)
+    loose = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, alignments, vocab, threshold=0.5)
     assert strict.instances[0].label is True
     assert loose.instances[0].label is False
 
 
-def test_build_dataset_profile_side_target(profiles, publishers):
-    ex = [example("a", "news.sky.com", "stern.de", {"X"})]
+def test_build_dataset_profile_side_target(profiles, publishers, alignments):
+    ex = [example(publishers, "a", "news.sky.com", "stern.de", {"X"})]
     vocab = build_vocabulary(ex, k=1)
-    src = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="source")
-    tgt = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, publishers, vocab, profile_side="target")
+    src = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, alignments, vocab, profile_side="source")
+    tgt = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, alignments, vocab, profile_side="target")
     assert src.arrays()[0].tolist() == [[1.0, 0.0]]  # GB offset 0
     assert tgt.arrays()[0].tolist() == [[1.0, 60.0]]  # DE offset 60
     assert src.instances[0].label is tgt.instances[0].label is True
@@ -417,15 +417,11 @@ def presence(example, vocab) -> list:
     return [1.0 if concept in example.concepts else 0.0 for concept, _ in vocab.entries]
 
 
-def ladder_dataset(examples, kind, profiles, publishers, threshold, side, economic_features):
+def ladder_dataset(examples, kind, profiles, alignments, threshold, side, economic_features):
     """(article_id, label) pairs, drop counts and profile blocks the way the ladder built a dataset."""
     labels, dropped, blocks = [], Counter(), []
     for ex in examples:
-        source = publishers.get(ex.source_publisher_uri)
-        target = publishers.get(ex.target_publisher_uri)
-        if source is None or target is None:
-            dropped["missing_publisher"] += 1
-            continue
+        source, target = ex.source, ex.target
         try:
             label = ladder_label(kind, source, target, profiles, threshold, economic_features)
         except UnknownAlignment:
@@ -439,7 +435,7 @@ def ladder_dataset(examples, kind, profiles, publishers, threshold, side, econom
             continue
         labels.append((ex.article_id, label))
         publisher = source if side == "source" else target
-        blocks.append(ladder_block(kind, publisher, profiles, publishers.alignment_vocabulary, economic_features))
+        blocks.append(ladder_block(kind, publisher, profiles, alignments, economic_features))
     return labels, dropped, blocks
 
 
@@ -450,18 +446,17 @@ def synth_corpus(tmp_path_factory):
                                           unknown_alignment_rate=0.15), out)
     # continuous indicator vectors with some zero entries, so cosines spread over the thresholds
     rng = np.random.default_rng(4)
-    profiles = ProfileStore([
-        replace(p, values={**p.values, **dict(zip(ECONOMIC_FEATURES, rng.uniform(0, 10, 13) * (rng.random(13) < 0.6))),
-                           **dict(zip(CULTURAL_FEATURES, rng.uniform(1, 10, 6)))})
-        for p in load_country_profiles(paths["countries"])
-    ])
+    profiles = {
+        code: replace(p, values={**p.values,
+                                 **dict(zip(ECONOMIC_FEATURES, rng.uniform(0, 10, 13) * (rng.random(13) < 0.6))),
+                                 **dict(zip(CULTURAL_FEATURES, rng.uniform(1, 10, 6)))})
+        for code, p in load_country_profiles(paths["countries"]).items()
+    }
     publishers = load_publishers(paths["publishers"])
     pairs = filter_propagated(parse_pairs(paths["pairs"]))
-    examples, _ = to_spreading_examples(pairs, load_concept_annotations(paths["concepts"]), publishers, "synthetic")
-    # one publisher outside the store and one country taken out of it cover the other drop reasons
-    first = examples[0]
-    examples.append(replace(first, target_publisher_uri="unknown.example"))
-    missing = publishers.get(first.source_publisher_uri).country_code
+    examples, _ = to_spreading_examples(pairs, load_concept_annotations(paths["concepts"]), publishers)
+    # one country taken out of the profiles covers the incomplete_metadata drop reason
+    missing = examples[0].source.country_code
     return profiles, missing, publishers, examples
 
 
@@ -469,13 +464,14 @@ def synth_corpus(tmp_path_factory):
 @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.99])
 def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
     full, missing, publishers, examples = synth_corpus
-    profiles = full.minmax_scaled() if scale else full
-    profiles = ProfileStore([p for p in profiles if p.country_code != missing])
+    profiles = minmax_scaled(full) if scale else full
+    profiles = {code: p for code, p in profiles.items() if code != missing}
+    alignments = alignment_vocabulary(publishers)
     vocab = build_vocabulary(examples, k=10)
     seen = Counter()
     for kind, economic_features, side in product(BarrierKind, (None, ("Rank", "Health")), ("source", "target")):
-        dataset = build_barrier_dataset(examples, kind, profiles, publishers, vocab, threshold, side, economic_features)
-        labels, dropped, blocks = ladder_dataset(examples, kind, profiles, publishers, threshold, side,
+        dataset = build_barrier_dataset(examples, kind, profiles, alignments, vocab, threshold, side, economic_features)
+        labels, dropped, blocks = ladder_dataset(examples, kind, profiles, alignments, threshold, side,
                                                  economic_features)
         assert [(i.article_id, i.label) for i in dataset.instances] == labels
         assert dataset.dropped == dropped
@@ -488,7 +484,7 @@ def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
             assert X.tobytes() == np.stack([np.array(row, dtype=float) for row in rows]).tobytes()
         seen.update(dropped)
         seen.update(str(label) for _, label in labels)
-    reasons = {"missing_publisher", "unknown_alignment", "incomplete_metadata", "zero_vector"}
+    reasons = {"unknown_alignment", "incomplete_metadata", "zero_vector"}
     assert set(seen) == reasons | {"True", "False"}
 
 

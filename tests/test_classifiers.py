@@ -198,8 +198,12 @@ def test_cart_tie_breaks_to_lower_feature():
 def test_forest_single_tree_matches_bootstrapped_cart():
     X, y = blobs(n_per_class=30, seed=6)
     forest = RandomForest(n_estimators=1, max_features=X.shape[1], seed=13).fit(X, y)
-    boot = forest.bootstrap_indices_[0]
+    # the bootstrap sample the forest's only tree drew: first draw of its SeedSequence child
+    (child,) = np.random.SeedSequence(13).spawn(1)
+    boot = np.random.default_rng(child).integers(0, len(y), size=len(y))
     plain = DecisionTreeCART().fit(X[boot], y[boot])
+    # the split thresholds pin the sample: blobs this far apart predict alike from other draws too
+    assert list(forest.trees_[0].tree_.threshold) == list(plain.tree_.threshold)
     assert np.array_equal(forest.predict(X), plain.predict(X))
     forest_acc = (forest.predict(X) == y).mean()
     plain_acc = (plain.predict(X) == y).mean()

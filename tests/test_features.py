@@ -12,17 +12,14 @@ from newsbarriers.features import (
     concept_block,
 )
 from newsbarriers.ingest import SpreadingExample
-from newsbarriers.knowledge import BARRIERS, BarrierKind, barrier_profile
+from newsbarriers.knowledge import BARRIERS, BarrierKind, PublisherRecord, alignment_vocabulary, barrier_profile
+
+SKY = PublisherRecord("news.sky.com", "Sky News", "GB", "right-wing")
+STERN = PublisherRecord("stern.de", "Stern", "DE")
 
 
-def example(article_id, concepts, source="news.sky.com", target="stern.de"):
-    return SpreadingExample(
-        article_id=article_id,
-        source_publisher_uri=source,
-        target_publisher_uri=target,
-        event_label="demo",
-        concepts=frozenset(concepts),
-    )
+def example(article_id, concepts, source=SKY, target=STERN):
+    return SpreadingExample(article_id, source, target, frozenset(concepts))
 
 
 def test_build_vocabulary_counts_and_ties():
@@ -104,7 +101,7 @@ def test_concept_block_rows_equal_the_presence_test(concept_sets, ranked):
 
 
 def block(publishers, profiles, uri, kind):
-    return barrier_profile(publishers.get(uri), profiles, BARRIERS[kind].columns, publishers.alignment_vocabulary)
+    return barrier_profile(publishers[uri], profiles, BARRIERS[kind].columns, alignment_vocabulary(publishers))
 
 
 def test_assemble_timezone_instance(profiles, publishers):
@@ -131,11 +128,11 @@ def test_assemble_economic_length(profiles, publishers):
 
 def test_assemble_political_unknown_alignment(profiles, publishers):
     vocab = ConceptVocabulary(entries=(("X", 3),))
-    ex = example("a", {"X"}, source="stern.de")
+    ex = example("a", {"X"}, source=publishers["stern.de"])
     # the profile block of a publisher without an alignment cannot be built
     for error in (IncompleteMetadata, UnknownAlignment):
         with pytest.raises(error):
-            profile = block(publishers, profiles, ex.source_publisher_uri, BarrierKind.POLITICAL)
+            profile = block(publishers, profiles, ex.source.publisher_uri, BarrierKind.POLITICAL)
             assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
 
 

@@ -164,21 +164,29 @@ def test_malformed_concept_line(tmp_path):
 def test_to_spreading_examples_basic(pairs_file, concepts_file, publishers):
     propagated = filter_propagated(parse_pairs(pairs_file))
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples(propagated, index, publishers, "demo")
+    examples, report = to_spreading_examples(propagated, index, publishers)
     assert [e.article_id for e in examples] == ["English881", "German237"]
-    assert examples[0].source_publisher_uri == "news.sky.com"
-    assert examples[0].target_publisher_uri == "247wallst.com"
+    assert examples[0].source is publishers["news.sky.com"]
+    assert examples[0].target is publishers["247wallst.com"]
     assert examples[0].concepts == {"Earthquake", "Richter_scale"}
-    assert examples[0].event_label == "demo"
     assert report.examples == 2 and report.total_drops == 0
     assert report.unique_source_articles == 2
+
+
+def test_pair_uris_resolve_case_and_space_insensitively(tmp_path, concepts_file, publishers):
+    # publishers.csv keys are normalized on load; a pair's uris are normalized on lookup
+    row = PAIR_ROWS[1].replace("news.sky.com", " News.Sky.Com ").replace("247wallst.com", "247WALLST.COM")
+    propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, [row])))
+    examples, report = to_spreading_examples(propagated, load_concept_annotations(concepts_file), publishers)
+    assert report.total_drops == 0
+    assert [(e.source, e.target) for e in examples] == [(publishers["news.sky.com"], publishers["247wallst.com"])]
 
 
 def test_missing_publisher_dropped(tmp_path, concepts_file, publishers):
     row = PAIR_ROWS[1].replace("news.sky.com", "unknown.example")
     propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, [row])))
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples(propagated, index, publishers, "demo")
+    examples, report = to_spreading_examples(propagated, index, publishers)
     assert examples == []
     assert report.drops["missing_publisher"] == 1
 
@@ -187,21 +195,21 @@ def test_missing_concepts_dropped(tmp_path, concepts_file, publishers):
     row = PAIR_ROWS[1].replace("English881", "EnglishXXX")
     propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, [row])))
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples(propagated, index, publishers, "demo")
+    examples, report = to_spreading_examples(propagated, index, publishers)
     assert examples == []
     assert report.drops["missing_concepts"] == 1
 
 
 def test_zero_pairs(concepts_file, publishers):
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples([], index, publishers, "demo")
+    examples, report = to_spreading_examples([], index, publishers)
     assert examples == [] and report.examples == 0 and report.total_drops == 0
 
 
 def test_duplicate_from_ids_stay_distinct(tmp_path, concepts_file, publishers):
     propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, [PAIR_ROWS[1], PAIR_ROWS[1]])))
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples(propagated, index, publishers, "demo")
+    examples, report = to_spreading_examples(propagated, index, publishers)
     assert len(examples) == 2
     assert report.unique_source_articles == 1
 
@@ -215,7 +223,7 @@ def test_examples_plus_drops_accounting(tmp_path, concepts_file, publishers):
     ]
     propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, rows)))
     index = load_concept_annotations(concepts_file)
-    examples, report = to_spreading_examples(propagated, index, publishers, "demo")
+    examples, report = to_spreading_examples(propagated, index, publishers)
     assert len(examples) + report.total_drops == len(propagated)
 
 
@@ -234,7 +242,7 @@ def test_report_render_lists_reasons(tmp_path, concepts_file, publishers):
     row = PAIR_ROWS[1].replace("news.sky.com", "unknown.example")
     propagated = filter_propagated(parse_pairs(write_pairs(tmp_path, [row])))
     index = load_concept_annotations(concepts_file)
-    _, report = to_spreading_examples(propagated, index, publishers, "demo")
+    _, report = to_spreading_examples(propagated, index, publishers)
     report.total_pairs = 1
     text = report.render()
     assert "dropped (missing_publisher): 1" in text

@@ -20,11 +20,13 @@ from newsbarriers.knowledge import (
     ECONOMIC_FEATURES,
     BarrierKind,
     CountryProfile,
-    ProfileStore,
+    alignment_vocabulary,
     barrier_profile,
     load_country_profiles,
     load_publishers,
+    minmax_scaled,
     normalize_alignment,
+    normalize_uri,
     save_country_profiles,
 )
 
@@ -160,7 +162,7 @@ def test_publisher_with_unknown_country_is_kept(publishers, profiles):
 
 
 def test_publisher_lookup_normalizes_uri(publishers):
-    assert publishers.get(" News.Sky.Com ").publisher_name == "Sky News"
+    assert publishers[normalize_uri(" News.Sky.Com ")].publisher_name == "Sky News"
 
 
 def test_missing_publisher_column(tmp_path):
@@ -172,7 +174,7 @@ def test_missing_publisher_column(tmp_path):
 
 
 def test_alignment_vocabulary_sorted(publishers):
-    assert publishers.alignment_vocabulary == ("right-wing", "social-liberalism")
+    assert alignment_vocabulary(publishers) == ("right-wing", "social-liberalism")
 
 
 def test_timezone_profile_gb(publishers, profiles):
@@ -181,7 +183,7 @@ def test_timezone_profile_gb(publishers, profiles):
 
 
 def test_political_one_hot(publishers, profiles):
-    vocab = publishers.alignment_vocabulary
+    vocab = alignment_vocabulary(publishers)
     block = barrier_profile(publishers.get("derstandard.at"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
     assert block.tolist() == [0.0, 1.0]
     block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
@@ -209,20 +211,20 @@ def test_incomplete_metadata(publishers, profiles):
 def test_unknown_alignment(publishers, profiles):
     with pytest.raises(UnknownAlignment):
         barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
-                        publishers.alignment_vocabulary)
+                        alignment_vocabulary(publishers))
 
 
 def test_unknown_alignment_is_incomplete_metadata(publishers, profiles):
     with pytest.raises(IncompleteMetadata):
         barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
-                        publishers.alignment_vocabulary)
+                        alignment_vocabulary(publishers))
 
 
 def test_profile_deterministic_and_constant_width(publishers, profiles):
-    vocab = publishers.alignment_vocabulary
+    vocab = alignment_vocabulary(publishers)
     for kind in BarrierKind:
         widths = set()
-        for record in publishers:
+        for record in publishers.values():
             try:
                 first = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
                 second = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
@@ -243,7 +245,7 @@ def test_round_trip_fixture(tmp_path, profiles):
     save_country_profiles(profiles, out)
     reloaded = load_country_profiles(out)
     assert len(reloaded) == len(profiles)
-    for p in profiles:
+    for p in profiles.values():
         q = reloaded.get(p.country_code)
         assert q == p
 
@@ -274,7 +276,7 @@ def country_profiles(draw):
 @given(st.lists(country_profiles(), min_size=1, max_size=6, unique_by=lambda p: p.country_code))
 def test_round_trip_bit_exact(tmp_path_factory, profiles_list):
     path = tmp_path_factory.mktemp("roundtrip") / "c.csv"
-    store = ProfileStore(profiles_list)
+    store = {p.country_code: p for p in profiles_list}
     save_country_profiles(store, path)
     reloaded = load_country_profiles(path)
     for p in profiles_list:
@@ -282,8 +284,8 @@ def test_round_trip_bit_exact(tmp_path_factory, profiles_list):
 
 
 def test_minmax_scaling(profiles):
-    scaled = profiles.minmax_scaled()
-    econ = np.array([[p.values[c] for c in ECONOMIC_FEATURES] for p in scaled])
+    scaled = minmax_scaled(profiles)
+    econ = np.array([[p.values[c] for c in ECONOMIC_FEATURES] for p in scaled.values()])
     assert econ.min() >= 0.0 and econ.max() <= 1.0
     # per-feature extremes hit 0 and 1 for non-constant columns
     assert np.allclose(econ.min(axis=0), 0.0)
@@ -298,7 +300,7 @@ def test_minmax_constant_feature(tmp_path):
         "AA,1.0,1.0,0," + ",".join(["5"] * 6) + "," + ",".join(["7"] * 13),
         "AB,2.0,2.0,0," + ",".join(["5"] * 6) + "," + ",".join(["7"] * 13),
     ]
-    store = load_country_profiles(write_countries(tmp_path, rows)).minmax_scaled()
+    store = minmax_scaled(load_country_profiles(write_countries(tmp_path, rows)))
     assert {store.get("AA").values[c] for c in ECONOMIC_FEATURES} == {0.5}
     assert {store.get("AA").values[c] for c in CULTURAL_FEATURES} == {0.5}
 
