@@ -363,38 +363,110 @@ class _Tree(Stateful):
         return out
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, n_true: int):
-    """Best (impurity decrease, feature, threshold) over candidate midpoints.
+# the most cells (nodes x bucket size x candidate features) in one block of the batched split search
+SPLIT_BLOCK_CELLS = 1 << 14
 
-    One pass over the node's block of candidate columns: a stable sort per
-    column, then the weighted child Gini at every cut not between equal values.
-    Ties break toward the lower feature (``features`` is sorted), then the
-    lower threshold. Returns None when no feature admits a valid split.
+
+def _best_splits(Xp: np.ndarray, yp: np.ndarray, nodes: list) -> list:
+    """Best (impurity decrease, feature, threshold) of each node, or None when no
+    feature admits a valid split. ``nodes`` holds (rows, features, n_true) with
+    row indices into ``Xp``/``yp``, whose last row is the pad: NaN, labelled FALSE.
+
+    Nodes are grouped by the next power of two of their size and their number of
+    candidate features, and each group is searched in chunks of at most
+    ``SPLIT_BLOCK_CELLS`` cells. A chunk is one block, its nodes' rows padded with
+    the pad row to the longest: a stable sort per column, then the weighted child
+    Gini at every cut not between equal values. NaN sorts after every value and no
+    value is below it, so each node's own rows sort first, as in a block of its
+    own, and every cut next to a pad is invalid. Ties break toward the lower
+    feature (features are sorted), then the lower threshold.
     """
-    n = len(idx)
-    pt, pf = n_true / n, (n - n_true) / n
-    parent = n * (1.0 - pt * pt - pf * pf)
-    columns = np.arange(len(features))
-    block = X[idx[:, None], features]
-    order = block.argsort(axis=0, kind="stable")
-    sv = block[order, columns]
-    t_left = y[idx[order]].cumsum(axis=0)[:-1]
-    n_left = np.arange(1, n)[:, None]
-    f_left = n_left - t_left
-    n_right = n - n_left
-    t_right = n_true - t_left
-    f_right = n_right - t_right
-    child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
-        1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
-    )
-    child[~(sv[:-1] < sv[1:])] = np.inf
-    j = child.argmin(axis=0)
-    decrease = parent - child[j, columns]
-    c = int(decrease.argmax())
-    if decrease[c] == -np.inf:
-        return None
-    threshold = (float(sv[j[c], c]) + float(sv[j[c] + 1, c])) / 2.0
-    return float(decrease[c]), int(features[c]), threshold
+    groups: dict = {}
+    for k, (rows, features, _) in enumerate(nodes):
+        groups.setdefault((1 << (len(rows) - 1).bit_length(), len(features)), []).append(k)
+    out = [None] * len(nodes)
+    for (size, m), members in groups.items():
+        step = max(1, SPLIT_BLOCK_CELLS // (size * m))
+        for start in range(0, len(members), step):
+            ks = members[start:start + step]
+            chunk = [nodes[k] for k in ks]
+            n = np.array([len(rows) for rows, _, _ in chunk])
+            n_true = np.array([t for _, _, t in chunk])
+            width = int(n.max())
+            rows = np.full((len(ks), width), len(Xp) - 1)
+            rows[np.arange(width) < n[:, None]] = np.concatenate([r for r, _, _ in chunk])
+            features = np.array([f for _, f, _ in chunk])
+            block = Xp[rows[:, None, :], features[:, :, None]]  # node x feature x row
+            order = block.argsort(axis=2, kind="stable")
+            # gather by flat index: block row (k, c) starts at (k * m + c) * width
+            sv = block.take(order + np.arange(0, block.size, width).reshape(len(ks), m, 1))
+            t_left = yp[rows].take(order + np.arange(0, rows.size, width)[:, None, None]).cumsum(axis=2)[:, :, :-1]
+            n_left = np.arange(1, width)
+            f_left = n_left - t_left
+            n_right = n[:, None, None] - n_left
+            t_right = n_true[:, None, None] - t_left
+            f_right = n_right - t_right
+            with np.errstate(divide="ignore", invalid="ignore"):  # the cuts past a node's end
+                child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
+                    1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
+                )
+            child[~(sv[:, :, :-1] < sv[:, :, 1:])] = np.inf
+            j = child.argmin(axis=2)
+            pt, pf = n_true / n, (n - n_true) / n
+            parent = n * (1.0 - pt * pt - pf * pf)
+            decrease = parent[:, None] - np.take_along_axis(child, j[:, :, None], axis=2)[:, :, 0]
+            r = np.arange(len(ks))
+            c = decrease.argmax(axis=1)
+            jc = j[r, c]
+            below, above = sv[r, c, jc].tolist(), sv[r, c, jc + 1].tolist()
+            for k, dec, feature, lo, hi in zip(ks, decrease[r, c].tolist(), features[r, c].tolist(), below, above):
+                if dec != -math.inf:
+                    out[k] = (dec, feature, (lo + hi) / 2.0)  # Python floats: an overflow is inf, silently
+    return out
+
+
+def _grow(estimators: list, X: np.ndarray, y: np.ndarray, samples: list) -> None:
+    """Grow the tree of each ``DecisionTreeCART`` in ``estimators`` on its sample
+    (row indices into ``X``, ``y``) in lockstep, and set its ``tree_``.
+
+    At each step every tree with a node on its heap pops its best node and opens
+    both children, left first; then one batched search scores every node opened in
+    the step. Only the candidate-feature draws use a tree's rng, and each tree
+    makes them in its own open order, so each tree equals the one grown alone.
+    """
+    Xp = np.vstack([X, np.full((1, X.shape[1]), np.nan)])
+    yp = np.append(y, False)
+    trees = [_Tree() for _ in estimators]
+    heaps: list = [[] for _ in estimators]
+    counter = 0
+    owners, opened = list(range(len(samples))), list(samples)  # the tree of each opened node, its rows
+    while opened:
+        # TRUE labels per node in one pass; a child is empty where its midpoint threshold rounded up
+        sizes = [len(rows) for rows in opened]
+        ends = np.cumsum(sizes)
+        true_before = np.append(0, y[np.concatenate(opened)].cumsum())
+        n_trues = (true_before[ends] - true_before[ends - sizes]).tolist()
+        pending, nodes = [], []
+        for t, rows, n, n_true in zip(owners, opened, sizes, n_trues):
+            node = trees[t].add_leaf(n_true > n - n_true)
+            if 0 < n_true < n:
+                pending.append((t, node))
+                nodes.append((rows, estimators[t]._node_features(X.shape[1]), n_true))
+        for (t, node), (rows, _, _), split in zip(pending, nodes, _best_splits(Xp, yp, nodes)):
+            if split is not None:
+                heappush(heaps[t], (-split[0], counter, node, rows, split[1], split[2]))
+                counter += 1
+        owners, opened = [], []
+        for t, (est, tree, heap) in enumerate(zip(estimators, trees, heaps)):
+            # a tree of L leaves has 2L - 1 nodes
+            if heap and (est.max_leaf_nodes is None or len(tree.feature) < 2 * est.max_leaf_nodes - 1):
+                _, _, node, rows, feature, threshold = heappop(heap)
+                mask = X[rows, feature] <= threshold
+                tree.make_internal(node, feature, threshold, len(tree.feature), len(tree.feature) + 1)
+                owners += [t, t]
+                opened += [rows[mask], rows[~mask]]
+    for est, tree in zip(estimators, trees):
+        est.tree_ = tree
 
 
 class DecisionTreeCART(Stateful):
@@ -422,32 +494,7 @@ class DecisionTreeCART(Stateful):
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y = _as_bool_labels(y)
-        tree = _Tree()
-        heap: list = []
-        counter = 0
-
-        def open_node(idx: np.ndarray) -> int:
-            nonlocal counter
-            n_true = int(y[idx].sum())
-            node = tree.add_leaf(n_true > len(idx) - n_true)
-            if 0 < n_true < len(idx):
-                split = _best_split(X, y, idx, self._node_features(X.shape[1]), n_true)
-                if split is not None:
-                    heappush(heap, (-split[0], counter, node, idx, split[1], split[2]))
-                    counter += 1
-            return node
-
-        open_node(np.arange(len(X)))
-        leaves = 1
-        while heap and (self.max_leaf_nodes is None or leaves < self.max_leaf_nodes):
-            _, _, node, idx, feature, threshold = heappop(heap)
-            mask = X[idx, feature] <= threshold
-            left = open_node(idx[mask])
-            right = open_node(idx[~mask])
-            tree.make_internal(node, feature, threshold, left, right)
-            leaves += 1
-        self.tree_ = tree
+        _grow([self], X, _as_bool_labels(y), [np.arange(len(X))])
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -468,7 +515,8 @@ class RandomForest(Stateful):
     """Bagged CART trees voting by majority; vote ties go to FALSE.
 
     Each tree sees a bootstrap sample and draws ceil(sqrt(d)) candidate
-    features per node unless ``max_features`` overrides that.
+    features per node unless ``max_features`` overrides that. All trees grow
+    together, in lockstep (``_grow``).
     """
 
     STATE = (Field("trees", "tree_tables", _Tree, ("trees",)),)
@@ -484,13 +532,12 @@ class RandomForest(Stateful):
         y = _as_bool_labels(y)
         n, d = X.shape
         max_features = self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1
-        self.trees_ = []
+        self.trees_, samples = [], []
         for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators):
             rng = np.random.default_rng(child)
-            boot = rng.integers(0, n, size=n)
-            tree = DecisionTreeCART(max_features=max_features, rng=rng)
-            tree.fit(X[boot], y[boot])
-            self.trees_.append(tree)
+            samples.append(rng.integers(0, n, size=n))  # the bootstrap: each tree's first draw
+            self.trees_.append(DecisionTreeCART(max_features=max_features, rng=rng))
+        _grow(self.trees_, X, y, samples)
         return self
 
     def predict(self, X) -> np.ndarray:

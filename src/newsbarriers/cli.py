@@ -71,7 +71,7 @@ def cmd_annotate(args) -> int:
 def cmd_concept_freq(args) -> int:
     config = _build_config(args)
     config.validate()
-    profiles, publishers, index, examples, _ = ingest_corpus(config)
+    _, index, examples, _ = ingest_corpus(config)
     vocab = build_vocab(config, examples, index)
     print("concept,frequency")
     for concept, frequency in vocab.entries:
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--regime", dest="regimes", action="append", metavar="BARRIER=same|diff|mixed")
     p_synth.add_argument("--unknown-alignment-rate", dest="unknown_alignment_rate", type=float)
     p_synth.add_argument("--extra-pairs", dest="extra_unclassified_pairs", type=int)
-    p_synth.add_argument("--event", dest="event_label")
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train one model on a barrier dataset CSV")

@@ -44,11 +44,7 @@ def make_out_dir(path) -> Path:
 
 
 def ingest_corpus(config: PipelineConfig):
-    """Load the metadata and restructure the pair file into spreading examples."""
-    with stage("countries"):
-        profiles = load_country_profiles(config.countries)
-    if config.scale_profiles:
-        profiles = minmax_scaled(profiles)
+    """Load publishers, pairs and concepts and restructure the pair file into spreading examples."""
     with stage("publishers"):
         publishers = load_publishers(config.publishers)
     with stage("pairs"):
@@ -59,7 +55,7 @@ def ingest_corpus(config: PipelineConfig):
     examples, report = to_spreading_examples(propagated, index, publishers)
     report.total_pairs = len(pairs)
     report.class_weight_inconsistencies = count_class_weight_inconsistencies(pairs)
-    return profiles, publishers, index, examples, report
+    return publishers, index, examples, report
 
 
 def build_vocab(config: PipelineConfig, examples, index):
@@ -72,7 +68,11 @@ def build_vocab(config: PipelineConfig, examples, index):
 def annotate_corpus(config: PipelineConfig):
     """Ingest, build the vocabulary, and materialize per-barrier datasets."""
     out = make_out_dir(config.out)
-    profiles, publishers, index, examples, report = ingest_corpus(config)
+    with stage("countries"):
+        profiles = load_country_profiles(config.countries)
+    if config.scale_profiles:
+        profiles = minmax_scaled(profiles)
+    publishers, index, examples, report = ingest_corpus(config)
     alignments = alignment_vocabulary(publishers)
     with stage("out"):
         write_file(out / "ingest_report.txt", report.render())

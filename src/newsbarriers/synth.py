@@ -56,7 +56,6 @@ class SyntheticSpec:
     regimes: dict = field(default_factory=dict)  # barrier name -> regime
     unknown_alignment_rate: float = 0.0
     extra_unclassified_pairs: int = 10
-    event_label: str = "synthetic"
 
     def regime(self, kind: BarrierKind) -> str:
         return self.regimes.get(kind.value, "mixed")

@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from heapq import heappop, heappush
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,10 +479,12 @@ def reference_best_split(X, y, idx, features):
 
 
 @st.composite
-def split_nodes(draw):
-    """A node of 0-3 integer data: duplicate rows, some constant columns, rows
-    drawn with repeats (as in a bootstrap), a sorted random feature subset, and
-    now and then a node where every candidate column is constant."""
+def split_batches(draw):
+    """A batch of nodes over 0-3 integer data: duplicate rows, some constant columns,
+    rows drawn with repeats (as in a bootstrap), a sorted random feature subset per
+    node, and a block cell limit that puts a few nodes or one in a chunk. The first
+    node has 2 rows; the others have 2-40, so they fall in different size buckets;
+    now and then every candidate column of one node is constant on its rows."""
     n_rows, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
     cells = st.lists(st.integers(0, 3), min_size=d, max_size=d)
     rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
@@ -487,11 +492,15 @@ def split_nodes(draw):
     for column in draw(st.sets(st.integers(0, d - 1))):
         X[:, column] = draw(st.integers(0, 3))
     y = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
-    idx = np.array(draw(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=30)))
-    features = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    sizes = [2] + draw(st.lists(st.integers(2, 40), min_size=1, max_size=6))
+    nodes = []
+    for size in sizes:
+        idx = np.array(draw(st.lists(st.integers(0, len(X) - 1), min_size=size, max_size=size)))
+        nodes.append((idx, sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))))
     if draw(st.integers(0, 3)) == 0:
-        X[:, features] = X[idx[0], features]
-    return X, y, idx, features
+        idx, features = nodes[draw(st.integers(0, len(nodes) - 1))]
+        X[np.ix_(idx, features)] = X[idx[0], features]
+    return X, y, nodes, draw(st.sampled_from([1, 64, classifiers.SPLIT_BLOCK_CELLS]))
 
 
 def exact(split):
@@ -503,12 +512,107 @@ NO_CUT_Y = np.array([True, False, True])
 
 
 @settings(max_examples=400, deadline=None)
-@given(split_nodes())
-@example((NO_CUT_X, NO_CUT_Y, np.array([0, 2, 1, 1]), [0, 1]))  # no column has a cut
-@example((NO_CUT_X, NO_CUT_Y, np.array([0, 2, 1, 1]), [0, 1, 2]))  # only the last one has
-def test_block_split_search_equals_the_per_feature_loop(node):
-    X, y, idx, features = node
-    expected = reference_best_split(X, y, idx, features)
-    got = classifiers._best_split(X, y, idx, np.array(features), int(y[idx].sum()))
-    assert exact(got) == exact(expected)
-    assert got is None or type(got[1]) is int
+@given(split_batches())
+# no column has a cut, beside a node of 2 rows that has one
+@example((NO_CUT_X, NO_CUT_Y, [(np.array([0, 2, 1, 1]), [0, 1]), (np.array([1, 0]), [2])], 1 << 14))
+# only the last column has a cut
+@example((NO_CUT_X, NO_CUT_Y, [(np.array([0, 2, 1, 1]), [0, 1, 2]), (np.array([1, 0]), [0, 2])], 1 << 14))
+def test_block_split_search_equals_the_per_feature_loop(batch):
+    X, y, nodes, cells = batch
+    Xp, yp = np.vstack([X, np.full((1, X.shape[1]), np.nan)]), np.append(y, False)
+    with mock.patch.object(classifiers, "SPLIT_BLOCK_CELLS", cells):
+        got = classifiers._best_splits(Xp, yp, [(idx, np.array(f), int(y[idx].sum())) for idx, f in nodes])
+    assert len(got) == len(nodes)
+    for (idx, features), split in zip(nodes, got):
+        assert exact(split) == exact(reference_best_split(X, y, idx, features))
+        assert split is None or type(split[1]) is int
+
+
+def reference_tree(X, y, max_leaf_nodes=None, max_features=None, rng=None):
+    """The per-tree growth loop that the lockstep grower replaced: one heap, and
+    each node's split searched as soon as it is opened."""
+    tree = classifiers._Tree()
+    heap: list = []
+    counter = 0
+
+    def open_node(idx):
+        nonlocal counter
+        n_true = int(y[idx].sum())
+        node = tree.add_leaf(n_true > len(idx) - n_true)
+        if 0 < n_true < len(idx):
+            d = X.shape[1]
+            features = np.arange(d) if max_features is None or max_features >= d else np.sort(
+                rng.choice(d, size=max_features, replace=False))
+            split = reference_best_split(X, y, idx, features)
+            if split is not None:
+                heappush(heap, (-split[0], counter, node, idx, split[1], split[2]))
+                counter += 1
+        return node
+
+    open_node(np.arange(len(X)))
+    leaves = 1
+    while heap and (max_leaf_nodes is None or leaves < max_leaf_nodes):
+        _, _, node, idx, feature, threshold = heappop(heap)
+        mask = X[idx, feature] <= threshold
+        left = open_node(idx[mask])
+        right = open_node(idx[~mask])
+        tree.make_internal(node, feature, threshold, left, right)
+        leaves += 1
+    return tree
+
+
+@st.composite
+def growth_cases(draw):
+    """Tie-heavy 0-3 data, now and then with a NaN column, and a forest (1-30 trees,
+    max_features 1, below d or at least d) or a CART (max_leaf_nodes 2, 4 or None).
+    Small shapes are drawn often: siblings of equal decrease, whose pop order is
+    their push order, are common there."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(2, 60)))
+    d = draw(st.one_of(st.integers(1, 3), st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    if draw(st.booleans()):
+        X[rng.random(n) < 0.5, draw(st.integers(0, d - 1))] = np.nan
+    y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    if draw(st.booleans()):
+        max_features = draw(st.sampled_from([1, max(1, d - 1), d, d + 2, draw(st.integers(1, d))]))
+        return RandomForest(draw(st.integers(1, 30)), max_features, draw(st.integers(0, 2**32 - 1))), X, y
+    return DecisionTreeCART(max_leaf_nodes=draw(st.sampled_from([2, 4, None]))), X, y
+
+
+XOR_X = np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0]])
+XOR_Y = np.array([True, True, False, False])
+
+
+@settings(max_examples=150, deadline=None)
+@given(growth_cases())
+@example((DecisionTreeCART(), XOR_X, XOR_Y))  # both children of the root have decrease 1: left pops first
+def test_lockstep_growth_equals_growing_each_tree_alone(case):
+    estimator, X, y = case
+    state = estimator.fit(X, y).get_state()
+    if isinstance(estimator, DecisionTreeCART):
+        assert state == {"tree": reference_tree(X, y, estimator.max_leaf_nodes).get_state()}
+        return
+    expected = []
+    for child in np.random.SeedSequence(estimator.seed).spawn(estimator.n_estimators):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, len(X), size=len(X))
+        expected.append(reference_tree(X[boot], y[boot], max_features=estimator.max_features, rng=rng).get_state())
+    assert state == {"trees": expected}
+
+
+def test_forest_fit_memory_stays_flat():
+    """The grower gathers each block from X by row index: per-tree copies of the
+    bootstrap rows (100 x 900 x 313 floats, 225 MB) would show up here. The peak
+    is set by the root blocks and the padded copy of X, whatever the labels; a
+    5 % TRUE label keeps the trees, and so the traced fit, small."""
+    rng = np.random.default_rng(0)
+    X = (rng.random((900, 313)) < 0.05).astype(float)
+    y = rng.random(900) < 0.05
+    tracemalloc.start()
+    try:
+        RandomForest(100, seed=0).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

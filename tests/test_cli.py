@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,19 @@ def test_concept_freq_identical_runs(tmp_path, corpus, capsys):
     first = capsys.readouterr().out
     main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "10"])
     assert capsys.readouterr().out == first
+
+
+def test_concept_freq_does_not_read_the_country_columns(tmp_path, corpus, capsys):
+    """The vocabulary needs publishers, pairs and concepts only: a countries.csv with
+    nothing but country codes prints the same table."""
+    codes = tmp_path / "countries.csv"
+    codes.write_text("".join(line.split(",")[0] + "\n" for line in Path(corpus["countries"]).read_text().splitlines()))
+    args = ["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "10"]
+    assert main(args) == 0
+    full = capsys.readouterr().out
+    args[args.index("--countries") + 1] = str(codes)
+    assert main(args) == 0
+    assert capsys.readouterr().out == full
 
 
 def test_synth_command_writes_corpus(tmp_path, capsys):
