@@ -421,7 +421,9 @@ def _best_splits(Xp: np.ndarray, yp: np.ndarray, nodes: list) -> list:
             below, above = sv[r, c, jc].tolist(), sv[r, c, jc + 1].tolist()
             for k, dec, feature, lo, hi in zip(ks, decrease[r, c].tolist(), features[r, c].tolist(), below, above):
                 if dec != -math.inf:
-                    out[k] = (dec, feature, (lo + hi) / 2.0)  # Python floats: an overflow is inf, silently
+                    # Python floats: where the midpoint rounds up to hi or overflows, the cut is at lo
+                    mid = (lo + hi) / 2.0
+                    out[k] = (dec, feature, mid if lo <= mid < hi else lo)
     return out
 
 
@@ -441,7 +443,7 @@ def _grow(estimators: list, X: np.ndarray, y: np.ndarray, samples: list) -> None
     counter = 0
     owners, opened = list(range(len(samples))), list(samples)  # the tree of each opened node, its rows
     while opened:
-        # TRUE labels per node in one pass; a child is empty where its midpoint threshold rounded up
+        # TRUE labels per node in one pass
         sizes = [len(rows) for rows in opened]
         ends = np.cumsum(sizes)
         true_before = np.append(0, y[np.concatenate(opened)].cumsum())

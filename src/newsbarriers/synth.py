@@ -176,7 +176,11 @@ def _cosine(u, v) -> float:
 
 def _vector_label(u, v) -> bool:
     score = _cosine(u, v)
-    assert abs(score - SIMILARITY_THRESHOLD) > _THRESHOLD_MARGIN, "sampled cosine too close to the threshold"
+    if not abs(score - SIMILARITY_THRESHOLD) > _THRESHOLD_MARGIN:
+        raise ConfigError(
+            f"this seed samples a cosine within {_THRESHOLD_MARGIN:g} of the similarity threshold "
+            f"{SIMILARITY_THRESHOLD}, too close to plant its label; choose another seed"
+        )
     return not score > SIMILARITY_THRESHOLD
 
 
@@ -235,11 +239,12 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
             return s, t
         raise ConfigError("could not sample a publisher pair satisfying the diff regimes")
 
-    pool = [f"Topic_{j:03d}" for j in range(spec.concept_pool_size)]
-
     def sample_concepts() -> list:
+        # draw pool indices: choice over a list would first copy the whole pool into
+        # an array, and it draws the same indices from the population size alone
         size = int(rng.integers(1, min(6, spec.concept_pool_size) + 1))
-        return sorted(str(c) for c in rng.choice(pool, size=size, replace=False))
+        picks = rng.choice(spec.concept_pool_size, size=size, replace=False).tolist()
+        return sorted(f"Topic_{j:03d}" for j in picks)  # as strings: Topic_1000 sorts before Topic_200
 
     pairs = []
     concept_lines = []

@@ -198,6 +198,47 @@ def test_cart_tie_breaks_to_lower_feature():
     assert tree.tree_.threshold[0] == 1.5
 
 
+# two rows whose float midpoint is no threshold between them: it rounds up to the upper value or overflows
+UNSPLITTABLE_MIDPOINTS = [
+    [[1.0 + 2.0**-52], [1.0 + 2.0**-51]],
+    [[1e308], [1.7e308]],
+    [[-1.7e308], [-1e308]],
+]
+
+
+def check_one_finite_split(tmp_path, params, X):
+    y = np.array([False, True])
+    model = train(ModelSpec(ModelFamily.DECISION_TREE, params), (X, y))
+    tree = model.estimator.tree_
+    assert tree.n_leaves == 2
+    assert tree.threshold[0] == X[0][0]  # the lower value: left holds it, right the upper one
+    assert np.array_equal(model.predict_batch(X), y)
+    save_model(model, tmp_path / "model.json")
+    assert np.array_equal(load_model(tmp_path / "model.json").predict_batch(X), y)
+
+
+@pytest.mark.parametrize("X", UNSPLITTABLE_MIDPOINTS)
+def test_cart_splits_once_where_the_midpoint_rounds_or_overflows(tmp_path, X):
+    check_one_finite_split(tmp_path, {"max_leaf_nodes": 6}, X)
+
+
+# without a leaf cap these fits never returned while the threshold was the raw midpoint
+@pytest.mark.parametrize("X", UNSPLITTABLE_MIDPOINTS)
+def test_uncapped_cart_returns_where_the_midpoint_rounds_or_overflows(tmp_path, X):
+    check_one_finite_split(tmp_path, {}, X)
+
+
+@pytest.mark.parametrize("X", UNSPLITTABLE_MIDPOINTS)
+def test_forest_returns_where_the_midpoint_rounds_or_overflows(tmp_path, X):
+    y = np.array([False, True])
+    model = train(ModelSpec(ModelFamily.RANDOM_FOREST, {"n_estimators": 5}, seed=3), (X, y))
+    trees = [est.tree_ for est in model.estimator.trees_]
+    assert sorted(tree.n_leaves for tree in trees) == [1, 1, 2, 2, 2]  # three bootstraps hold both rows
+    assert all(math.isfinite(t) for tree in trees for t in tree.threshold)
+    save_model(model, tmp_path / "model.json")
+    assert np.array_equal(load_model(tmp_path / "model.json").predict_batch(X), model.predict_batch(X))
+
+
 def test_forest_single_tree_matches_bootstrapped_cart():
     X, y = blobs(n_per_class=30, seed=6)
     forest = RandomForest(n_estimators=1, max_features=X.shape[1], seed=13).fit(X, y)
@@ -473,8 +514,9 @@ def reference_best_split(X, y, idx, features):
         j = int(np.argmin(child))
         decrease = parent - float(child[j])
         if best is None or decrease > best[0]:
-            threshold = (float(sv[cut[j]]) + float(sv[cut[j] + 1])) / 2.0
-            best = (decrease, f, threshold)
+            lo, hi = float(sv[cut[j]]), float(sv[cut[j] + 1])
+            threshold = (lo + hi) / 2.0
+            best = (decrease, f, threshold if lo <= threshold < hi else lo)
     return best
 
 

@@ -1,10 +1,14 @@
 import csv
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from newsbarriers import synth
+from newsbarriers.cli import main
 from newsbarriers.config import PipelineConfig
 from newsbarriers.errors import ConfigError
 from newsbarriers.ingest import filter_propagated, parse_pairs
@@ -148,3 +152,44 @@ def test_spec_validation():
     for rate in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="^unknown alignment rate must be in"):
             SyntheticSpec(unknown_alignment_rate=rate).validate()
+
+
+# recorded from the generator that drew from a list of pool strings: a 1500-topic
+# pool has 4-digit names, and Topic_1000 sorts before Topic_200 in every concept list
+POOL_1500_SHA256 = {
+    "pairs": "2cbce77634a4fbb7241a73075e46c016c14e0908b393b6e355ef36e9dce0ae31",
+    "concepts": "7c0bb581a3faae08bd27b3f04dda2f457dcabe0ba5eeb721a29bcf3182ef9495",
+    "countries": "f7b53374df92748a8a6b1bb57bd4e745602fc2ffacc1c19a4ed508c2a6c18d88",
+    "publishers": "16ac044bd682a98be42c844fd4440ca7299a5dece4e40d0c93af41a76e516496",
+    "truth": "513741e016d9cd24672a19d3bb75085034561eeaa40ba48fa3d091f2e5ceb960",
+    "spec": "8230f8a62190f010766aaf2351c9e1ad61d141a96f681238c8609daa45517c0f",
+}
+
+
+def test_corpus_bytes_pinned_for_a_pool_of_four_digit_topics(tmp_path):
+    spec = SyntheticSpec(
+        n_articles=400, concept_pool_size=1500, unknown_alignment_rate=0.1, extra_unclassified_pairs=20, seed=5
+    )
+    paths = generate_corpus(spec, tmp_path / "corpus")
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()} == POOL_1500_SHA256
+
+
+def test_concepts_are_drawn_without_building_the_pool(tmp_path):
+    spec = SyntheticSpec(n_articles=3, concept_pool_size=10**9, extra_unclassified_pairs=1)
+    paths = generate_corpus(spec, tmp_path / "corpus")
+    lines = [json.loads(line) for line in paths["concepts"].read_text().splitlines()]
+    assert len(lines) == 7
+    for line in lines:
+        for concept in line["concepts"]:
+            prefix, _, index = concept.partition("_")
+            assert prefix == "Topic" and index.isdigit() and int(index) < 10**9
+
+
+def test_a_cosine_at_the_threshold_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # same economic vectors have cosine 1: a threshold of 1 leaves no margin to plant a label
+    monkeypatch.setattr(synth, "SIMILARITY_THRESHOLD", 1.0)
+    with pytest.raises(ConfigError, match=r"within 1e-06 of the similarity threshold 1\.0"):
+        generate_corpus(SyntheticSpec(n_articles=5, regimes={"economic": "same"}), tmp_path / "corpus")
+    assert main(["synth", "--out", str(tmp_path / "cli"), "--regime", "economic=same"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synth: ") and "similarity threshold 1.0" in err and err.count("\n") == 1
