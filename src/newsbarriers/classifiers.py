@@ -4,8 +4,8 @@
 ``fit`` and ``predict`` and declares its saved state as ``Field``s, from which
 ``Stateful`` derives ``get_state`` and ``set_state`` (the one load check). An
 estimator whose sweep nests (one fitted model holds the models of smaller sweep
-values) also implements ``grid_cover``/``predict_grid``, and
-``grid_predictions`` then fits it once per grid.
+values) also implements ``predict_grid``, and ``grid_predictions`` then fits it
+once per grid, at the covering value.
 
 All families are implemented directly (no learning framework) so every numeric
 path is testable. Tie rules are global: any prediction tie resolves to FALSE,
@@ -244,10 +244,6 @@ class KNearestNeighbors(Stateful):
     def predict(self, X) -> np.ndarray:
         return self.predict_grid(X, [self.k])[0]
 
-    @staticmethod
-    def grid_cover(values: Sequence[int]) -> int:
-        return max(values)
-
     def predict_grid(self, X, values: Sequence[int]) -> list:
         """Predictions for each k in ``values``: the fit does not depend on k,
         and the k nearest neighbours are a prefix of one stable sort."""
@@ -427,19 +423,23 @@ def _best_splits(Xp: np.ndarray, yp: np.ndarray, nodes: list) -> list:
     return out
 
 
-def _grow(estimators: list, X: np.ndarray, y: np.ndarray, samples: list) -> None:
-    """Grow the tree of each ``DecisionTreeCART`` in ``estimators`` on its sample
-    (row indices into ``X``, ``y``) in lockstep, and set its ``tree_``.
+def _grow(X: np.ndarray, y: np.ndarray, samples: list, rngs: list, max_features: Optional[int],
+          max_leaf_nodes: Optional[int]) -> list:
+    """The ``_Tree`` grown on each sample (row indices into ``X``, ``y``), all in lockstep.
 
-    At each step every tree with a node on its heap pops its best node and opens
-    both children, left first; then one batched search scores every node opened in
-    the step. Only the candidate-feature draws use a tree's rng, and each tree
-    makes them in its own open order, so each tree equals the one grown alone.
+    An impure node's candidate features are all ``d`` when ``max_features`` is
+    unset or at least ``d``, else a sorted draw of ``max_features`` from its
+    tree's rng. At each step every tree with a node on its heap pops its best node
+    and opens both children, left first; then one batched search scores every node
+    opened in the step. Only the candidate-feature draws use a tree's rng, and each
+    tree makes them in its own open order, so each tree equals the one grown alone.
     """
-    Xp = np.vstack([X, np.full((1, X.shape[1]), np.nan)])
+    d = X.shape[1]
+    draw = max_features is not None and max_features < d
+    Xp = np.vstack([X, np.full((1, d), np.nan)])
     yp = np.append(y, False)
-    trees = [_Tree() for _ in estimators]
-    heaps: list = [[] for _ in estimators]
+    trees = [_Tree() for _ in samples]
+    heaps: list = [[] for _ in samples]
     counter = 0
     owners, opened = list(range(len(samples))), list(samples)  # the tree of each opened node, its rows
     while opened:
@@ -453,58 +453,45 @@ def _grow(estimators: list, X: np.ndarray, y: np.ndarray, samples: list) -> None
             node = trees[t].add_leaf(n_true > n - n_true)
             if 0 < n_true < n:
                 pending.append((t, node))
-                nodes.append((rows, estimators[t]._node_features(X.shape[1]), n_true))
+                features = np.sort(rngs[t].choice(d, size=max_features, replace=False)) if draw else np.arange(d)
+                nodes.append((rows, features, n_true))
         for (t, node), (rows, _, _), split in zip(pending, nodes, _best_splits(Xp, yp, nodes)):
             if split is not None:
                 heappush(heaps[t], (-split[0], counter, node, rows, split[1], split[2]))
                 counter += 1
         owners, opened = [], []
-        for t, (est, tree, heap) in enumerate(zip(estimators, trees, heaps)):
+        for t, (tree, heap) in enumerate(zip(trees, heaps)):
             # a tree of L leaves has 2L - 1 nodes
-            if heap and (est.max_leaf_nodes is None or len(tree.feature) < 2 * est.max_leaf_nodes - 1):
+            if heap and (max_leaf_nodes is None or len(tree.feature) < 2 * max_leaf_nodes - 1):
                 _, _, node, rows, feature, threshold = heappop(heap)
                 mask = X[rows, feature] <= threshold
                 tree.make_internal(node, feature, threshold, len(tree.feature), len(tree.feature) + 1)
                 owners += [t, t]
                 opened += [rows[mask], rows[~mask]]
-    for est, tree in zip(estimators, trees):
-        est.tree_ = tree
+    return trees
 
 
 class DecisionTreeCART(Stateful):
-    """Binary CART with Gini impurity and best-first leaf growth.
+    """Binary CART with Gini impurity and best-first leaf growth over every feature.
 
     Growth stops when ``max_leaf_nodes`` is reached or no impure node admits a
     split; impure nodes split even at zero immediate Gini decrease as long as
     a valid threshold exists, so depth alone never blocks a separable fit.
-    ``max_features``, when set, draws a random feature subset per node from
-    ``rng`` (used by the forest).
     """
 
     STATE = (Field("tree", "tree_", _Tree),)
 
-    def __init__(self, max_leaf_nodes: Optional[int] = None, max_features: Optional[int] = None, rng=None):
+    def __init__(self, max_leaf_nodes: Optional[int] = None):
         self.max_leaf_nodes = max_leaf_nodes
-        self.max_features = max_features
-        self.rng = rng
         self.tree_: Optional[_Tree] = None
-
-    def _node_features(self, d: int) -> np.ndarray:
-        if self.max_features is None or self.max_features >= d:
-            return np.arange(d)
-        return np.sort(self.rng.choice(d, size=self.max_features, replace=False))
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        _grow([self], X, _as_bool_labels(y), [np.arange(len(X))])
+        (self.tree_,) = _grow(X, _as_bool_labels(y), [np.arange(len(X))], [None], None, self.max_leaf_nodes)
         return self
 
     def predict(self, X) -> np.ndarray:
         return self.tree_.predict(np.asarray(X, dtype=float))
-
-    @staticmethod
-    def grid_cover(values: Sequence[Optional[int]]) -> Optional[int]:
-        return None if None in values else max(values)
 
     def predict_grid(self, X, values: Sequence[Optional[int]]) -> list:
         """Predictions for each ``max_leaf_nodes`` in ``values`` (at most the
@@ -516,9 +503,9 @@ class DecisionTreeCART(Stateful):
 class RandomForest(Stateful):
     """Bagged CART trees voting by majority; vote ties go to FALSE.
 
-    Each tree sees a bootstrap sample and draws ceil(sqrt(d)) candidate
-    features per node unless ``max_features`` overrides that. All trees grow
-    together, in lockstep (``_grow``).
+    Each tree sees a bootstrap sample and draws ``max_features`` candidate
+    features per node, ceil(sqrt(d)) unless set, from its own rng. All trees
+    grow together, in lockstep (``_grow``).
     """
 
     STATE = (Field("trees", "tree_tables", _Tree, ("trees",)),)
@@ -531,23 +518,15 @@ class RandomForest(Stateful):
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y = _as_bool_labels(y)
         n, d = X.shape
         max_features = self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1
-        self.trees_, samples = [], []
-        for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators):
-            rng = np.random.default_rng(child)
-            samples.append(rng.integers(0, n, size=n))  # the bootstrap: each tree's first draw
-            self.trees_.append(DecisionTreeCART(max_features=max_features, rng=rng))
-        _grow(self.trees_, X, y, samples)
+        rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators)]
+        samples = [rng.integers(0, n, size=n) for rng in rngs]  # the bootstrap: each tree's first draw
+        self.tree_tables = _grow(X, _as_bool_labels(y), samples, rngs, max_features, None)
         return self
 
     def predict(self, X) -> np.ndarray:
         return self.predict_grid(X, [len(self.trees_)])[0]
-
-    @staticmethod
-    def grid_cover(values: Sequence[int]) -> int:
-        return max(values)
 
     def predict_grid(self, X, values: Sequence[int]) -> list:
         """Predictions for each ``n_estimators`` in ``values`` (at most the
@@ -710,18 +689,18 @@ def grid_predictions(family: ModelFamily, values: Sequence, train_data, X_eval, 
     """Predictions on ``X_eval`` of a model fit on ``train_data`` at each sweep value, in order;
     one prediction, of the default model, for a family with no sweep parameter (``values`` empty).
 
-    When the family's estimator has ``grid_cover``/``predict_grid``, one model
-    is trained, at the covering value, and every value is read from it.
-    Otherwise each value is trained on its own.
+    When the family's estimator has ``predict_grid``, one model is trained, at the
+    covering value (``None`` if ``values`` holds it, else the largest), and every
+    value is read from it. Otherwise each value is trained on its own.
     """
     f = FAMILIES[family]
     if (len(values) > 0) != (f.sweep_param is not None):
         raise ValueError(f"{f.display_name}: got {len(values)} values for sweep parameter {f.sweep_param!r}")
     points = [{f.sweep_param: v} for v in values] or [{}]
-    if hasattr(f.estimator, "grid_cover"):
+    if hasattr(f.estimator, "predict_grid"):
         for point in points:
             f.check(point)
-        cover = ModelSpec(family, {f.sweep_param: f.estimator.grid_cover(values)}, seed)
+        cover = ModelSpec(family, {f.sweep_param: None if None in values else max(values)}, seed)
         return train(cover, train_data).predict_grid(X_eval, values)
     return [train(ModelSpec(family, point, seed), train_data).predict_batch(X_eval) for point in points]
 

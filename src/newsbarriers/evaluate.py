@@ -13,25 +13,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotate import BarrierDataset
-from .classifiers import FAMILIES, ModelFamily, ModelSpec, best_point, grid_predictions, sweep_full, train
+# ``train`` is not called here: the benchmark's own tests read ``evaluate.train`` to check
+# that tracing swaps it in every module that holds it and restores it afterwards
+from .classifiers import FAMILIES, ModelFamily, best_point, grid_predictions, sweep_full, train  # noqa: F401
 from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
 from .knowledge import BARRIERS, BarrierKind
 from .tables import csv_text, read_table
 
 REPORT_COLUMNS = ("barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1")
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    fold_of: np.ndarray  # fold index per instance
-    k: int
-    seed: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_of == fold)[0]
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_of != fold)[0]
 
 
 @dataclass(frozen=True)
@@ -49,8 +38,8 @@ class ReportRow:
     metrics: MetricSet
 
 
-def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[str]] = None) -> FoldAssignment:
-    """Assign each instance to one of k folds, preserving class proportions.
+def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[str]] = None) -> np.ndarray:
+    """The fold, one of k, of each instance, preserving class proportions.
 
     Fixed algorithm, stable across platforms: within each class, instances are
     ordered by (id, original position), shuffled once with a PCG64 generator
@@ -71,7 +60,7 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[
         order = rng.permutation(len(members))
         for position, j in enumerate(order):
             fold_of[members[j]] = position % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
+    return fold_of
 
 
 def micro_metrics(predictions, gold) -> MetricSet:
@@ -122,10 +111,10 @@ def _select_nested(family, values, train_data, seed):
     """Pick a sweep value by inner cross-validation on the training fold only."""
     X, y = train_data
     k = max(2, min(INNER_K, int((~y).sum()), int(y.sum())))
-    assignment = stratified_kfold(y, k=k, seed=seed)
+    fold_of = stratified_kfold(y, k=k, seed=seed)
     preds = np.empty((len(values), len(y)), dtype=bool)
     for fold in range(k):
-        tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
+        tr, te = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
         preds[:, te] = grid_predictions(family, values, (X[tr], y[tr]), X[te], seed)
     return values[best_point(preds, y)]
 
@@ -145,26 +134,24 @@ def run_experiment(
     (family -> sweep values), else over its default ``sweep_values``. By
     default the sweep scores its values on the fold's own test split (the
     reproduced protocol); ``nested=True`` picks the value by inner
-    cross-validation on the training portion instead. Metrics pool the
+    cross-validation on the training portion instead, then sweeps that one
+    value. Metrics pool the
     held-out predictions of all folds unless ``fold_mean`` asks for per-fold
     averaging.
     """
     X, y = dataset.arrays()
-    assignment = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
+    fold_of = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
     sweeps = [(grids or {}).get(family, FAMILIES[family].sweep_values) for family in families]
     pooled = np.empty((len(families), len(y)), dtype=bool)
     per_fold = [[] for _ in families]
     for fold in range(k):
-        tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
+        tr, te = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
         train_data, X_te, y_te = (X[tr], y[tr]), X[te], y[te]  # sliced once per fold, shared by every family
         for m, (family, values) in enumerate(zip(families, sweeps)):
             fold_seed = _child_seed(seed, m, fold)
             if nested and len(values) > 1:
-                value = _select_nested(family, values, train_data, fold_seed)
-                spec = ModelSpec(family, {FAMILIES[family].sweep_param: value}, fold_seed)
-                preds = train(spec, train_data).predict_batch(X_te)
-            else:
-                _, preds = sweep_full(family, values, train_data, (X_te, y_te), fold_seed)
+                values = (_select_nested(family, values, train_data, fold_seed),)
+            _, preds = sweep_full(family, values, train_data, (X_te, y_te), fold_seed)
             pooled[m, te] = preds
             if fold_mean:
                 per_fold[m].append(micro_metrics(preds, y_te))

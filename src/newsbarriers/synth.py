@@ -41,6 +41,19 @@ BARRIER_NAMES = tuple(kind.value for kind in BarrierKind)
 _MIXED_ALIGNMENTS = ("left-wing", "right-wing", "social-liberalism", "centrism")
 _MIXED_OFFSETS = (-300, 0, 60, 60, 330)
 
+# a diff regime draws each country's coordinates and UTC offset from these grids, without replacement
+_DIFF_LATITUDES = np.arange(-60, 61, 2)
+_DIFF_LONGITUDES = np.arange(-150, 151, 2)
+_DIFF_OFFSETS = np.arange(-720, 841, 30)
+
+# the most countries a diff regime can keep apart, per country-level barrier
+_DIFF_CAPACITY = {
+    BarrierKind.ECONOMIC: len(ECONOMIC_FEATURES),
+    BarrierKind.CULTURAL: len(CULTURAL_FEATURES),
+    BarrierKind.GEOGRAPHICAL: len(_DIFF_LATITUDES),
+    BarrierKind.TIME_ZONE: len(_DIFF_OFFSETS),
+}
+
 # Keep every sampled cosine well away from the annotation threshold so that
 # label recomputation is immune to summation-order noise.
 _THRESHOLD_MARGIN = 1e-6
@@ -65,6 +78,8 @@ class SyntheticSpec:
             raise ConfigError("counts must be positive")
         if self.concept_pool_size < 1:
             raise ConfigError("concept pool must not be empty")
+        if self.extra_unclassified_pairs < 0:
+            raise ConfigError(f"extra unclassified pairs must be >= 0, got {self.extra_unclassified_pairs!r}")
         check_seed(self.seed)
         if not 0.0 <= self.unknown_alignment_rate <= 1.0:
             raise ConfigError(f"unknown alignment rate must be in [0, 1], got {self.unknown_alignment_rate!r}")
@@ -73,15 +88,10 @@ class SyntheticSpec:
                 raise ConfigError(f"unknown barrier in regimes: {name!r}")
             if regime not in REGIMES:
                 raise ConfigError(f"unknown regime {regime!r} for barrier {name!r}")
-        if self.regime(BarrierKind.ECONOMIC) == "diff" and self.n_countries > 13:
-            raise ConfigError("diff economic regime supports at most 13 countries")
-        if self.regime(BarrierKind.CULTURAL) == "diff" and self.n_countries > 6:
-            raise ConfigError("diff cultural regime supports at most 6 countries")
-        needs_two_countries = any(
-            self.regime(kind) == "diff"
-            for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE)
-        )
-        if needs_two_countries and self.n_countries < 2:
+        for kind, capacity in _DIFF_CAPACITY.items():
+            if self.regime(kind) == "diff" and self.n_countries > capacity:
+                raise ConfigError(f"diff {kind.value} regime supports at most {capacity} countries")
+        if any(self.regime(kind) == "diff" for kind in _DIFF_CAPACITY) and self.n_countries < 2:
             raise ConfigError("diff country-level regimes need at least 2 countries")
         if self.regime(BarrierKind.POLITICAL) == "diff" and self.n_publishers < 2:
             raise ConfigError("diff political regime needs at least 2 publishers")
@@ -140,8 +150,8 @@ def _coordinates(rng, n: int, regime: str) -> list:
         point = (float(rng.uniform(-60, 60)), float(rng.uniform(-150, 150)))
         return [point] * n
     if regime == "diff":
-        lats = rng.choice(np.arange(-60, 61, 2), size=n, replace=False)
-        lons = rng.choice(np.arange(-150, 151, 2), size=n, replace=False)
+        lats = rng.choice(_DIFF_LATITUDES, size=n, replace=False)
+        lons = rng.choice(_DIFF_LONGITUDES, size=n, replace=False)
         return [(float(a), float(b)) for a, b in zip(lats, lons)]
     pool_size = max(2, n // 2)
     pool = [(float(rng.uniform(-60, 60)), float(rng.uniform(-150, 150))) for _ in range(pool_size)]
@@ -152,8 +162,7 @@ def _offsets(rng, n: int, regime: str) -> list:
     if regime == "same":
         return [int(rng.choice(_MIXED_OFFSETS))] * n
     if regime == "diff":
-        choices = np.arange(-720, 841, 30)
-        return [int(v) for v in rng.choice(choices, size=n, replace=False)]
+        return [int(v) for v in rng.choice(_DIFF_OFFSETS, size=n, replace=False)]
     return _mixed_picks(rng, n, [int(v) for v in dict.fromkeys(_MIXED_OFFSETS)])
 
 
@@ -222,10 +231,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     )
     write_table(out / "publishers.csv", PUBLISHER_COLUMNS, publisher_rows)
 
-    country_diff = any(
-        spec.regime(kind) == "diff"
-        for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE)
-    )
+    country_diff = any(spec.regime(kind) == "diff" for kind in _DIFF_CAPACITY)
     political_diff = spec.regime(BarrierKind.POLITICAL) == "diff"
 
     def sample_pair_publishers():

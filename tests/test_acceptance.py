@@ -191,10 +191,10 @@ def test_criterion_6_stratification_property():
         n_false = int(rng.integers(k, 120))
         labels = np.array([False] * n_false + [True] * n_true)
         rng.shuffle(labels)
-        assignment = stratified_kfold(labels, k=k, seed=int(rng.integers(0, 2**32)))
+        fold_of = stratified_kfold(labels, k=k, seed=int(rng.integers(0, 2**32)))
         counts = np.zeros(len(labels), dtype=int)
         for fold in range(k):
-            test = assignment.test_indices(fold)
+            test = np.flatnonzero(fold_of == fold)
             counts[test] += 1
             for label, n_class in ((True, n_true), (False, n_false)):
                 in_fold = int((labels[test] == label).sum())

@@ -273,7 +273,14 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
      "train: gaussian NB needs both classes in training data"),
     ("train", ["--param", "k=0"], 1, "train: kNN: k must be an integer >= 1, got 0"),
     ("synth", ["--n-articles", "0"], 1, "synth: counts must be positive"),
-], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range", "synth-no-articles"])
+    # a diff regime past its grid's distinct values exited 3, a negative pair count 0
+    ("synth", ["--n-countries", "54", "--regime", "timezone=diff"], 1,
+     "synth: diff timezone regime supports at most 53 countries"),
+    ("synth", ["--n-countries", "62", "--regime", "geographical=diff"], 1,
+     "synth: diff geographical regime supports at most 61 countries"),
+    ("synth", ["--extra-pairs", "-5"], 1, "synth: extra unclassified pairs must be >= 0, got -5"),
+], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range", "synth-no-articles",
+        "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
     datasets = {"header_only": tmp_path / "header_only.csv", "one_class": tmp_path / "one_class.csv"}

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsbarriers import evaluate
 from newsbarriers.annotate import BarrierDataset
-from newsbarriers.classifiers import ModelFamily
+from newsbarriers.classifiers import FAMILIES, ModelFamily, ModelSpec, train
 from newsbarriers.errors import EmptyInput, LengthMismatch, TooFewPerClass
 from newsbarriers.evaluate import (
+    _child_seed,
+    _select_nested,
     dataset_footer,
     micro_metrics,
     parse_report_csv,
@@ -32,9 +37,9 @@ def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
 
 def test_stratified_divisible_counts():
     labels = np.array([False] * 90 + [True] * 10)
-    assignment = stratified_kfold(labels, k=10, seed=1)
+    fold_of = stratified_kfold(labels, k=10, seed=1)
     for fold in range(10):
-        test = assignment.test_indices(fold)
+        test = np.flatnonzero(fold_of == fold)
         assert (~labels[test]).sum() == 9
         assert labels[test].sum() == 1
 
@@ -42,10 +47,10 @@ def test_stratified_divisible_counts():
 def test_stratified_pigeonhole_counts():
     # 95 FALSE across 10 folds -> five folds of 10 and five of 9
     labels = np.array([False] * 95 + [True] * 10)
-    assignment = stratified_kfold(labels, k=10, seed=1)
-    false_counts = sorted(int((~labels[assignment.test_indices(f)]).sum()) for f in range(10))
+    fold_of = stratified_kfold(labels, k=10, seed=1)
+    false_counts = sorted(int((~labels[fold_of == f]).sum()) for f in range(10))
     assert false_counts == [9] * 5 + [10] * 5
-    assert all(int(labels[assignment.test_indices(f)].sum()) == 1 for f in range(10))
+    assert all(int(labels[fold_of == f].sum()) == 1 for f in range(10))
 
 
 def test_stratified_too_few_per_class():
@@ -56,8 +61,8 @@ def test_stratified_too_few_per_class():
 
 def test_stratified_every_instance_once():
     labels = np.array([False] * 37 + [True] * 23)
-    assignment = stratified_kfold(labels, k=10, seed=4)
-    seen = np.concatenate([assignment.test_indices(f) for f in range(10)])
+    fold_of = stratified_kfold(labels, k=10, seed=4)
+    seen = np.concatenate([np.flatnonzero(fold_of == f) for f in range(10)])
     assert sorted(seen.tolist()) == list(range(60))
 
 
@@ -66,8 +71,8 @@ def test_stratified_seed_determinism():
     a = stratified_kfold(labels, k=5, seed=9)
     b = stratified_kfold(labels, k=5, seed=9)
     c = stratified_kfold(labels, k=5, seed=10)
-    assert np.array_equal(a.fold_of, b.fold_of)
-    assert not np.array_equal(a.fold_of, c.fold_of)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_micro_metrics_hand_enumerated():
@@ -156,6 +161,60 @@ def test_run_experiment_fold_mean_and_nested_run():
     assert 0.0 <= nested_rows[0].metrics.micro_f1 <= 1.0
     again = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
     assert nested_rows == again
+
+
+NESTED_GRIDS = {
+    ModelFamily.KNN: st.integers(1, 15),
+    ModelFamily.DECISION_TREE: st.one_of(st.integers(2, 16), st.none()),
+    ModelFamily.RANDOM_FOREST: st.integers(1, 8),
+    ModelFamily.SVM: st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.0]),
+}
+
+
+@st.composite
+def nested_cases(draw):
+    """Tie-heavy 0-3 data with at least 4 of each class, 2 or 3 outer folds, and an
+    unsorted grid of 2-4 values for each family whose sweep nests or is refit."""
+    n_false, n_true = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, size=(n_false + n_true, d)).astype(float)
+    y = rng.permutation(np.array([False] * n_false + [True] * n_true))
+    grids = {family: tuple(draw(st.lists(values, min_size=2, max_size=4, unique=True)))
+             for family, values in NESTED_GRIDS.items()}
+    return X, y, grids, draw(st.integers(2, 3)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_cases())
+def test_nested_predictions_equal_a_refit_at_the_picked_value(case):
+    """``--nested`` reads each fold's held-out predictions from a one-value sweep; they
+    equal those of a model trained at the picked value."""
+    X, y, grids, k, seed = case
+    dataset = make_dataset(X, y)
+    families = list(grids)
+    held_out, sweep_full = [], evaluate.sweep_full
+
+    def recording_sweep(*args, **kwargs):
+        result = sweep_full(*args, **kwargs)
+        held_out.append(result[1])
+        return result
+
+    with mock.patch.object(evaluate, "sweep_full", recording_sweep):
+        rows = run_experiment(dataset, families, k=k, seed=seed, grids=grids, nested=True)
+    assert len(held_out) == k * len(families)
+    fold_of = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
+    pooled = np.empty((len(families), len(y)), dtype=bool)
+    calls = iter(held_out)
+    for fold in range(k):
+        tr, te = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
+        for m, family in enumerate(families):
+            fold_seed = _child_seed(seed, m, fold)
+            value = _select_nested(family, grids[family], (X[tr], y[tr]), fold_seed)
+            spec = ModelSpec(family, {FAMILIES[family].sweep_param: value}, fold_seed)
+            pooled[m, te] = train(spec, (X[tr], y[tr])).predict_batch(X[te])
+            assert np.array_equal(next(calls), pooled[m, te])
+    assert [row.metrics for row in rows] == [micro_metrics(p, y) for p in pooled]
 
 
 def demo_rows():

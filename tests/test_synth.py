@@ -146,6 +146,13 @@ def test_spec_validation():
         SyntheticSpec(regimes={"cultural": "sometimes"}).validate()
     with pytest.raises(ConfigError):
         SyntheticSpec(n_articles=0).validate()
+    # each country-level diff regime is capped by the distinct values it can plant
+    with pytest.raises(ConfigError, match="^diff timezone regime supports at most 53 countries$"):
+        SyntheticSpec(regimes={"timezone": "diff"}, n_countries=54).validate()
+    with pytest.raises(ConfigError, match="^diff geographical regime supports at most 61 countries$"):
+        SyntheticSpec(regimes={"geographical": "diff"}, n_countries=62).validate()
+    with pytest.raises(ConfigError, match="^extra unclassified pairs must be >= 0, got -5$"):
+        SyntheticSpec(extra_unclassified_pairs=-5).validate()
     for seed in (-1, 1.5, "7", True):
         with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got "):
             SyntheticSpec(seed=seed).validate()
