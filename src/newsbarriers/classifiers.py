@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -305,7 +304,7 @@ class LinearSVM(Stateful):
 
 
 class _Tree(Stateful):
-    """Flat binary tree: parallel node lists, feature < 0 marks a leaf."""
+    """Flat binary tree: parallel node arrays, feature < 0 marks a leaf."""
 
     # children after their parent, so predict walks down and cannot loop
     AFTER_NODE = ("after its node where feature >= 0", lambda child, tree, d: (
@@ -318,157 +317,297 @@ class _Tree(Stateful):
         Field("right", "right", int, ("nodes",), AFTER_NODE),
         Field("prediction", "prediction", bool, ("nodes",)),
     )
-
-    def __init__(self):
-        for f in self.STATE:
-            setattr(self, f.attr, [])
-
-    def add_leaf(self, prediction: bool) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.prediction.append(bool(prediction))
-        return len(self.feature) - 1
-
-    def make_internal(self, node: int, feature: int, threshold: float, left: int, right: int) -> None:
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
+    feature = threshold = left = right = prediction = None
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for f in self.feature if f < 0)
+        return int(np.count_nonzero(self.feature < 0))
 
     def predict(self, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
         """Leaf predictions; with ``splits`` set, those of the tree as it stood
-        after its first ``splits`` splits.
+        after its first ``splits`` splits (``_predict_trees``)."""
+        return _predict_trees([self], X, splits)[0]
 
-        Node ids are allocated in split order (split r creates nodes 2r+1 and
-        2r+2), so an internal node whose left child is 2*splits+1 or later was
-        split afterwards and still acts as the leaf it was.
-        """
-        limit = len(self.feature) if splits is None else 2 * splits + 1
-        out = np.empty(len(X), dtype=bool)
-        for i, x in enumerate(X):
-            node = 0
-            while self.feature[node] >= 0 and self.left[node] < limit:
-                node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-            out[i] = self.prediction[node]
-        return out
+
+def _predict_trees(trees: list, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
+    """(tree, row) leaf predictions of the ``_Tree``s ``trees`` on ``X``; with ``splits`` set,
+    those of each tree as it stood after its first ``splits`` splits.
+
+    The trees' node arrays are laid end to end, and every (tree, row) pair walks down
+    together, one level per pass. Node ids are allocated in split order (split r creates
+    nodes 2r+1 and 2r+2), so an internal node whose left child is 2*splits+1 or later was
+    split afterwards and still acts as the leaf it was.
+    """
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    base = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left, right = (np.concatenate([getattr(tree, side) for tree in trees]) for side in ("left", "right"))
+    inner = (feature >= 0) if splits is None else (feature >= 0) & (left < 2 * splits + 1)
+    left, right = left + base, right + base
+    node = np.repeat(roots, len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    walking = np.arange(len(node))
+    while len(walking):
+        at = node[walking]
+        walking, at = walking[inner[at]], at[inner[at]]
+        node[walking] = np.where(X[row[walking], feature[at]] <= threshold[at], left[at], right[at])
+    return np.concatenate([tree.prediction for tree in trees])[node].reshape(len(trees), len(X))
+
+
+# numpy's Generator.choice(d, m, replace=False) is Floyd's algorithm up to this d; above, it may shuffle
+FLOYD_MAX_POPULATION = 10000
+# draws per tree in the first extent of a forest fit's feature-draw table; each later extent doubles it
+FIRST_DRAW_EXTENT = 64
+# nodes per tree in the first extent of a fit's node arrays; each later extent doubles it
+FIRST_NODE_EXTENT = 16
+
+
+def _take_words(bit_generator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of a PCG64 stream, as numpy's ``next_uint32`` reads
+    them; the generator is left where those reads leave it. Each 64-bit output gives its
+    low half first, and its high half waits in ``has_uint32``/``uinteger``."""
+    state = bit_generator.state
+    pending = state["has_uint32"]
+    raw = bit_generator.random_raw((count - pending + 1) // 2)
+    words = np.empty(pending + 2 * len(raw), dtype=np.uint32)
+    words[:pending] = state["uinteger"]
+    words[pending::2] = raw & 0xFFFFFFFF
+    words[pending + 1::2] = raw >> 32
+    state = bit_generator.state
+    state["has_uint32"] = len(words) - count
+    if len(raw):
+        state["uinteger"] = int(raw[-1] >> 32)
+    bit_generator.state = state
+    return words[:count]
+
+
+def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
+    """(tree, k, m) table whose [t, k] is the k-th of ``count`` successive
+    ``np.sort(rngs[t].choice(d, m, replace=False))`` calls (0 < m < d); each rng is left
+    where those calls leave it.
+
+    Up to ``FLOYD_MAX_POPULATION`` a call is Floyd's algorithm: for j = d - m, ..., d - 1 a
+    bounded draw in [0, j], which is taken unless already taken, when j is. A shuffle of m - 1
+    bounded draws follows, in [0, i] for i = m - 1, ..., 1; after the sort only its word count
+    matters. Each bounded draw is Lemire's method on one word, and takes another only where the
+    product's low half is below 2^32 mod (j + 1), about j in 2^32 words. So, but for such a
+    rejection, the k-th call reads words [k(2m - 1), (k + 1)(2m - 1)) of its rng's stream, and
+    every tree's calls are replayed at once, one word column at a time. A tree whose words hold
+    a rejection is set back to the start of that call, and it and the later calls are ``choice``
+    itself, as is every call above ``FLOYD_MAX_POPULATION``.
+    """
+    states = [rng.bit_generator.state for rng in rngs]
+    per_call = 2 * m - 1
+    if d > FLOYD_MAX_POPULATION:
+        table = np.empty((len(rngs), count, m), dtype=np.intp)
+        first = np.zeros(len(rngs), dtype=np.intp)
+    else:
+        words = np.empty((len(rngs), count, per_call), dtype=np.uint32)
+        for t, rng in enumerate(rngs):
+            words[t] = _take_words(rng.bit_generator, count * per_call).reshape(count, per_call)
+        rejected = np.zeros((len(rngs), count), dtype=bool)
+        table = np.empty((len(rngs), count, m), dtype=np.int16)  # d <= FLOYD_MAX_POPULATION < 2^15
+        # j + 1 for each Floyd word, then i + 1 for each shuffle word
+        for c, bound in enumerate([*range(d - m + 1, d + 1), *range(m, 1, -1)]):
+            product = words[:, :, c] * np.uint64(bound)
+            rejected |= (product & 0xFFFFFFFF) < (1 << 32) % bound
+            if c < m:
+                value = (product >> 32).astype(np.int16)
+                table[:, :, c] = np.where((table[:, :, :c] == value[:, :, None]).any(axis=2), bound - 1, value)
+        table.sort(axis=2)
+        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), count)
+    for t in np.flatnonzero(first < count).tolist():
+        rng, k = rngs[t], int(first[t])
+        rng.bit_generator.state = states[t]
+        _take_words(rng.bit_generator, k * per_call)
+        table[t, k:] = [np.sort(rng.choice(d, m, replace=False)) for _ in range(k, count)]
+    return table
 
 
 # the most cells (nodes x bucket size x candidate features) in one block of the batched split search
 SPLIT_BLOCK_CELLS = 1 << 14
 
 
-def _best_splits(Xp: np.ndarray, yp: np.ndarray, nodes: list) -> list:
-    """Best (impurity decrease, feature, threshold) of each node, or None when no
-    feature admits a valid split. ``nodes`` holds (rows, features, n_true) with
-    row indices into ``Xp``/``yp``, whose last row is the pad: NaN, labelled FALSE.
+def _best_splits(Xp: np.ndarray, yp: np.ndarray, rows: np.ndarray, start: np.ndarray, size: np.ndarray,
+                 features: np.ndarray) -> tuple:
+    """Best split of each node, as arrays (impurity decrease, feature, threshold); the
+    decrease is -inf where no candidate feature admits a valid split. Node k holds the rows
+    ``rows[start[k]:start[k] + size[k]]`` of ``Xp``/``yp``, whose last row is the pad: NaN,
+    labelled FALSE. Its candidate features are the row ``features[k]``.
 
-    Nodes are grouped by the next power of two of their size and their number of
-    candidate features, and each group is searched in chunks of at most
-    ``SPLIT_BLOCK_CELLS`` cells. A chunk is one block, its nodes' rows padded with
-    the pad row to the longest: a stable sort per column, then the weighted child
-    Gini at every cut not between equal values. NaN sorts after every value and no
-    value is below it, so each node's own rows sort first, as in a block of its
-    own, and every cut next to a pad is invalid. Ties break toward the lower
-    feature (features are sorted), then the lower threshold.
+    Nodes are grouped by the next power of two of their size, and each group is searched
+    in chunks of at most ``SPLIT_BLOCK_CELLS`` cells. A chunk is one block, its nodes' rows
+    padded with the pad row to the longest: a stable sort per column, then the weighted
+    child Gini at every cut not between equal values. NaN sorts after every value and no
+    value is below it, so each node's own rows sort first, as in a block of its own, and
+    every cut next to a pad is invalid. Ties break toward the earlier feature of
+    ``features[k]``, then the lower threshold.
     """
-    groups: dict = {}
-    for k, (rows, features, _) in enumerate(nodes):
-        groups.setdefault((1 << (len(rows) - 1).bit_length(), len(features)), []).append(k)
-    out = [None] * len(nodes)
-    for (size, m), members in groups.items():
-        step = max(1, SPLIT_BLOCK_CELLS // (size * m))
-        for start in range(0, len(members), step):
-            ks = members[start:start + step]
-            chunk = [nodes[k] for k in ks]
-            n = np.array([len(rows) for rows, _, _ in chunk])
-            n_true = np.array([t for _, _, t in chunk])
+    m = features.shape[1]
+    decrease = np.full(len(size), -np.inf)
+    best_feature = np.zeros(len(size), dtype=np.intp)
+    best_threshold = np.zeros(len(size))
+    bucket = np.left_shift(1, np.frexp(size - 1)[1])  # the next power of two
+    for b in sorted(set(bucket.tolist())):
+        members = np.flatnonzero(bucket == b)
+        step = max(1, SPLIT_BLOCK_CELLS // (b * m))
+        for first in range(0, len(members), step):
+            ks = members[first:first + step]
+            n = size[ks]
             width = int(n.max())
-            rows = np.full((len(ks), width), len(Xp) - 1)
-            rows[np.arange(width) < n[:, None]] = np.concatenate([r for r, _, _ in chunk])
-            features = np.array([f for _, f, _ in chunk])
-            block = Xp[rows[:, None, :], features[:, :, None]]  # node x feature x row
+            at = np.arange(width)
+            block_rows = np.where(at < n[:, None], rows.take(start[ks, None] + at, mode="clip"), len(Xp) - 1)
+            labels = yp[block_rows]
+            n_true = labels.sum(axis=1)
+            f = features[ks]
+            block = Xp.take(block_rows[:, None, :] * Xp.shape[1] + f[:, :, None])  # node x feature x row
             order = block.argsort(axis=2, kind="stable")
             # gather by flat index: block row (k, c) starts at (k * m + c) * width
             sv = block.take(order + np.arange(0, block.size, width).reshape(len(ks), m, 1))
-            t_left = yp[rows].take(order + np.arange(0, rows.size, width)[:, None, None]).cumsum(axis=2)[:, :, :-1]
-            n_left = np.arange(1, width)
+            t_before = labels.take(order + np.arange(0, labels.size, width)[:, None, None]).cumsum(axis=2)
+            # score only the cuts between a value and a greater one; the rest stay +inf
+            cuts = np.flatnonzero(sv[:, :, :-1] < sv[:, :, 1:])
+            k, col, p = np.unravel_index(cuts, (len(ks), m, width - 1))
+            n_left, t_left = p + 1, t_before[k, col, p]
             f_left = n_left - t_left
-            n_right = n[:, None, None] - n_left
-            t_right = n_true[:, None, None] - t_left
+            n_right = n[k] - n_left
+            t_right = n_true[k] - t_left
             f_right = n_right - t_right
-            with np.errstate(divide="ignore", invalid="ignore"):  # the cuts past a node's end
-                child = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
-                    1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
-                )
-            child[~(sv[:, :, :-1] < sv[:, :, 1:])] = np.inf
+            child = np.full((len(ks), m, width - 1), np.inf)
+            child.flat[cuts] = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
+                1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
+            )
             j = child.argmin(axis=2)
             pt, pf = n_true / n, (n - n_true) / n
             parent = n * (1.0 - pt * pt - pf * pf)
-            decrease = parent[:, None] - np.take_along_axis(child, j[:, :, None], axis=2)[:, :, 0]
+            node_decrease = parent[:, None] - child.min(axis=2)
             r = np.arange(len(ks))
-            c = decrease.argmax(axis=1)
-            jc = j[r, c]
-            below, above = sv[r, c, jc].tolist(), sv[r, c, jc + 1].tolist()
-            for k, dec, feature, lo, hi in zip(ks, decrease[r, c].tolist(), features[r, c].tolist(), below, above):
-                if dec != -math.inf:
-                    # Python floats: where the midpoint rounds up to hi or overflows, the cut is at lo
-                    mid = (lo + hi) / 2.0
-                    out[k] = (dec, feature, mid if lo <= mid < hi else lo)
+            c = node_decrease.argmax(axis=1)
+            lo, hi = sv[r, c, j[r, c]], sv[r, c, j[r, c] + 1]
+            with np.errstate(over="ignore", invalid="ignore"):  # invalid: the nodes with no valid cut
+                mid = (lo + hi) / 2.0
+            decrease[ks] = node_decrease[r, c]
+            best_feature[ks] = f[r, c]
+            # where the midpoint rounds up to hi or overflows, the cut is at lo
+            best_threshold[ks] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    return decrease, best_feature, best_threshold
+
+
+def _widened(a: np.ndarray, width: int, fill) -> np.ndarray:
+    """``a`` (tree x node) with its rows extended to ``width`` by ``fill``."""
+    out = np.full((len(a), width), fill, dtype=a.dtype)
+    out[:, :a.shape[1]] = a
     return out
 
 
-def _grow(X: np.ndarray, y: np.ndarray, samples: list, rngs: list, max_features: Optional[int],
+def _partition(X: np.ndarray, y: np.ndarray, rows: np.ndarray, trees: np.ndarray, lo: np.ndarray,
+               counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> tuple:
+    """Partition each segment ``rows[trees[i], lo[i]:lo[i] + counts[i]]`` in place, with one
+    compare for all of them: the rows whose ``feature[i]`` is at most ``threshold[i]`` first,
+    each side in its order. Returns each segment's count of those rows and of their TRUE labels."""
+    first = np.cumsum(counts) - counts  # where each segment starts in the flat arrays below
+    seg = np.repeat(np.arange(len(trees)), counts)
+    at = (trees * rows.shape[1] + lo - first)[seg]
+    at += np.arange(len(seg))
+    seg_rows = rows.take(at)
+    goes_left = X[seg_rows, feature[seg]] <= threshold[seg]
+    n_left = np.add.reduceat(goes_left, first, dtype=np.intp)
+    t_left = np.add.reduceat(goes_left & y[seg_rows], first, dtype=np.intp)
+    seg *= 2
+    seg += ~goes_left  # the sort key: segment, then side
+    rows.put(at, seg_rows[seg.argsort(kind="stable")])
+    return n_left, t_left
+
+
+def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_features: Optional[int],
           max_leaf_nodes: Optional[int]) -> list:
-    """The ``_Tree`` grown on each sample (row indices into ``X``, ``y``), all in lockstep.
+    """The ``_Tree`` grown on each row of ``samples`` (row indices into ``X``, ``y``), all in lockstep.
 
     An impure node's candidate features are all ``d`` when ``max_features`` is
     unset or at least ``d``, else a sorted draw of ``max_features`` from its
-    tree's rng. At each step every tree with a node on its heap pops its best node
-    and opens both children, left first; then one batched search scores every node
-    opened in the step. Only the candidate-feature draws use a tree's rng, and each
-    tree makes them in its own open order, so each tree equals the one grown alone.
+    tree's rng, made in the tree's open order (``_draw_features``). At each step
+    every tree with a node on its heap pops its best node and opens both
+    children, left first; then one batched search scores every node opened in
+    the step. Each tree equals the one grown alone.
+
+    The growth state is arrays, tree x node. A node's rows are a contiguous
+    segment of its tree's row of ``rows``, and a pop partitions its segment, the
+    rows at or below the threshold first. A tree's heap is its row of
+    ``pending``: the decrease of each node pushed and not yet popped, else -inf.
+    Nodes are pushed in id order, so the first maximum is the heap's
+    (-decrease, push counter) minimum.
     """
+    n_trees, n = samples.shape
     d = X.shape[1]
-    draw = max_features is not None and max_features < d
+    m = d if max_features is None else min(max_features, d)
     Xp = np.vstack([X, np.full((1, d), np.nan)])
     yp = np.append(y, False)
-    trees = [_Tree() for _ in samples]
-    heaps: list = [[] for _ in samples]
-    counter = 0
-    owners, opened = list(range(len(samples))), list(samples)  # the tree of each opened node, its rows
-    while opened:
-        # TRUE labels per node in one pass
-        sizes = [len(rows) for rows in opened]
-        ends = np.cumsum(sizes)
-        true_before = np.append(0, y[np.concatenate(opened)].cumsum())
-        n_trues = (true_before[ends] - true_before[ends - sizes]).tolist()
-        pending, nodes = [], []
-        for t, rows, n, n_true in zip(owners, opened, sizes, n_trues):
-            node = trees[t].add_leaf(n_true > n - n_true)
-            if 0 < n_true < n:
-                pending.append((t, node))
-                features = np.sort(rngs[t].choice(d, size=max_features, replace=False)) if draw else np.arange(d)
-                nodes.append((rows, features, n_true))
-        for (t, node), (rows, _, _), split in zip(pending, nodes, _best_splits(Xp, yp, nodes)):
-            if split is not None:
-                heappush(heaps[t], (-split[0], counter, node, rows, split[1], split[2]))
-                counter += 1
-        owners, opened = [], []
-        for t, (tree, heap) in enumerate(zip(trees, heaps)):
-            # a tree of L leaves has 2L - 1 nodes
-            if heap and (max_leaf_nodes is None or len(tree.feature) < 2 * max_leaf_nodes - 1):
-                _, _, node, rows, feature, threshold = heappop(heap)
-                mask = X[rows, feature] <= threshold
-                tree.make_internal(node, feature, threshold, len(tree.feature), len(tree.feature) + 1)
-                owners += [t, t]
-                opened += [rows[mask], rows[~mask]]
-    return trees
+    # the copies of a row go to one side of every split, so a tree of r distinct rows has at most
+    # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure leaf holds two rows
+    distinct = int((np.diff(np.sort(samples, axis=1), axis=1) != 0).sum(axis=1).max()) + 1
+    # the node arrays start at FIRST_NODE_EXTENT nodes per tree and double when a pop needs more
+    fills = (0, 0, 0, -1, 0, 0.0, -np.inf)  # start, size, n_true, left, feature, threshold, pending
+    start, size, n_true, left, feature, threshold, pending = (
+        np.full((n_trees, min(FIRST_NODE_EXTENT, 2 * distinct - 1)), fill) for fill in fills)
+    rows = samples.copy()
+    size[:, 0], n_true[:, 0] = n, y[samples].sum(axis=1)
+    n_nodes, n_drawn = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
+    table = np.empty((n_trees, 0, m), dtype=np.int16)  # _draw_features widens it above FLOYD_MAX_POPULATION
+    every_feature = np.broadcast_to(np.arange(d), (2 * n_trees, d))  # a step opens two nodes per tree at most
+    trees, nodes = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)  # the nodes opened in a step
+    while len(trees):
+        impure = (0 < n_true[trees, nodes]) & (n_true[trees, nodes] < size[trees, nodes])
+        trees, nodes = trees[impure], nodes[impure]
+        if m < d:
+            # the k-th draw of a tree goes to its k-th impure node: a step opens one or two
+            # nodes per tree, next to each other, the left one first
+            k = n_drawn[trees] + np.append(False, trees[1:] == trees[:-1])
+            n_drawn += np.bincount(trees, minlength=n_trees)
+            if n_drawn.max() > table.shape[1]:
+                extent = min(max(2 * table.shape[1], int(n_drawn.max()), FIRST_DRAW_EXTENT), distinct - 1)
+                table = np.concatenate([table, _draw_features(rngs, d, m, extent - table.shape[1])], axis=1)
+            features = table[trees, k]
+        else:
+            features = every_feature[:len(trees)]
+        decrease, best, cut = _best_splits(Xp, yp, rows.ravel(), trees * n + start[trees, nodes],
+                                           size[trees, nodes], features)
+        found = decrease > -np.inf
+        trees, nodes = trees[found], nodes[found]
+        pending[trees, nodes], feature[trees, nodes], threshold[trees, nodes] = decrease[found], best[found], cut[found]
+        # pop the best node of each tree with a node on its heap and room for two more nodes
+        popped = pending[:, :n_nodes.max()].argmax(axis=1)
+        trees = np.flatnonzero(pending[np.arange(n_trees), popped] > -np.inf)
+        if max_leaf_nodes is not None:
+            trees = trees[n_nodes[trees] < 2 * max_leaf_nodes - 1]
+        nodes = popped[trees]
+        if len(trees) and n_nodes[trees].max() + 2 > start.shape[1]:
+            width = min(2 * start.shape[1], 2 * distinct - 1)
+            start, size, n_true, left, feature, threshold, pending = (
+                _widened(a, width, fill) for a, fill in zip((start, size, n_true, left, feature, threshold, pending), fills))
+        pending[trees, nodes] = -np.inf
+        lo, counts = start[trees, nodes], size[trees, nodes]
+        n_left, t_left = _partition(X, y, rows, trees, lo, counts, feature[trees, nodes], threshold[trees, nodes])
+        children = n_nodes[trees]
+        left[trees, nodes] = children
+        start[trees, children], size[trees, children], n_true[trees, children] = lo, n_left, t_left
+        start[trees, children + 1], size[trees, children + 1] = lo + n_left, counts - n_left
+        n_true[trees, children + 1] = n_true[trees, nodes] - t_left
+        n_nodes[trees] += 2
+        trees, nodes = np.repeat(trees, 2), (children[:, None] + np.arange(2)).ravel()
+    internal = left >= 0
+    out = []
+    for t, count in enumerate(n_nodes.tolist()):
+        tree = _Tree()
+        inner = internal[t, :count]
+        tree.feature = np.where(inner, feature[t, :count], -1)
+        tree.threshold = np.where(inner, threshold[t, :count], 0.0)
+        tree.left = left[t, :count].copy()
+        tree.right = np.where(inner, left[t, :count] + 1, -1)
+        tree.prediction = 2 * n_true[t, :count] > size[t, :count]
+        out.append(tree)
+    return out
 
 
 class DecisionTreeCART(Stateful):
@@ -487,7 +626,7 @@ class DecisionTreeCART(Stateful):
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        (self.tree_,) = _grow(X, _as_bool_labels(y), [np.arange(len(X))], [None], None, self.max_leaf_nodes)
+        (self.tree_,) = _grow(X, _as_bool_labels(y), np.arange(len(X))[None], [None], None, self.max_leaf_nodes)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -521,7 +660,7 @@ class RandomForest(Stateful):
         n, d = X.shape
         max_features = self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1
         rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators)]
-        samples = [rng.integers(0, n, size=n) for rng in rngs]  # the bootstrap: each tree's first draw
+        samples = np.array([rng.integers(0, n, size=n) for rng in rngs])  # the bootstrap: each tree's first draw
         self.tree_tables = _grow(X, _as_bool_labels(y), samples, rngs, max_features, None)
         return self
 
@@ -533,7 +672,7 @@ class RandomForest(Stateful):
         fitted one): tree seeds come from ``SeedSequence(seed).spawn(n)``, whose
         first n children do not depend on n, so a smaller forest is a prefix."""
         X = np.asarray(X, dtype=float)
-        votes = np.cumsum([tree.predict(X) for tree in self.trees_], axis=0)
+        votes = np.cumsum(_predict_trees(self.tree_tables, X), axis=0)
         return [votes[n - 1] * 2 > n for n in values]
 
     @property

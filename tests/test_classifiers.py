@@ -1,6 +1,8 @@
 import math
+import tempfile
 import tracemalloc
 from heapq import heappop, heappush
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -562,25 +564,39 @@ NO_CUT_Y = np.array([True, False, True])
 def test_block_split_search_equals_the_per_feature_loop(batch):
     X, y, nodes, cells = batch
     Xp, yp = np.vstack([X, np.full((1, X.shape[1]), np.nan)]), np.append(y, False)
-    with mock.patch.object(classifiers, "SPLIT_BLOCK_CELLS", cells):
-        got = classifiers._best_splits(Xp, yp, [(idx, np.array(f), int(y[idx].sum())) for idx, f in nodes])
-    assert len(got) == len(nodes)
+    got = [None] * len(nodes)
+    # one search per number of candidate features; each node's rows are a segment of one
+    # array, laid out in reverse node order, so the last segment is the first node's
+    for m in {len(f) for _, f in nodes}:
+        ks = [k for k, (_, f) in enumerate(nodes) if len(f) == m]
+        size = np.array([len(nodes[k][0]) for k in ks])
+        start = size[::-1].cumsum()[::-1] - size
+        rows = np.concatenate([nodes[k][0] for k in reversed(ks)])
+        with mock.patch.object(classifiers, "SPLIT_BLOCK_CELLS", cells):
+            decrease, feature, threshold = classifiers._best_splits(
+                Xp, yp, rows, start, size, np.array([nodes[k][1] for k in ks]))
+        assert len(decrease) == len(feature) == len(threshold) == len(ks)
+        assert np.issubdtype(feature.dtype, np.integer)
+        for k, dec, f, t in zip(ks, decrease.tolist(), feature.tolist(), threshold.tolist()):
+            got[k] = None if dec == -math.inf else (dec, f, t)
     for (idx, features), split in zip(nodes, got):
         assert exact(split) == exact(reference_best_split(X, y, idx, features))
-        assert split is None or type(split[1]) is int
 
 
 def reference_tree(X, y, max_leaf_nodes=None, max_features=None, rng=None):
-    """The per-tree growth loop that the lockstep grower replaced: one heap, and
-    each node's split searched as soon as it is opened."""
-    tree = classifiers._Tree()
+    """The per-tree growth loop that the lockstep grower replaced, returning the
+    grown tree's state: one heap, each node's split searched as soon as it is
+    opened, and the node table kept as plain lists, appended to in open order."""
+    tree: dict = {"feature": [], "threshold": [], "left": [], "right": [], "prediction": []}
     heap: list = []
     counter = 0
 
     def open_node(idx):
         nonlocal counter
         n_true = int(y[idx].sum())
-        node = tree.add_leaf(n_true > len(idx) - n_true)
+        for column, value in zip(tree.values(), (-1, 0.0, -1, -1, n_true > len(idx) - n_true)):
+            column.append(value)
+        node = len(tree["feature"]) - 1
         if 0 < n_true < len(idx):
             d = X.shape[1]
             features = np.arange(d) if max_features is None or max_features >= d else np.sort(
@@ -598,7 +614,8 @@ def reference_tree(X, y, max_leaf_nodes=None, max_features=None, rng=None):
         mask = X[idx, feature] <= threshold
         left = open_node(idx[mask])
         right = open_node(idx[~mask])
-        tree.make_internal(node, feature, threshold, left, right)
+        for column, value in zip(tree.values(), (int(feature), threshold, left, right)):
+            column[node] = value
         leaves += 1
     return tree
 
@@ -624,23 +641,76 @@ def growth_cases(draw):
 
 XOR_X = np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0]])
 XOR_Y = np.array([True, True, False, False])
+# 1000 distinct rows of random labels: a tree opens over 2 * FIRST_DRAW_EXTENT impure nodes
+WIDE_X = np.random.default_rng(3).normal(size=(1000, 6))
+WIDE_Y = np.random.default_rng(4).random(1000) < 0.5
 
 
 @settings(max_examples=150, deadline=None)
 @given(growth_cases())
 @example((DecisionTreeCART(), XOR_X, XOR_Y))  # both children of the root have decrease 1: left pops first
+@example((RandomForest(3, 2, seed=5), WIDE_X, WIDE_Y))  # the draw table is extended twice
 def test_lockstep_growth_equals_growing_each_tree_alone(case):
     estimator, X, y = case
     state = estimator.fit(X, y).get_state()
     if isinstance(estimator, DecisionTreeCART):
-        assert state == {"tree": reference_tree(X, y, estimator.max_leaf_nodes).get_state()}
+        assert state == {"tree": reference_tree(X, y, estimator.max_leaf_nodes)}
         return
     expected = []
     for child in np.random.SeedSequence(estimator.seed).spawn(estimator.n_estimators):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, len(X), size=len(X))
-        expected.append(reference_tree(X[boot], y[boot], max_features=estimator.max_features, rng=rng).get_state())
+        expected.append(reference_tree(X[boot], y[boot], max_features=estimator.max_features, rng=rng))
     assert state == {"trees": expected}
+
+
+def test_wide_example_outgrows_the_first_draw_extent():
+    with mock.patch.object(classifiers, "_draw_features", wraps=classifiers._draw_features) as draws:
+        RandomForest(3, 2, seed=5).fit(WIDE_X, WIDE_Y)
+    # each extent doubles the table: 64 draws per tree, then 64 more, then 128
+    assert [call.args[3] for call in draws.call_args_list] == [classifiers.FIRST_DRAW_EXTENT * k for k in (1, 1, 2)]
+
+
+def reference_walk(tree, X, splits=None):
+    """The per-row walk that the level-by-level ``_Tree.predict`` replaced."""
+    limit = len(tree.feature) if splits is None else 2 * splits + 1
+    out = []
+    for x in X:
+        node = 0
+        while tree.feature[node] >= 0 and tree.left[node] < limit:
+            node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        out.append(bool(tree.prediction[node]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(growth_cases(), st.data())
+def test_tree_predict_equals_a_per_row_walk(case, data):
+    estimator, X, y = case
+    estimator.fit(X, y)
+    # the training rows, and rows of values between, beyond and equal to theirs, or NaN
+    cells = st.one_of(st.sampled_from([-1.0, 0.5, 1.5, 3.0, 4.0, np.nan]), st.integers(0, 3).map(float))
+    extra = data.draw(st.lists(st.lists(cells, min_size=X.shape[1], max_size=X.shape[1]), max_size=6))
+    Xe = np.vstack([X, np.array(extra, dtype=float).reshape(len(extra), X.shape[1])])
+    forest = isinstance(estimator, RandomForest)
+    family = ModelFamily.RANDOM_FOREST if forest else ModelFamily.DECISION_TREE
+    params = {"n_estimators": estimator.n_estimators} if forest else {"max_leaf_nodes": estimator.max_leaf_nodes}
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(TrainedModel(family, params, 0, X.shape[1], estimator), Path(tmp) / "model.json")
+        loaded = load_model(Path(tmp) / "model.json").estimator
+    for est in (estimator, loaded):
+        trees = [t.tree_ for t in est.trees_] if forest else [est.tree_]
+        for tree in trees:
+            internal = int(np.count_nonzero(tree.feature >= 0))
+            assert len(tree.feature) == 2 * internal + 1  # no spare capacity
+            assert tree.n_leaves == internal + 1
+            for splits in (None, *range(internal + 2)):
+                assert tree.predict(Xe, splits).tolist() == reference_walk(tree, Xe, splits)
+        if forest:
+            votes = np.cumsum([reference_walk(tree, Xe) for tree in trees], axis=0)
+            values = list(range(1, len(trees) + 1))
+            expected = [(votes[v - 1] * 2 > v).tolist() for v in values]
+            assert [p.tolist() for p in est.predict_grid(Xe, values)] == expected
 
 
 def test_forest_fit_memory_stays_flat():
