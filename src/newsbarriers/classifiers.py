@@ -845,14 +845,13 @@ def grid_predictions(family: ModelFamily, values: Sequence, train_data, X_eval, 
 
 
 def best_point(predictions: Sequence[np.ndarray], gold) -> int:
-    """Index of the predictions with the most correct labels, the best micro-F1 (which equals
-    accuracy for single-label binary prediction); the first wins ties."""
+    """Index of the predictions with the most correct labels, the best accuracy; the first wins ties."""
     correct = (np.asarray(predictions, dtype=bool) == np.asarray(gold, dtype=bool)).sum(axis=1)
     return int(correct.argmax())
 
 
 def sweep_full(family: ModelFamily, values: Sequence, train_data, eval_data, seed: int = 0):
-    """Index of the sweep value with the best micro-F1 on eval_data (the first wins ties) and its predictions there."""
+    """Index of the sweep value with the best accuracy on eval_data (the first wins ties) and its predictions there."""
     predictions = grid_predictions(family, values, train_data, eval_data[0], seed)
     g = best_point(predictions, eval_data[1])
     return g, predictions[g]

@@ -40,6 +40,11 @@ class PipelineConfig:
     economic_features: tuple = ()  # empty means all indicators
 
     def validate(self) -> None:
+        for f in fields(self):
+            text = getattr(self, f.name)
+            # config.txt is read back with str.splitlines: a line break would split the option in two
+            if f.type is str and text.splitlines() not in ([], [text]):
+                raise ConfigError(f"{f.name}: holds a line break")
         for key in ("pairs", "concepts", "countries", "publishers"):
             path = getattr(self, key)
             if not path:

@@ -1,13 +1,13 @@
-"""Stratified cross-validation, micro-averaged metrics, and report rendering.
+"""Stratified cross-validation, accuracy, and report rendering.
 
-For single-label binary prediction the micro-averaged precision, recall, and
-F1 all collapse to classification accuracy (summing TP and FP over both
-classes counts every prediction once; TP and FN count every gold label once).
-``micro_metrics`` computes the class-summed formulas literally and asserts the
-identity on every call.
+The paper reports CA, Mic-Pre, Mic-Rec and Mic-F1. For single-label binary
+prediction the micro-averaged precision, recall, and F1 all collapse to
+classification accuracy (summing TP and FP over both classes counts every
+prediction once; TP and FN count every gold label once), so a report row holds
+one accuracy and the report shows it in all four columns.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,18 +24,10 @@ REPORT_COLUMNS = ("barrier", "model", "ca", "micro_precision", "micro_recall", "
 
 
 @dataclass(frozen=True)
-class MetricSet:
-    classification_accuracy: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-
-
-@dataclass(frozen=True)
 class ReportRow:
     barrier: BarrierKind
     family: ModelFamily
-    metrics: MetricSet
+    accuracy: float
 
 
 def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[str]] = None) -> np.ndarray:
@@ -63,41 +55,15 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[
     return fold_of
 
 
-def micro_metrics(predictions, gold) -> MetricSet:
-    """Class-summed micro precision/recall/F1 plus classification accuracy."""
+def accuracy(predictions, gold) -> float:
+    """The share of predictions that equal their gold label."""
     predictions = np.asarray(predictions, dtype=bool)
     gold = np.asarray(gold, dtype=bool)
     if predictions.shape != gold.shape:
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(gold)} gold labels")
     if len(predictions) == 0:
         raise EmptyInput("no predictions to score")
-
-    tp_sum = fp_sum = fn_sum = 0
-    for label in (False, True):
-        tp_sum += int(((predictions == label) & (gold == label)).sum())
-        fp_sum += int(((predictions == label) & (gold != label)).sum())
-        fn_sum += int(((predictions != label) & (gold == label)).sum())
-    accuracy = int((predictions == gold).sum()) / len(gold)
-    precision = tp_sum / (tp_sum + fp_sum)
-    recall = tp_sum / (tp_sum + fn_sum)
-    f1 = precision if precision == recall else 2.0 * precision * recall / (precision + recall)
-    # Single-label binary identity; holds for every input by construction.
-    assert precision == recall == f1 == accuracy
-    return MetricSet(
-        classification_accuracy=accuracy,
-        micro_precision=precision,
-        micro_recall=recall,
-        micro_f1=f1,
-    )
-
-
-def _mean_metrics(per_fold: Sequence[MetricSet]) -> MetricSet:
-    return MetricSet(
-        classification_accuracy=float(np.mean([m.classification_accuracy for m in per_fold])),
-        micro_precision=float(np.mean([m.micro_precision for m in per_fold])),
-        micro_recall=float(np.mean([m.micro_recall for m in per_fold])),
-        micro_f1=float(np.mean([m.micro_f1 for m in per_fold])),
-    )
+    return int((predictions == gold).sum()) / len(gold)
 
 
 def _child_seed(seed: int, *key: int) -> int:
@@ -135,9 +101,8 @@ def run_experiment(
     default the sweep scores its values on the fold's own test split (the
     reproduced protocol); ``nested=True`` picks the value by inner
     cross-validation on the training portion instead, then sweeps that one
-    value. Metrics pool the
-    held-out predictions of all folds unless ``fold_mean`` asks for per-fold
-    averaging.
+    value. The accuracy pools the held-out predictions of all folds unless
+    ``fold_mean`` asks for the mean of the per-fold accuracies.
     """
     X, y = dataset.arrays()
     fold_of = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
@@ -154,9 +119,9 @@ def run_experiment(
             _, preds = sweep_full(family, values, train_data, (X_te, y_te), fold_seed)
             pooled[m, te] = preds
             if fold_mean:
-                per_fold[m].append(micro_metrics(preds, y_te))
+                per_fold[m].append(accuracy(preds, y_te))
     return [
-        ReportRow(dataset.barrier, family, _mean_metrics(per_fold[m]) if fold_mean else micro_metrics(pooled[m], y))
+        ReportRow(dataset.barrier, family, float(np.mean(per_fold[m])) if fold_mean else accuracy(pooled[m], y))
         for m, family in enumerate(families)
     ]
 
@@ -168,16 +133,14 @@ def _sorted_rows(rows: Sequence[ReportRow]) -> list:
 def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Optional[Sequence[str]] = None) -> str:
     """Render report rows barrier by barrier, models in ``FAMILIES`` order.
 
-    Markdown rounds to two decimals; csv keeps full precision and round-trips.
+    Each row's accuracy fills the paper's four metric columns. Markdown rounds
+    to two decimals; csv keeps full precision and round-trips.
     """
     if not rows:
         raise EmptyInput("no report rows")
     ordered = _sorted_rows(rows)
     if fmt == "csv":
-        cells = (
-            (BARRIERS[r.barrier].title, FAMILIES[r.family].display_name, *map(repr, astuple(r.metrics)))
-            for r in ordered
-        )
+        cells = ((BARRIERS[r.barrier].title, FAMILIES[r.family].display_name, *[repr(r.accuracy)] * 4) for r in ordered)
         return csv_text(REPORT_COLUMNS, cells)
     if fmt != "markdown":
         raise ValueError(f"unknown report format: {fmt!r}")
@@ -186,11 +149,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
     for r in ordered:
         title = BARRIERS[r.barrier].title if r.barrier is not last_barrier else ""
         last_barrier = r.barrier
-        m = r.metrics
-        lines.append(
-            f"| {title} | {FAMILIES[r.family].display_name} | {m.classification_accuracy:.2f} "
-            f"| {m.micro_precision:.2f} | {m.micro_recall:.2f} | {m.micro_f1:.2f} |"
-        )
+        lines.append(f"| {title} | {FAMILIES[r.family].display_name} |" + f" {r.accuracy:.2f} |" * 4)
     text = "\n".join(lines) + "\n"
     if footer:
         text += "\n" + "\n".join(footer) + "\n"
@@ -198,7 +157,10 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
 
 
 def parse_report_csv(path) -> list:
-    """Read report rows back from a file of csv output; anything else is a DataError."""
+    """Read report rows back from a file of csv output; anything else is a DataError.
+
+    Each row's four metric values must be one accuracy: equal as floats and in [0, 1].
+    """
     title_to_barrier = {b.title: kind for kind, b in BARRIERS.items()}
     name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
@@ -211,10 +173,14 @@ def parse_report_csv(path) -> list:
             if record[1] not in name_to_family:
                 raise MalformedRow(rownum, f"unknown model {record[1]!r}")
             try:
-                metrics = MetricSet(*(float(v) for v in record[2:]))
+                values = [float(v) for v in record[2:]]
             except ValueError:
                 raise MalformedRow(rownum, "metric is not a number") from None
-            rows.append(ReportRow(title_to_barrier[record[0]], name_to_family[record[1]], metrics))
+            if not all(0.0 <= v <= 1.0 for v in values):
+                raise MalformedRow(rownum, "metric is not an accuracy in [0, 1]")
+            if len(set(values)) != 1:
+                raise MalformedRow(rownum, "the four metrics differ; each column holds the accuracy")
+            rows.append(ReportRow(title_to_barrier[record[0]], name_to_family[record[1]], values[0]))
     return rows
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from newsbarriers.knowledge import load_country_profiles, load_publishers
@@ -51,6 +52,22 @@ CONCEPT_LINES = [
     {"article": "German237", "concepts": ["FIFA_World_Cup", "Association_football"]},
     {"article": "Por44", "concepts": ["Global_warming"]},
 ]
+
+
+def class_summed_micro(predictions, gold):
+    """Micro precision, recall and F1 from TP/FP/FN summed over both classes: the
+    paper's Mic-Pre, Mic-Rec and Mic-F1, as a reference for ``evaluate.accuracy``."""
+    predictions = np.asarray(predictions, dtype=bool)
+    gold = np.asarray(gold, dtype=bool)
+    tp_sum = fp_sum = fn_sum = 0
+    for label in (False, True):
+        tp_sum += int(((predictions == label) & (gold == label)).sum())
+        fp_sum += int(((predictions == label) & (gold != label)).sum())
+        fn_sum += int(((predictions != label) & (gold == label)).sum())
+    precision = tp_sum / (tp_sum + fp_sum)
+    recall = tp_sum / (tp_sum + fn_sum)
+    f1 = precision if precision == recall else 2.0 * precision * recall / (precision + recall)
+    return precision, recall, f1
 
 
 @pytest.fixture

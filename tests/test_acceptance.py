@@ -25,12 +25,14 @@ from newsbarriers.annotate import annotate_vector_barrier, cosine_similarity
 from newsbarriers.classifiers import KNearestNeighbors, ModelFamily
 from newsbarriers.cli import main
 from newsbarriers.config import PipelineConfig
-from newsbarriers.evaluate import micro_metrics, render_report, run_experiment, stratified_kfold
+from newsbarriers.evaluate import accuracy, render_report, run_experiment, stratified_kfold
 from newsbarriers.features import LabeledInstance
 from newsbarriers.annotate import BarrierDataset
 from newsbarriers.knowledge import BarrierKind
 from newsbarriers.pipeline import annotate_corpus
 from newsbarriers.synth import SyntheticSpec, generate_corpus
+
+from conftest import class_summed_micro
 
 ORACLE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bruteforce_reannotate.py"
 
@@ -69,8 +71,8 @@ def test_criterion_1_metric_identity():
         n = int(rng.integers(1, 501))
         preds = rng.integers(0, 2, n).astype(bool)
         gold = rng.integers(0, 2, n).astype(bool)
-        m = micro_metrics(preds, gold)
-        assert m.micro_precision == m.micro_recall == m.micro_f1 == m.classification_accuracy
+        precision, recall, f1 = class_summed_micro(preds, gold)
+        assert precision == recall == f1 == accuracy(preds, gold)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"metric identity suite took {elapsed:.2f}s"
     report(1, f"1000 random vectors, exact identity, {elapsed:.2f}s")
@@ -141,9 +143,8 @@ def test_criterion_4_baseline_fidelity():
     X = rng.normal(size=(200, 5))
     y = np.array([False] * 140 + [True] * 60)
     rows = run_experiment(make_dataset(X, y), [ModelFamily.MOST_FREQUENT], k=10, seed=4)
-    m = rows[0].metrics
-    assert m.classification_accuracy == 0.7
-    assert m.micro_precision == m.micro_recall == m.micro_f1 == 0.7
+    assert rows[0].accuracy == 0.7
+    assert render_report(rows, "csv").splitlines()[1].endswith(",0.7,0.7,0.7,0.7")
     line = render_report(rows, "markdown").splitlines()[2]
     assert line.endswith("| Most Frequent | 0.70 | 0.70 | 0.70 | 0.70 |")
 
@@ -157,7 +158,7 @@ def test_criterion_4_baseline_fidelity():
         y = np.array([False] * n_false + [True] * n_true)
         rows = run_experiment(make_dataset(X, y), [ModelFamily.MOST_FREQUENT], k=k, seed=trial)
         majority = n_false / n
-        assert abs(rows[0].metrics.classification_accuracy - majority) <= 1.0 / n
+        assert abs(rows[0].accuracy - majority) <= 1.0 / n
     report(4, "MostFrequent pooled metrics match the majority fraction; 70/30 row reads 0.70")
 
 
@@ -174,7 +175,7 @@ def test_criterion_5_classifier_sanity():
     dataset = make_dataset(X, y)
     rows = run_experiment(dataset, [ModelFamily.SVM, ModelFamily.DECISION_TREE], k=10, seed=5)
     for row in rows:
-        assert row.metrics.micro_f1 >= 0.99, f"{row.family}: {row.metrics.micro_f1}"
+        assert row.accuracy >= 0.99, f"{row.family}: {row.accuracy}"
 
     knn = KNearestNeighbors(k=1).fit(X, y)
     assert (knn.predict(X) == y).mean() == 1.0
@@ -257,11 +258,11 @@ def test_criterion_8_models_beat_baselines(tmp_path):
         datasets, _, _ = annotate_corpus(config)
         for kind, dataset in datasets.items():
             rows = run_experiment(dataset, families, k=10, seed=8, grids=grids)
-            f1 = {r.family: r.metrics.micro_f1 for r in rows}
+            acc = {r.family: r.accuracy for r in rows}
             for family in learned:
-                assert f1[family] >= f1[ModelFamily.STRATIFIED], f"{event}/{kind.value}: {family}"
+                assert acc[family] >= acc[ModelFamily.STRATIFIED], f"{event}/{kind.value}: {family}"
             if kind in (BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
-                assert any(f1[family] > f1[ModelFamily.MOST_FREQUENT] for family in learned), \
+                assert any(acc[family] > acc[ModelFamily.MOST_FREQUENT] for family in learned), \
                     f"{event}/{kind.value}: no learned model beats MostFrequent"
     report(8, "learned models dominate Stratified everywhere and beat MostFrequent on geo/tz")
 

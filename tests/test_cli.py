@@ -153,6 +153,8 @@ def test_train_and_evaluate_round_trip(tmp_path, corpus, capsys):
     values = dict(line.split("=") for line in lines)
     assert set(values) == {"ca", "micro_precision", "micro_recall", "micro_f1"}
     assert float(values["ca"]) == float(values["micro_f1"])
+    # one accuracy, printed four times
+    assert len(set(values.values())) == 1
     # an unrestricted tree fits training data at least as well as the majority class
     assert float(values["ca"]) >= 0.5
 
@@ -385,6 +387,11 @@ def test_missing_dataset_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "data: not found\n"
 
 
+REPORT_HEADER = "barrier,model,ca,micro_precision,micro_recall,micro_f1\n"
+OUT_OF_RANGE = "rows: malformed row 2: metric is not an accuracy in [0, 1]"
+DIFFER = "rows: malformed row 2: the four metrics differ; each column holds the accuracy"
+
+
 @pytest.mark.parametrize("text,message", [
     ("barrier,model,ca,micro_precision,micro_recall,micro_f1\nBogus,kNN,0.5,0.5,0.5,0.5\n",
      "rows: malformed row 2: unknown barrier 'Bogus'"),
@@ -397,9 +404,27 @@ def test_missing_dataset_is_config_error(tmp_path, capsys):
     ("a,b\n", "rows: not a report csv"),
     ("", "rows: not a report csv"),
     ("barrier,model,ca,micro_precision,micro_recall,micro_f1\n", "rows: no report rows"),
-], ids=["barrier", "model", "short-row", "non-numeric", "header", "empty", "no-rows"])
+    # each of these rendered before: no accuracy lies outside [0, 1], and the four columns hold one accuracy
+    (REPORT_HEADER + "Political,kNN,nan,nan,nan,nan\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,inf,inf,inf,inf\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,-3,-3,-3,-3\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,7,7,7,7\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,1e308,1e308,1e308,1e308\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,0.5,0.5,0.5,nan\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,0.5,0.9,0.1,7\n", OUT_OF_RANGE),
+    (REPORT_HEADER + "Political,kNN,0.5,0.9,0.1,0.7\n", DIFFER),
+    (REPORT_HEADER + "Political,kNN,0.5,0.5,0.5,0.5000001\n", DIFFER),
+], ids=["barrier", "model", "short-row", "non-numeric", "header", "empty", "no-rows", "nan", "inf", "negative",
+        "above-one", "huge", "one-nan", "differ-out-of-range", "differ", "differ-slightly"])
 def test_malformed_report_rows_are_data_errors(tmp_path, capsys, text, message):
     rows = tmp_path / "report.csv"
     rows.write_text(text, encoding="utf-8")
     assert main(["report", "--rows", str(rows)]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_report_values_equal_as_floats_are_one_accuracy(tmp_path, capsys):
+    rows = tmp_path / "report.csv"
+    rows.write_text(REPORT_HEADER + "Political,kNN,0.5,0.50,5e-1,0.5\n", encoding="utf-8")
+    assert main(["report", "--rows", str(rows), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == REPORT_HEADER.replace("\n", "\r\n") + "Political,kNN,0.5,0.5,0.5,0.5\r\n"

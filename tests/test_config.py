@@ -107,6 +107,11 @@ def test_validate_rejects_bad_values(tmp_path):
     for name, message in (("naive_bayes", "has no sweep parameter"), ("perceptron", "unknown model family")):
         with pytest.raises(ConfigError, match=f"^grids: .*{message}"):
             PipelineConfig(**ok, grids={name: [1]}).validate()
+    # config.txt is read back with str.splitlines, which also breaks at \v, \x85 and \u2028
+    for name, value in (("event", "fifa\ngrid.knn.k = 1"), ("out", "runs/a\rb"), ("event", "a\x0bb"),
+                        ("event", "a\u2028b"), ("profile_side", "source\n"), ("pairs", ok["pairs"] + "\n")):
+        with pytest.raises(ConfigError, match=f"^{name}: holds a line break$"):
+            PipelineConfig(**{**ok, name: value}).validate()
     PipelineConfig(**ok, threshold=-1.0, grids={"decision_tree": [2, None], "svm": [1]}).validate()
 
 

@@ -258,6 +258,9 @@ def test_bad_flag_values_never_exit_3(inputs, command_flags):
     ("synth", ["--seed", "-1"], "synth: seed must be an integer >= 0, got -1"),
     ("train", ["--seed", "-1"], "train: seed must be an integer >= 0, got -1"),
     ("run", ["--grid", "a\nb"], "arguments: grid.a\\nb: grid keys look like grid.<family>.<param>"),
+    # config.txt held the event's second line as an option of its own, so a replay swept kNN at k = 1 only
+    ("run", ["--event", "fifa\ngrid.knn.k = 1"], "event: holds a line break"),
+    ("annotate", ["--event", "fifa\rx"], "event: holds a line break"),
 ])
 def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     root, paths, _ = inputs

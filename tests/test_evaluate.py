@@ -12,8 +12,8 @@ from newsbarriers.errors import EmptyInput, LengthMismatch, TooFewPerClass
 from newsbarriers.evaluate import (
     _child_seed,
     _select_nested,
+    accuracy,
     dataset_footer,
-    micro_metrics,
     parse_report_csv,
     render_report,
     run_experiment,
@@ -21,6 +21,8 @@ from newsbarriers.evaluate import (
 )
 from newsbarriers.features import LabeledInstance
 from newsbarriers.knowledge import BarrierKind
+
+from conftest import class_summed_micro
 
 
 def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
@@ -77,32 +79,33 @@ def test_stratified_seed_determinism():
 
 def test_micro_metrics_hand_enumerated():
     # confusion by hand: TP_sum=2 (one per class), FP_sum=FN_sum=2
-    metrics = micro_metrics([True, True, False, False], [True, False, True, False])
-    assert metrics.classification_accuracy == 0.5
-    assert metrics.micro_precision == 0.5
-    assert metrics.micro_recall == 0.5
-    assert metrics.micro_f1 == 0.5
+    preds, gold = [True, True, False, False], [True, False, True, False]
+    precision, recall, f1 = class_summed_micro(preds, gold)
+    assert accuracy(preds, gold) == 0.5
+    assert precision == 0.5
+    assert recall == 0.5
+    assert f1 == 0.5
 
 
 def test_micro_metrics_perfect_and_worst():
-    perfect = micro_metrics([True, False], [True, False])
-    assert perfect.micro_f1 == 1.0 and perfect.classification_accuracy == 1.0
-    worst = micro_metrics([True, False], [False, True])
-    assert worst.micro_f1 == 0.0 and worst.classification_accuracy == 0.0
+    perfect = ([True, False], [True, False])
+    assert class_summed_micro(*perfect)[2] == 1.0 and accuracy(*perfect) == 1.0
+    worst = ([True, False], [False, True])
+    assert class_summed_micro(*worst)[2] == 0.0 and accuracy(*worst) == 0.0
 
 
 def test_micro_metrics_errors():
     with pytest.raises(LengthMismatch):
-        micro_metrics([True], [True, False])
+        accuracy([True], [True, False])
     with pytest.raises(EmptyInput):
-        micro_metrics([], [])
+        accuracy([], [])
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=300))
 def test_micro_metrics_identity(pairs):
     preds, gold = zip(*pairs)
-    metrics = micro_metrics(list(preds), list(gold))
-    assert metrics.micro_precision == metrics.micro_recall == metrics.micro_f1 == metrics.classification_accuracy
+    precision, recall, f1 = class_summed_micro(preds, gold)
+    assert precision == recall == f1 == accuracy(list(preds), list(gold))
 
 
 def test_run_experiment_most_frequent_pooled():
@@ -111,8 +114,9 @@ def test_run_experiment_most_frequent_pooled():
     y = np.array([False] * 140 + [True] * 60)
     dataset = make_dataset(X, y)
     rows = run_experiment(dataset, [ModelFamily.MOST_FREQUENT], k=10, seed=2)
-    assert rows[0].metrics.classification_accuracy == 0.7
-    assert rows[0].metrics.micro_f1 == 0.7
+    assert rows[0].accuracy == 0.7
+    # the report shows that one accuracy as CA and as each micro metric
+    assert render_report(rows, "csv").splitlines()[1].endswith(",0.7,0.7,0.7,0.7")
 
 
 def test_run_experiment_deterministic():
@@ -134,7 +138,7 @@ def test_run_experiment_planted_concept_signal():
     X = np.column_stack([y.astype(float), rng.normal(size=(100, 5))])
     dataset = make_dataset(X, y)
     rows = run_experiment(dataset, [ModelFamily.DECISION_TREE], k=10, seed=6)
-    assert rows[0].metrics.micro_f1 >= 0.99
+    assert rows[0].accuracy >= 0.99
 
 
 def test_run_experiment_total_predictions_cover_dataset():
@@ -145,7 +149,7 @@ def test_run_experiment_total_predictions_cover_dataset():
     rows = run_experiment(dataset, [ModelFamily.MOST_FREQUENT], k=5, seed=8)
     # pooled most-frequent accuracy equals the majority fraction only if
     # every instance was predicted exactly once
-    assert rows[0].metrics.classification_accuracy == 0.6
+    assert rows[0].accuracy == 0.6
 
 
 def test_run_experiment_fold_mean_and_nested_run():
@@ -157,8 +161,8 @@ def test_run_experiment_fold_mean_and_nested_run():
     grids = {ModelFamily.KNN: (1, 3)}
     mean_rows = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, fold_mean=True)
     nested_rows = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
-    assert 0.0 <= mean_rows[0].metrics.micro_f1 <= 1.0
-    assert 0.0 <= nested_rows[0].metrics.micro_f1 <= 1.0
+    assert 0.0 <= mean_rows[0].accuracy <= 1.0
+    assert 0.0 <= nested_rows[0].accuracy <= 1.0
     again = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
     assert nested_rows == again
 
@@ -214,7 +218,7 @@ def test_nested_predictions_equal_a_refit_at_the_picked_value(case):
             spec = ModelSpec(family, {FAMILIES[family].sweep_param: value}, fold_seed)
             pooled[m, te] = train(spec, (X[tr], y[tr])).predict_batch(X[te])
             assert np.array_equal(next(calls), pooled[m, te])
-    assert [row.metrics for row in rows] == [micro_metrics(p, y) for p in pooled]
+    assert [row.accuracy for row in rows] == [accuracy(p, y) for p in pooled]
 
 
 def demo_rows():
@@ -287,5 +291,5 @@ def test_full_grid_experiment_smoke():
     }
     rows = run_experiment(dataset, list(ModelFamily), k=5, seed=15, grids=grids)
     assert len(rows) == len(ModelFamily)
-    by_family = {r.family: r.metrics for r in rows}
-    assert by_family[ModelFamily.DECISION_TREE].micro_f1 >= 0.9
+    by_family = {r.family: r.accuracy for r in rows}
+    assert by_family[ModelFamily.DECISION_TREE] >= 0.9
