@@ -426,73 +426,105 @@ def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
     return table
 
 
-# the most cells (nodes x bucket size x candidate features) in one block of the batched split search
+# the most cells (nodes x bucket size x candidate features) in one block of the batched split search;
+# also the stretch of (row, candidate) pairs that sets a chunk of the 0/1 counts
 SPLIT_BLOCK_CELLS = 1 << 14
 
 
+def _child_gini(n_left: np.ndarray, t_left: np.ndarray, n: np.ndarray, n_true: np.ndarray) -> np.ndarray:
+    """Weighted child Gini of cutting a node of ``n`` rows, ``n_true`` TRUE, into a left child of
+    ``n_left`` rows, ``t_left`` TRUE, and the rest; all four are integer arrays."""
+    f_left = n_left - t_left
+    n_right = n - n_left
+    t_right = n_true - t_left
+    f_right = n_right - t_right
+    return n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
+        1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
+    )
+
+
 def _best_splits(Xp: np.ndarray, yp: np.ndarray, rows: np.ndarray, start: np.ndarray, size: np.ndarray,
-                 features: np.ndarray) -> tuple:
+                 features: np.ndarray, binary: np.ndarray) -> tuple:
     """Best split of each node, as arrays (impurity decrease, feature, threshold); the
     decrease is -inf where no candidate feature admits a valid split. Node k holds the rows
     ``rows[start[k]:start[k] + size[k]]`` of ``Xp``/``yp``, whose last row is the pad: NaN,
-    labelled FALSE. Its candidate features are the row ``features[k]``.
+    labelled FALSE. Its candidate features are the row ``features[k]``; ``binary[j]`` is
+    whether column j of ``Xp`` holds only 0 and 1 on its rows other than the pad.
 
-    Nodes are grouped by the next power of two of their size, and each group is searched
-    in chunks of at most ``SPLIT_BLOCK_CELLS`` cells. A chunk is one block, its nodes' rows
-    padded with the pad row to the longest: a stable sort per column, then the weighted
-    child Gini at every cut not between equal values. NaN sorts after every value and no
-    value is below it, so each node's own rows sort first, as in a block of its own, and
-    every cut next to a pad is invalid. Ties break toward the earlier feature of
-    ``features[k]``, then the lower threshold.
+    A cell is one (node, candidate) pair. A 0/1 cell has one cut, at 0.5, and is counted:
+    its rows at 0 and the TRUE ones among them, one gather and one ``np.add.reduceat`` over
+    the node segments for each run of consecutive nodes whose first (row, candidate) pair
+    falls in one stretch of ``SPLIT_BLOCK_CELLS``. The other cells keep the sorted block:
+    their nodes are grouped by the next power of two of their size, and each group is
+    searched in chunks of at most ``SPLIT_BLOCK_CELLS`` cells (nodes x bucket size x the
+    most other candidates of a node). A chunk is one block, node x candidate x row, each
+    node's other candidates first, and its rows padded with the pad row to the longest: a
+    stable sort per column, then the weighted child Gini at every cut not between equal
+    values. NaN sorts after every value and no value is below it, so each node's own rows
+    sort first, as in a block of its own, and every cut next to a pad is invalid. Both
+    kinds score with ``_child_gini``, from the same integer counts, and one first argmax
+    over each node's cells breaks ties toward the earlier feature of ``features[k]``;
+    within a column, the first minimum is the lower threshold.
     """
-    m = features.shape[1]
-    decrease = np.full(len(size), -np.inf)
-    best_feature = np.zeros(len(size), dtype=np.intp)
-    best_threshold = np.zeros(len(size))
-    bucket = np.left_shift(1, np.frexp(size - 1)[1])  # the next power of two
+    n_nodes, m = features.shape
+    child = np.full((n_nodes, m), np.inf)  # each cell's least weighted child Gini
+    cut = np.full((n_nodes, m), 0.5)  # and the threshold that gives it
+    first = np.cumsum(size) - size  # where each node's segment starts in the flat arrays below
+    seg_rows = rows.take(np.repeat(start - first, size) + np.arange(int(size.sum())))
+    labels = yp[seg_rows]
+    n_true = np.add.reduceat(labels, first, dtype=np.intp)
+    counted = binary[features]
+    if counted.any():
+        chunk = first * m // SPLIT_BLOCK_CELLS  # a chunk: the nodes whose first cell is in one stretch
+        bounds = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n_nodes]
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            begin, end = first[a], first[z - 1] + size[z - 1]
+            segments = first[a:z] - begin
+            candidates = np.repeat(features[a:z], size[a:z], axis=0)  # row x candidate
+            at_zero = Xp.take(seg_rows[begin:end, None] * Xp.shape[1] + candidates) == 0
+            n_left = np.add.reduceat(at_zero, segments, dtype=np.intp)
+            t_left = np.add.reduceat(at_zero & labels[begin:end, None], segments, dtype=np.intp)
+            k, c = np.nonzero(counted[a:z] & (0 < n_left) & (n_left < size[a:z, None]))
+            child[a + k, c] = _child_gini(n_left[k, c], t_left[k, c], size[a + k], n_true[a + k])
+    n_sorted = m - counted.sum(axis=1)
+    column = np.argsort(counted, axis=1, kind="stable")  # each node's other candidates first, in order
+    sorted_nodes = np.flatnonzero(n_sorted)
+    bucket = np.left_shift(1, np.frexp(size[sorted_nodes] - 1)[1])  # the next power of two
     for b in sorted(set(bucket.tolist())):
-        members = np.flatnonzero(bucket == b)
-        step = max(1, SPLIT_BLOCK_CELLS // (b * m))
-        for first in range(0, len(members), step):
-            ks = members[first:first + step]
+        members = sorted_nodes[bucket == b]
+        step = max(1, SPLIT_BLOCK_CELLS // (b * int(n_sorted.max())))
+        for i in range(0, len(members), step):
+            ks = members[i:i + step]
+            mk = int(n_sorted[ks].max())
+            col = column[ks, :mk]  # past n_sorted[k], cells that are read but not kept
+            f = features[ks[:, None], col]
             n = size[ks]
             width = int(n.max())
             at = np.arange(width)
             block_rows = np.where(at < n[:, None], rows.take(start[ks, None] + at, mode="clip"), len(Xp) - 1)
-            labels = yp[block_rows]
-            n_true = labels.sum(axis=1)
-            f = features[ks]
             block = Xp.take(block_rows[:, None, :] * Xp.shape[1] + f[:, :, None])  # node x feature x row
             order = block.argsort(axis=2, kind="stable")
-            # gather by flat index: block row (k, c) starts at (k * m + c) * width
-            sv = block.take(order + np.arange(0, block.size, width).reshape(len(ks), m, 1))
-            t_before = labels.take(order + np.arange(0, labels.size, width)[:, None, None]).cumsum(axis=2)
+            # gather by flat index: block row (k, c) starts at (k * mk + c) * width
+            sv = block.take(order + np.arange(0, block.size, width).reshape(len(ks), mk, 1))
+            t_before = yp[block_rows].take(order + np.arange(0, len(ks) * width, width)[:, None, None]).cumsum(axis=2)
             # score only the cuts between a value and a greater one; the rest stay +inf
             cuts = np.flatnonzero(sv[:, :, :-1] < sv[:, :, 1:])
-            k, col, p = np.unravel_index(cuts, (len(ks), m, width - 1))
-            n_left, t_left = p + 1, t_before[k, col, p]
-            f_left = n_left - t_left
-            n_right = n[k] - n_left
-            t_right = n_true[k] - t_left
-            f_right = n_right - t_right
-            child = np.full((len(ks), m, width - 1), np.inf)
-            child.flat[cuts] = n_left * (1.0 - (t_left / n_left) ** 2 - (f_left / n_left) ** 2) + n_right * (
-                1.0 - (t_right / n_right) ** 2 - (f_right / n_right) ** 2
-            )
-            j = child.argmin(axis=2)
-            pt, pf = n_true / n, (n - n_true) / n
-            parent = n * (1.0 - pt * pt - pf * pf)
-            node_decrease = parent[:, None] - child.min(axis=2)
-            r = np.arange(len(ks))
-            c = node_decrease.argmax(axis=1)
-            lo, hi = sv[r, c, j[r, c]], sv[r, c, j[r, c] + 1]
-            with np.errstate(over="ignore", invalid="ignore"):  # invalid: the nodes with no valid cut
+            k, c, p = np.unravel_index(cuts, (len(ks), mk, width - 1))
+            scores = np.full((len(ks), mk, width - 1), np.inf)
+            scores.flat[cuts] = _child_gini(p + 1, t_before[k, c, p], n[k], n_true[ks[k]])
+            k, c = np.nonzero(np.arange(mk) < n_sorted[ks, None])  # the cells kept
+            j = scores.argmin(axis=2)[k, c]
+            lo, hi = sv[k, c, j], sv[k, c, j + 1]
+            with np.errstate(over="ignore", invalid="ignore"):  # invalid: the cells with no valid cut
                 mid = (lo + hi) / 2.0
-            decrease[ks] = node_decrease[r, c]
-            best_feature[ks] = f[r, c]
+            child[ks[k], col[k, c]] = scores[k, c, j]
             # where the midpoint rounds up to hi or overflows, the cut is at lo
-            best_threshold[ks] = np.where((lo <= mid) & (mid < hi), mid, lo)
-    return decrease, best_feature, best_threshold
+            cut[ks[k], col[k, c]] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    pt, pf = n_true / size, (size - n_true) / size
+    decrease = (size * (1.0 - pt * pt - pf * pf))[:, None] - child
+    c = decrease.argmax(axis=1)
+    r = np.arange(n_nodes)
+    return decrease[r, c], features[r, c], cut[r, c]
 
 
 def _widened(a: np.ndarray, width: int, fill) -> np.ndarray:
@@ -544,6 +576,7 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
     m = d if max_features is None else min(max_features, d)
     Xp = np.vstack([X, np.full((1, d), np.nan)])
     yp = np.append(y, False)
+    binary = ((X == 0) | (X == 1)).all(axis=0)
     # the copies of a row go to one side of every split, so a tree of r distinct rows has at most
     # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure leaf holds two rows
     distinct = int((np.diff(np.sort(samples, axis=1), axis=1) != 0).sum(axis=1).max()) + 1
@@ -572,7 +605,7 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
         else:
             features = every_feature[:len(trees)]
         decrease, best, cut = _best_splits(Xp, yp, rows.ravel(), trees * n + start[trees, nodes],
-                                           size[trees, nodes], features)
+                                           size[trees, nodes], features, binary)
         found = decrease > -np.inf
         trees, nodes = trees[found], nodes[found]
         pending[trees, nodes], feature[trees, nodes], threshold[trees, nodes] = decrease[found], best[found], cut[found]

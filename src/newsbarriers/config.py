@@ -15,6 +15,7 @@ from .tables import read_file
 
 ALL_BARRIERS = tuple(k.value for k in BarrierKind)
 ALL_MODELS = tuple(f.value for f in ModelFamily)
+INPUTS = ("pairs", "concepts", "countries", "publishers")  # the options that name input files
 
 
 @dataclass
@@ -45,7 +46,7 @@ class PipelineConfig:
             # config.txt is read back with str.splitlines: a line break would split the option in two
             if f.type is str and text.splitlines() not in ([], [text]):
                 raise ConfigError(f"{f.name}: holds a line break")
-        for key in ("pairs", "concepts", "countries", "publishers"):
+        for key in INPUTS:
             path = getattr(self, key)
             if not path:
                 raise ConfigError(f"{key}: not set")

@@ -4,12 +4,14 @@ Each stage materializes its output under the run directory so stages can be
 re-run and diffed independently. Failures carry a ``stage: cause`` message.
 """
 
+import os
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .annotate import build_barrier_dataset, save_barrier_dataset
 from .classifiers import family_from_name
-from .config import PipelineConfig, config_to_text
+from .config import INPUTS, PipelineConfig, config_to_text
 from .errors import ConfigError, DataError
 from .evaluate import dataset_footer, render_report, run_experiment
 from .features import build_vocabulary, build_vocabulary_from_index
@@ -105,8 +107,10 @@ def run_pipeline(config: PipelineConfig):
     Both reports are rendered before either is written: a failed run leaves the old ones as they were."""
     config.validate()
     out = make_out_dir(config.out)
+    # input paths are recorded absolute (symlinks kept), so config.txt replays from any directory
+    recorded = replace(config, **{key: os.path.abspath(getattr(config, key)) for key in INPUTS})
     with stage("out"):
-        write_file(out / "config.txt", config_to_text(config))
+        write_file(out / "config.txt", config_to_text(recorded))
     datasets, report, vocab = annotate_corpus(config)
     families = [family_from_name(m) for m in config.models]
     grids = config.model_grids()

@@ -35,6 +35,7 @@ from newsbarriers.classifiers import (
 from newsbarriers.errors import ConfigError, DegenerateTrainingSet, LengthMismatch
 
 from conftest import class_summed_micro
+from test_golden import concept_profile_matrix
 
 
 def blobs(n_per_class=50, separation=4.0, scale=0.5, d=2, seed=0):
@@ -525,15 +526,18 @@ def reference_best_split(X, y, idx, features):
 
 @st.composite
 def split_batches(draw):
-    """A batch of nodes over 0-3 integer data: duplicate rows, some constant columns,
-    rows drawn with repeats (as in a bootstrap), a sorted random feature subset per
-    node, and a block cell limit that puts a few nodes or one in a chunk. The first
+    """A batch of nodes over 0-3 integer data: duplicate rows, some 0/1 columns (whose
+    cells are counted, not sorted), some constant columns, rows drawn with repeats (as
+    in a bootstrap), a sorted random feature subset per node, mixing 0/1 and other
+    columns, and a block cell limit that puts a few nodes or one in a chunk. The first
     node has 2 rows; the others have 2-40, so they fall in different size buckets;
     now and then every candidate column of one node is constant on its rows."""
     n_rows, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
     cells = st.lists(st.integers(0, 3), min_size=d, max_size=d)
     rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
     X = np.array(rows + rows[: draw(st.integers(0, n_rows))], dtype=float)
+    for column in draw(st.sets(st.integers(0, d - 1))):
+        X[:, column] %= 2
     for column in draw(st.sets(st.integers(0, d - 1))):
         X[:, column] = draw(st.integers(0, 3))
     y = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
@@ -554,6 +558,14 @@ def exact(split):
 
 NO_CUT_X = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
 NO_CUT_Y = np.array([True, False, True])
+# columns 0, 1 and 3 hold only 0 and 1, column 2 does not; on rows 0-2, column 0 is all 0,
+# column 1 all 1 and column 2 all 2, so a node of those rows has its one cut in column 3
+ONE_CUT_X = np.array([[0.0, 1.0, 2.0, 0.0], [0.0, 1.0, 2.0, 1.0], [0.0, 1.0, 2.0, 1.0], [1.0, 0.0, 3.0, 0.0]])
+ONE_CUT_Y = np.array([True, False, False, True])
+# columns 0 and 2 take the values 0, 2 and 3, column 1 only 0 and 1: the cut of column 1 and
+# the lower cut of column 0 and of column 2 split rows 0-2 alike, so they tie exactly
+TIED_X = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 2.0], [3.0, 1.0, 3.0], [3.0, 1.0, 0.0]])
+TIED_Y = np.array([True, False, False, False])
 
 
 @settings(max_examples=400, deadline=None)
@@ -562,9 +574,16 @@ NO_CUT_Y = np.array([True, False, True])
 @example((NO_CUT_X, NO_CUT_Y, [(np.array([0, 2, 1, 1]), [0, 1]), (np.array([1, 0]), [2])], 1 << 14))
 # only the last column has a cut
 @example((NO_CUT_X, NO_CUT_Y, [(np.array([0, 2, 1, 1]), [0, 1, 2]), (np.array([1, 0]), [0, 2])], 1 << 14))
+# a 0/1 column all 0 on the node, one all 1, then a constant other column: the only cut is last
+@example((ONE_CUT_X, ONE_CUT_Y, [(np.array([0, 1, 2]), [0, 1, 2, 3]), (np.array([2, 0, 1, 0]), [0, 1, 2, 3])], 1))
+# a 0/1 column all 0 or all 1 beside a column with a cut, in a node of 2 rows and one of 4
+@example((ONE_CUT_X, ONE_CUT_Y, [(np.array([0, 1]), [0, 3]), (np.array([1, 2, 0, 2]), [1, 3])], 1 << 14))
+# a tie between another column and a 0/1 column goes to the earlier one, either way round
+@example((TIED_X, TIED_Y, [(np.array([0, 1, 2]), [0, 1]), (np.array([2, 1, 0]), [1, 2])], 1 << 14))
 def test_block_split_search_equals_the_per_feature_loop(batch):
     X, y, nodes, cells = batch
     Xp, yp = np.vstack([X, np.full((1, X.shape[1]), np.nan)]), np.append(y, False)
+    binary = ((X == 0) | (X == 1)).all(axis=0)
     got = [None] * len(nodes)
     # one search per number of candidate features; each node's rows are a segment of one
     # array, laid out in reverse node order, so the last segment is the first node's
@@ -575,7 +594,7 @@ def test_block_split_search_equals_the_per_feature_loop(batch):
         rows = np.concatenate([nodes[k][0] for k in reversed(ks)])
         with mock.patch.object(classifiers, "SPLIT_BLOCK_CELLS", cells):
             decrease, feature, threshold = classifiers._best_splits(
-                Xp, yp, rows, start, size, np.array([nodes[k][1] for k in ks]))
+                Xp, yp, rows, start, size, np.array([nodes[k][1] for k in ks]), binary)
         assert len(decrease) == len(feature) == len(threshold) == len(ks)
         assert np.issubdtype(feature.dtype, np.integer)
         for k, dec, f, t in zip(ks, decrease.tolist(), feature.tolist(), threshold.tolist()):
@@ -623,14 +642,15 @@ def reference_tree(X, y, max_leaf_nodes=None, max_features=None, rng=None):
 
 @st.composite
 def growth_cases(draw):
-    """Tie-heavy 0-3 data, now and then with a NaN column, and a forest (1-30 trees,
-    max_features 1, below d or at least d) or a CART (max_leaf_nodes 2, 4 or None).
-    Small shapes are drawn often: siblings of equal decrease, whose pop order is
-    their push order, are common there."""
+    """Tie-heavy 0-3 data, some of its columns 0/1, now and then with a NaN column, and a
+    forest (1-30 trees, max_features 1, below d or at least d) or a CART (max_leaf_nodes
+    2, 4 or None). Small shapes are drawn often: siblings of equal decrease, whose pop
+    order is their push order, are common there."""
     n = draw(st.one_of(st.integers(2, 12), st.integers(2, 60)))
     d = draw(st.one_of(st.integers(1, 3), st.integers(1, 30)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X[:, rng.random(d) < draw(st.sampled_from([0.0, 0.5, 1.0]))] %= 2
     if draw(st.booleans()):
         X[rng.random(n) < 0.5, draw(st.integers(0, d - 1))] = np.nan
     y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
@@ -645,12 +665,23 @@ XOR_Y = np.array([True, True, False, False])
 # 1000 distinct rows of random labels: a tree opens over 2 * FIRST_DRAW_EXTENT impure nodes
 WIDE_X = np.random.default_rng(3).normal(size=(1000, 6))
 WIDE_Y = np.random.default_rng(4).random(1000) < 0.5
+# all 0/1, as a political barrier dataset is: sparse concept columns, a constant column, duplicate rows
+ALL01_X = (np.random.default_rng(5).random((24, 16)) < 0.2).astype(float)
+ALL01_X[:, 7] = 0.0
+ALL01_X[16:] = ALL01_X[:8]
+ALL01_Y = np.random.default_rng(6).random(24) < 0.5
+CONCEPT_PROFILE_X, CONCEPT_PROFILE_Y = concept_profile_matrix()
 
 
 @settings(max_examples=150, deadline=None)
 @given(growth_cases())
 @example((DecisionTreeCART(), XOR_X, XOR_Y))  # both children of the root have decrease 1: left pops first
 @example((RandomForest(3, 2, seed=5), WIDE_X, WIDE_Y))  # the draw table is extended twice
+@example((DecisionTreeCART(), ALL01_X, ALL01_Y))
+@example((DecisionTreeCART(max_leaf_nodes=4), ALL01_X, ALL01_Y))
+@example((RandomForest(30, 4, seed=7), ALL01_X, ALL01_Y))
+@example((DecisionTreeCART(), CONCEPT_PROFILE_X, CONCEPT_PROFILE_Y))  # 0/1 columns, then other ones
+@example((RandomForest(10, 10, seed=0), CONCEPT_PROFILE_X, CONCEPT_PROFILE_Y))
 def test_lockstep_growth_equals_growing_each_tree_alone(case):
     estimator, X, y = case
     state = estimator.fit(X, y).get_state()

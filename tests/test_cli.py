@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -78,6 +79,19 @@ def test_rerun_is_byte_identical_and_replayable(tmp_path, corpus):
     # replay from the recorded config file
     assert main(["run", "--config", str(out_a / "config.txt"), "--out", str(out_c)]) == 0
     assert (out_a / "report.csv").read_bytes() == (out_c / "report.csv").read_bytes()
+
+
+def test_config_replays_from_inside_the_run_directory(tmp_path, corpus, monkeypatch):
+    """Input paths given relative to the first run's directory are recorded absolute."""
+    monkeypatch.chdir(tmp_path)
+    inputs = [arg for key in ("pairs", "concepts", "countries", "publishers")
+              for arg in (f"--{key}", os.path.relpath(corpus[key]))]
+    assert main(["run", *inputs, "--vocab-size", "15", "--k-folds", "3", *FAST_GRIDS, "--out", "run"]) == 0
+    recorded = (tmp_path / "run" / "config.txt").read_text(encoding="utf-8")
+    assert f"pairs = {corpus['pairs']}\n" in recorded
+    monkeypatch.chdir(tmp_path / "run")
+    assert main(["run", "--config", "config.txt", "--out", "../run2"]) == 0
+    assert (tmp_path / "run" / "report.csv").read_bytes() == (tmp_path / "run2" / "report.csv").read_bytes()
 
 
 def test_annotate_writes_datasets_only(tmp_path, corpus):
