@@ -364,25 +364,6 @@ FIRST_DRAW_EXTENT = 64
 FIRST_NODE_EXTENT = 16
 
 
-def _take_words(bit_generator, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit words of a PCG64 stream, as numpy's ``next_uint32`` reads
-    them; the generator is left where those reads leave it. Each 64-bit output gives its
-    low half first, and its high half waits in ``has_uint32``/``uinteger``."""
-    state = bit_generator.state
-    pending = state["has_uint32"]
-    raw = bit_generator.random_raw((count - pending + 1) // 2)
-    words = np.empty(pending + 2 * len(raw), dtype=np.uint32)
-    words[:pending] = state["uinteger"]
-    words[pending::2] = raw & 0xFFFFFFFF
-    words[pending + 1::2] = raw >> 32
-    state = bit_generator.state
-    state["has_uint32"] = len(words) - count
-    if len(raw):
-        state["uinteger"] = int(raw[-1] >> 32)
-    bit_generator.state = state
-    return words[:count]
-
-
 def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
     """(tree, k, m) table whose [t, k] is the k-th of ``count`` successive
     ``np.sort(rngs[t].choice(d, m, replace=False))`` calls (0 < m < d); each rng is left
@@ -396,7 +377,8 @@ def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
     rejection, the k-th call reads words [k(2m - 1), (k + 1)(2m - 1)) of its rng's stream, and
     every tree's calls are replayed at once, one word column at a time. A tree whose words hold
     a rejection is set back to the start of that call, and it and the later calls are ``choice``
-    itself, as is every call above ``FLOYD_MAX_POPULATION``.
+    itself, as is every call above ``FLOYD_MAX_POPULATION``. The words are read, and skipped,
+    with ``integers(0, 2**32, dtype=np.uint32)``, which returns the stream's words as they are.
     """
     states = [rng.bit_generator.state for rng in rngs]
     per_call = 2 * m - 1
@@ -406,7 +388,7 @@ def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
     else:
         words = np.empty((len(rngs), count, per_call), dtype=np.uint32)
         for t, rng in enumerate(rngs):
-            words[t] = _take_words(rng.bit_generator, count * per_call).reshape(count, per_call)
+            words[t] = rng.integers(0, 1 << 32, size=count * per_call, dtype=np.uint32).reshape(count, per_call)
         rejected = np.zeros((len(rngs), count), dtype=bool)
         table = np.empty((len(rngs), count, m), dtype=np.int16)  # d <= FLOYD_MAX_POPULATION < 2^15
         # j + 1 for each Floyd word, then i + 1 for each shuffle word
@@ -421,13 +403,13 @@ def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
     for t in np.flatnonzero(first < count).tolist():
         rng, k = rngs[t], int(first[t])
         rng.bit_generator.state = states[t]
-        _take_words(rng.bit_generator, k * per_call)
+        rng.integers(0, 1 << 32, size=k * per_call, dtype=np.uint32)  # skip the words of the calls before k
         table[t, k:] = [np.sort(rng.choice(d, m, replace=False)) for _ in range(k, count)]
     return table
 
 
-# the most cells (nodes x bucket size x candidate features) in one block of the batched split search;
-# also the stretch of (row, candidate) pairs that sets a chunk of the 0/1 counts
+# a chunk of the split search holds the nodes whose first (row, candidate) pair, or the sorted cells
+# whose first row, falls in one stretch of this many
 SPLIT_BLOCK_CELLS = 1 << 14
 
 
@@ -443,83 +425,74 @@ def _child_gini(n_left: np.ndarray, t_left: np.ndarray, n: np.ndarray, n_true: n
     )
 
 
-def _best_splits(Xp: np.ndarray, yp: np.ndarray, rows: np.ndarray, start: np.ndarray, size: np.ndarray,
-                 features: np.ndarray, binary: np.ndarray) -> tuple:
+def _runs(offset: np.ndarray) -> list:
+    """The [a, z) bounds of the runs of items whose ``offset`` (non-decreasing) falls in one
+    stretch of ``SPLIT_BLOCK_CELLS``."""
+    chunk = offset // SPLIT_BLOCK_CELLS
+    starts = (np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist()
+    return list(zip([0, *starts], [*starts, len(offset)])) if len(offset) else []
+
+
+def _best_splits(X: np.ndarray, y: np.ndarray, rows: np.ndarray, start: np.ndarray, size: np.ndarray,
+                 n_true: np.ndarray, features: np.ndarray, binary: np.ndarray) -> tuple:
     """Best split of each node, as arrays (impurity decrease, feature, threshold); the
     decrease is -inf where no candidate feature admits a valid split. Node k holds the rows
-    ``rows[start[k]:start[k] + size[k]]`` of ``Xp``/``yp``, whose last row is the pad: NaN,
-    labelled FALSE. Its candidate features are the row ``features[k]``; ``binary[j]`` is
-    whether column j of ``Xp`` holds only 0 and 1 on its rows other than the pad.
+    ``rows[start[k]:start[k] + size[k]]`` of ``X``/``y``, ``n_true[k]`` of them TRUE, and its
+    candidates are ``features[k]``; ``binary[j]`` is whether column j holds only 0 and 1.
 
-    A cell is one (node, candidate) pair. A 0/1 cell has one cut, at 0.5, and is counted:
-    its rows at 0 and the TRUE ones among them, one gather and one ``np.add.reduceat`` over
-    the node segments for each run of consecutive nodes whose first (row, candidate) pair
-    falls in one stretch of ``SPLIT_BLOCK_CELLS``. The other cells keep the sorted block:
-    their nodes are grouped by the next power of two of their size, and each group is
-    searched in chunks of at most ``SPLIT_BLOCK_CELLS`` cells (nodes x bucket size x the
-    most other candidates of a node). A chunk is one block, node x candidate x row, each
-    node's other candidates first, and its rows padded with the pad row to the longest: a
-    stable sort per column, then the weighted child Gini at every cut not between equal
-    values. NaN sorts after every value and no value is below it, so each node's own rows
-    sort first, as in a block of its own, and every cut next to a pad is invalid. Both
-    kinds score with ``_child_gini``, from the same integer counts, and one first argmax
-    over each node's cells breaks ties toward the earlier feature of ``features[k]``;
-    within a column, the first minimum is the lower threshold.
+    A cell is one (node, candidate) pair. A 0/1 cell has one cut, at 0.5, and is counted: its
+    rows at 0 and the TRUE ones among them, from one gather and one ``np.add.reduceat`` over
+    the node segments of a chunk of nodes. The other cells are sorted: their rows are laid end
+    to end, cell by cell, and a chunk of cells gets one stable sort by cell, then value, one
+    cumulative sum of the labels, and the weighted child Gini at each cut inside a cell between
+    a value and a greater one; NaN sorts last, so no cut next to it counts. A chunk is a run of
+    nodes, or cells, whose first (row, candidate) pair, or row, is in one stretch of
+    ``SPLIT_BLOCK_CELLS``. Both kinds score with ``_child_gini`` on the same integer counts;
+    within a cell the first minimum, the lower threshold, wins, and across a node's cells one
+    first argmax, the earlier candidate.
     """
     n_nodes, m = features.shape
     child = np.full((n_nodes, m), np.inf)  # each cell's least weighted child Gini
     cut = np.full((n_nodes, m), 0.5)  # and the threshold that gives it
     first = np.cumsum(size) - size  # where each node's segment starts in the flat arrays below
     seg_rows = rows.take(np.repeat(start - first, size) + np.arange(int(size.sum())))
-    labels = yp[seg_rows]
-    n_true = np.add.reduceat(labels, first, dtype=np.intp)
+    labels = y[seg_rows]
     counted = binary[features]
-    if counted.any():
-        chunk = first * m // SPLIT_BLOCK_CELLS  # a chunk: the nodes whose first cell is in one stretch
-        bounds = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n_nodes]
-        for a, z in zip(bounds[:-1], bounds[1:]):
-            begin, end = first[a], first[z - 1] + size[z - 1]
-            segments = first[a:z] - begin
-            candidates = np.repeat(features[a:z], size[a:z], axis=0)  # row x candidate
-            at_zero = Xp.take(seg_rows[begin:end, None] * Xp.shape[1] + candidates) == 0
-            n_left = np.add.reduceat(at_zero, segments, dtype=np.intp)
-            t_left = np.add.reduceat(at_zero & labels[begin:end, None], segments, dtype=np.intp)
-            k, c = np.nonzero(counted[a:z] & (0 < n_left) & (n_left < size[a:z, None]))
-            child[a + k, c] = _child_gini(n_left[k, c], t_left[k, c], size[a + k], n_true[a + k])
-    n_sorted = m - counted.sum(axis=1)
-    column = np.argsort(counted, axis=1, kind="stable")  # each node's other candidates first, in order
-    sorted_nodes = np.flatnonzero(n_sorted)
-    bucket = np.left_shift(1, np.frexp(size[sorted_nodes] - 1)[1])  # the next power of two
-    for b in sorted(set(bucket.tolist())):
-        members = sorted_nodes[bucket == b]
-        step = max(1, SPLIT_BLOCK_CELLS // (b * int(n_sorted.max())))
-        for i in range(0, len(members), step):
-            ks = members[i:i + step]
-            mk = int(n_sorted[ks].max())
-            col = column[ks, :mk]  # past n_sorted[k], cells that are read but not kept
-            f = features[ks[:, None], col]
-            n = size[ks]
-            width = int(n.max())
-            at = np.arange(width)
-            block_rows = np.where(at < n[:, None], rows.take(start[ks, None] + at, mode="clip"), len(Xp) - 1)
-            block = Xp.take(block_rows[:, None, :] * Xp.shape[1] + f[:, :, None])  # node x feature x row
-            order = block.argsort(axis=2, kind="stable")
-            # gather by flat index: block row (k, c) starts at (k * mk + c) * width
-            sv = block.take(order + np.arange(0, block.size, width).reshape(len(ks), mk, 1))
-            t_before = yp[block_rows].take(order + np.arange(0, len(ks) * width, width)[:, None, None]).cumsum(axis=2)
-            # score only the cuts between a value and a greater one; the rest stay +inf
-            cuts = np.flatnonzero(sv[:, :, :-1] < sv[:, :, 1:])
-            k, c, p = np.unravel_index(cuts, (len(ks), mk, width - 1))
-            scores = np.full((len(ks), mk, width - 1), np.inf)
-            scores.flat[cuts] = _child_gini(p + 1, t_before[k, c, p], n[k], n_true[ks[k]])
-            k, c = np.nonzero(np.arange(mk) < n_sorted[ks, None])  # the cells kept
-            j = scores.argmin(axis=2)[k, c]
-            lo, hi = sv[k, c, j], sv[k, c, j + 1]
-            with np.errstate(over="ignore", invalid="ignore"):  # invalid: the cells with no valid cut
-                mid = (lo + hi) / 2.0
-            child[ks[k], col[k, c]] = scores[k, c, j]
-            # where the midpoint rounds up to hi or overflows, the cut is at lo
-            cut[ks[k], col[k, c]] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    for a, z in _runs(first * m) if counted.any() else ():
+        begin, end = first[a], first[z - 1] + size[z - 1]
+        segments = first[a:z] - begin
+        candidates = np.repeat(features[a:z], size[a:z], axis=0)  # row x candidate
+        at_zero = X.take(seg_rows[begin:end, None] * X.shape[1] + candidates) == 0
+        n_left = np.add.reduceat(at_zero, segments, dtype=np.intp)
+        t_left = np.add.reduceat(at_zero & labels[begin:end, None], segments, dtype=np.intp)
+        k, c = np.nonzero(counted[a:z] & (0 < n_left) & (n_left < size[a:z, None]))
+        child[a + k, c] = _child_gini(n_left[k, c], t_left[k, c], size[a + k], n_true[a + k])
+    ks, cs = np.nonzero(~counted)  # the sorted cells, node by node
+    length = size[ks]
+    at = np.cumsum(length) - length  # where each sorted cell starts in the flat row layout
+    for a, z in _runs(at):
+        cell = np.repeat(np.arange(z - a), length[a:z])
+        begin = at[a:z] - at[a]  # where each cell starts in the chunk
+        flat = np.repeat(first[ks[a:z]] - begin, length[a:z]) + np.arange(len(cell))  # into seg_rows
+        values = X.take(seg_rows[flat] * X.shape[1] + features[ks[a:z], cs[a:z]][cell])
+        order = np.lexsort((values, cell))
+        sv = values[order]
+        t_before = np.append(0, labels[flat[order]].cumsum())  # the TRUE rows before each position
+        # score only the cuts inside a cell between a value and a greater one; the rest stay +inf
+        p = np.flatnonzero((sv[:-1] < sv[1:]) & (cell[:-1] == cell[1:]))
+        c = cell[p]
+        scores = np.full(len(sv), np.inf)
+        scores[p] = _child_gini(p + 1 - begin[c], t_before[p + 1] - t_before[begin[c]], length[a + c], n_true[ks[a + c]])
+        least = np.minimum.reduceat(scores, begin)
+        q = np.flatnonzero((scores == least[cell]) & (scores < np.inf))
+        q = q[np.diff(cell[q], prepend=-1) != 0]  # each cell's first cut at its least score, if it has a cut
+        k, j = ks[a + cell[q]], cs[a + cell[q]]
+        lo, hi = sv[q], sv[q + 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # invalid: a cut from -inf to inf
+            mid = (lo + hi) / 2.0
+        child[k, j] = scores[q]
+        # where the midpoint rounds up to hi or overflows, the cut is at lo
+        cut[k, j] = np.where((lo <= mid) & (mid < hi), mid, lo)
     pt, pf = n_true / size, (size - n_true) / size
     decrease = (size * (1.0 - pt * pt - pf * pf))[:, None] - child
     c = decrease.argmax(axis=1)
@@ -574,8 +547,6 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
     n_trees, n = samples.shape
     d = X.shape[1]
     m = d if max_features is None else min(max_features, d)
-    Xp = np.vstack([X, np.full((1, d), np.nan)])
-    yp = np.append(y, False)
     binary = ((X == 0) | (X == 1)).all(axis=0)
     # the copies of a row go to one side of every split, so a tree of r distinct rows has at most
     # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure leaf holds two rows
@@ -604,8 +575,8 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
             features = table[trees, k]
         else:
             features = every_feature[:len(trees)]
-        decrease, best, cut = _best_splits(Xp, yp, rows.ravel(), trees * n + start[trees, nodes],
-                                           size[trees, nodes], features, binary)
+        decrease, best, cut = _best_splits(X, y, rows.ravel(), trees * n + start[trees, nodes], size[trees, nodes],
+                                           n_true[trees, nodes], features, binary)
         found = decrease > -np.inf
         trees, nodes = trees[found], nodes[found]
         pending[trees, nodes], feature[trees, nodes], threshold[trees, nodes] = decrease[found], best[found], cut[found]

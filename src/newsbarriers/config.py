@@ -55,11 +55,15 @@ class PipelineConfig:
         for key in ("barriers", "models"):
             if not getattr(self, key):
                 raise ConfigError(f"{key}: must name at least one")
-        for barrier in self.barriers:
+        for i, barrier in enumerate(self.barriers):
             if barrier not in ALL_BARRIERS:
                 raise ConfigError(f"barriers: unknown barrier {barrier!r}")
-        for model in self.models:
-            parse_family(model, "models")
+            if barrier in self.barriers[:i]:
+                raise ConfigError(f"barriers: repeated barrier {barrier!r}")
+        families = [parse_family(model, "models") for model in self.models]
+        for i, family in enumerate(families):
+            if family in families[:i]:
+                raise ConfigError(f"models: repeated model {family.value!r}")
         if self.profile_side not in ("source", "target"):
             raise ConfigError("profile_side: must be 'source' or 'target'")
         if self.vocab_size < 1:

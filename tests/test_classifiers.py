@@ -527,11 +527,11 @@ def reference_best_split(X, y, idx, features):
 @st.composite
 def split_batches(draw):
     """A batch of nodes over 0-3 integer data: duplicate rows, some 0/1 columns (whose
-    cells are counted, not sorted), some constant columns, rows drawn with repeats (as
-    in a bootstrap), a sorted random feature subset per node, mixing 0/1 and other
-    columns, and a block cell limit that puts a few nodes or one in a chunk. The first
-    node has 2 rows; the others have 2-40, so they fall in different size buckets;
-    now and then every candidate column of one node is constant on its rows."""
+    cells are counted, not sorted), some constant columns, some columns with NaN for 3,
+    rows drawn with repeats (as in a bootstrap), a sorted random feature subset per
+    node, mixing 0/1 and other columns, and a block cell limit that puts a few nodes or
+    cells, or one, in a chunk. The first node has 2 rows; the others have 2-40; now and
+    then every candidate column of one node is constant on its rows."""
     n_rows, d = draw(st.integers(1, 12)), draw(st.integers(1, 8))
     cells = st.lists(st.integers(0, 3), min_size=d, max_size=d)
     rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
@@ -540,6 +540,8 @@ def split_batches(draw):
         X[:, column] %= 2
     for column in draw(st.sets(st.integers(0, d - 1))):
         X[:, column] = draw(st.integers(0, 3))
+    for column in draw(st.sets(st.integers(0, d - 1))):
+        X[X[:, column] == 3, column] = np.nan
     y = np.array(draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))))
     sizes = [2] + draw(st.lists(st.integers(2, 40), min_size=1, max_size=6))
     nodes = []
@@ -566,6 +568,10 @@ ONE_CUT_Y = np.array([True, False, False, True])
 # the lower cut of column 0 and of column 2 split rows 0-2 alike, so they tie exactly
 TIED_X = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 2.0], [3.0, 1.0, 3.0], [3.0, 1.0, 0.0]])
 TIED_Y = np.array([True, False, False, False])
+# column 0 holds NaN, so it is sorted, not counted; its one cut between numbers is 0 | 1, and no
+# cut next to a NaN counts, so on rows 1-3 (NaN, 0, NaN) it has none
+NAN_X = np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 1.0], [np.nan, 1.0], [1.0, 0.0]])
+NAN_Y = np.array([True, False, True, False, False])
 
 
 @settings(max_examples=400, deadline=None)
@@ -580,9 +586,10 @@ TIED_Y = np.array([True, False, False, False])
 @example((ONE_CUT_X, ONE_CUT_Y, [(np.array([0, 1]), [0, 3]), (np.array([1, 2, 0, 2]), [1, 3])], 1 << 14))
 # a tie between another column and a 0/1 column goes to the earlier one, either way round
 @example((TIED_X, TIED_Y, [(np.array([0, 1, 2]), [0, 1]), (np.array([2, 1, 0]), [1, 2])], 1 << 14))
+# NaN in a column that is not 0/1: a node with a cut in it, and one whose only number sits among NaNs
+@example((NAN_X, NAN_Y, [(np.array([0, 1, 2, 3, 4]), [0, 1]), (np.array([1, 2, 3]), [0])], 1))
 def test_block_split_search_equals_the_per_feature_loop(batch):
     X, y, nodes, cells = batch
-    Xp, yp = np.vstack([X, np.full((1, X.shape[1]), np.nan)]), np.append(y, False)
     binary = ((X == 0) | (X == 1)).all(axis=0)
     got = [None] * len(nodes)
     # one search per number of candidate features; each node's rows are a segment of one
@@ -592,9 +599,10 @@ def test_block_split_search_equals_the_per_feature_loop(batch):
         size = np.array([len(nodes[k][0]) for k in ks])
         start = size[::-1].cumsum()[::-1] - size
         rows = np.concatenate([nodes[k][0] for k in reversed(ks)])
+        n_true = np.array([int(y[nodes[k][0]].sum()) for k in ks])
         with mock.patch.object(classifiers, "SPLIT_BLOCK_CELLS", cells):
             decrease, feature, threshold = classifiers._best_splits(
-                Xp, yp, rows, start, size, np.array([nodes[k][1] for k in ks]), binary)
+                X, y, rows, start, size, n_true, np.array([nodes[k][1] for k in ks]), binary)
         assert len(decrease) == len(feature) == len(threshold) == len(ks)
         assert np.issubdtype(feature.dtype, np.integer)
         for k, dec, f, t in zip(ks, decrease.tolist(), feature.tolist(), threshold.tolist()):
@@ -746,17 +754,19 @@ def test_tree_predict_equals_a_per_row_walk(case, data):
 
 
 def test_forest_fit_memory_stays_flat():
-    """The grower gathers each block from X by row index: per-tree copies of the
+    """The grower gathers each chunk from X by row index: per-tree copies of the
     bootstrap rows (100 x 900 x 313 floats, 225 MB) would show up here. The peak
-    is set by the root blocks and the padded copy of X, whatever the labels; a
-    5 % TRUE label keeps the trees, and so the traced fit, small."""
+    is set by the root chunks, whatever the labels; a 5 % TRUE label keeps the
+    trees, and so the traced fit, small. On continuous data every cell is sorted,
+    and the root cells of all 100 trees (100 x 7 x 900 rows) in one chunk would
+    take about 70 MB."""
     rng = np.random.default_rng(0)
-    X = (rng.random((900, 313)) < 0.05).astype(float)
-    y = rng.random(900) < 0.05
-    tracemalloc.start()
-    try:
-        RandomForest(100, seed=0).fit(X, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, peak
+    for X in ((rng.random((900, 313)) < 0.05).astype(float), rng.normal(size=(900, 40))):
+        y = rng.random(900) < 0.05
+        tracemalloc.start()
+        try:
+            RandomForest(100, seed=0).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (X.shape, peak)

@@ -365,6 +365,9 @@ def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text)
     (["--threshold", "nan"], "threshold: must be a finite number in [-1, 1], got nan"),
     (["--threshold", "1.5"], "threshold: must be a finite number in [-1, 1], got 1.5"),
     (["--economic-features", "Rank,Health,Rank"], "economic_features: repeated indicator 'Rank'"),
+    (["--barriers", "political,political", "--models", "most_frequent"], "barriers: repeated barrier 'political'"),
+    (["--barriers", "political", "--models", "most_frequent,most_frequent"], "models: repeated model 'most_frequent'"),
+    (["--barriers", "political", "--models", "knn,svm,KNN"], "models: repeated model 'knn'"),
 ])
 def test_out_of_range_values_are_config_errors(tmp_path, corpus, capsys, flags, message):
     out = tmp_path / "run"

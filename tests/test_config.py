@@ -124,6 +124,19 @@ def test_validate_rejects_a_repeated_indicator(tmp_path):
         PipelineConfig(**paths, economic_features=("Rank", "Rank")).validate()
 
 
+def test_validate_rejects_a_repeated_barrier_or_model(tmp_path):
+    for name in ("pairs", "concepts", "countries", "publishers"):
+        (tmp_path / name).write_text("stub\n", encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in ("pairs", "concepts", "countries", "publishers")}
+    PipelineConfig(**paths, barriers=("political", "economic"), models=("knn", "svm")).validate()
+    with pytest.raises(ConfigError, match="^barriers: repeated barrier 'political'$"):
+        PipelineConfig(**paths, barriers=("political", "economic", "political")).validate()
+    # models are compared as families, after the name is normalised
+    for models in (("knn", "knn"), ("knn", "svm", "KNN"), ("kNN", " knn ")):
+        with pytest.raises(ConfigError, match="^models: repeated model 'knn'$"):
+            PipelineConfig(**paths, models=models).validate()
+
+
 def test_format_option_writes_grid_values():
     values = (None, 3, 0.0001, 1e-05, 2.5, True)
     assert [format_option(v) for v in values] == ["none", "3", "0.0001", "1e-05", "2.5", "true"]

@@ -282,13 +282,33 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     ("synth", ["--n-countries", "62", "--regime", "geographical=diff"], 1,
      "synth: diff geographical regime supports at most 61 countries"),
     ("synth", ["--extra-pairs", "-5"], 1, "synth: extra unclassified pairs must be >= 0, got -5"),
+    # the rest were reached by no test, though each already gave its stage
+    ("synth", ["--concept-pool", "0"], 1, "synth: concept pool must not be empty"),
+    ("synth", ["--n-countries", "677"], 1, "synth: too many countries"),
+    ("synth", ["--n-countries", "1", "--regime", "economic=diff"], 1,
+     "synth: diff country-level regimes need at least 2 countries"),
+    ("synth", ["--n-publishers", "1", "--regime", "political=diff"], 1,
+     "synth: diff political regime needs at least 2 publishers"),
+    ("synth", ["--regime", "economic"], 1, "regime: expected BARRIER=same|diff|mixed, got 'economic'"),
+    ("run", ["--concepts", "{article_number}"], 2,
+     "concepts: malformed line 1: 'article' must be a string and 'concepts' a list"),
+    ("run", ["--concepts", "{concept_number}"], 2, "concepts: malformed line 1: 'concepts' must contain only strings"),
+    ("run", ["--countries", "{blank_code}"], 2, "countries: malformed row 2: empty country_code"),
 ], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range", "synth-no-articles",
-        "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs"])
+        "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
+        "synth-too-many-countries", "synth-one-country-diff", "synth-one-publisher-diff", "regime-no-value",
+        "concepts-article-number", "concepts-concept-number", "countries-blank-code"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
-    datasets = {"header_only": tmp_path / "header_only.csv", "one_class": tmp_path / "one_class.csv"}
+    datasets = {name: tmp_path / name for name in
+                ("header_only", "one_class", "article_number", "concept_number", "blank_code")}
     datasets["header_only"].write_bytes(files["dataset"].split(b"\n", 1)[0] + b"\n")
     datasets["one_class"].write_text("article_id,label,f0\na0,TRUE,1.0\na1,TRUE,2.0\n", encoding="utf-8")
+    concepts = files["concepts"].split(b"\n", 1)[1]
+    datasets["article_number"].write_bytes(b'{"article": 1, "concepts": []}\n' + concepts)
+    datasets["concept_number"].write_bytes(b'{"article": "a0000", "concepts": [1]}\n' + concepts)
+    header, first, rest = files["countries"].split(b"\r\n", 2)  # csv.writer ends rows with CRLF
+    datasets["blank_code"].write_bytes(b"\r\n".join([header, b"," + first.split(b",", 1)[1], rest]))
     argv = base_argv(command, root, paths) + [flag.format(**datasets) for flag in flags]
     assert call(argv) == (code, message + "\n")
 
