@@ -247,7 +247,7 @@ class KNearestNeighbors(Stateful):
         """Predictions for each k in ``values``: the fit does not depend on k,
         and the k nearest neighbours are a prefix of one stable sort."""
         Xs = self.scaler.transform(np.asarray(X, dtype=float))
-        ks = np.minimum(np.asarray(values, dtype=int), len(self.X_))
+        ks = np.array([min(k, len(self.X_)) for k in values], dtype=int)  # capped before numpy: k may pass int64
         out = np.empty((len(ks), len(Xs)), dtype=bool)
         for i, q in enumerate(Xs):
             diff = self.X_ - q
@@ -358,10 +358,6 @@ def _predict_trees(trees: list, X: np.ndarray, splits: Optional[int] = None) -> 
 
 # numpy's Generator.choice(d, m, replace=False) is Floyd's algorithm up to this d; above, it may shuffle
 FLOYD_MAX_POPULATION = 10000
-# draws per tree in the first extent of a forest fit's feature-draw table; each later extent doubles it
-FIRST_DRAW_EXTENT = 64
-# nodes per tree in the first extent of a fit's node arrays; each later extent doubles it
-FIRST_NODE_EXTENT = 16
 
 
 def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
@@ -500,13 +496,6 @@ def _best_splits(X: np.ndarray, y: np.ndarray, rows: np.ndarray, start: np.ndarr
     return decrease[r, c], features[r, c], cut[r, c]
 
 
-def _widened(a: np.ndarray, width: int, fill) -> np.ndarray:
-    """``a`` (tree x node) with its rows extended to ``width`` by ``fill``."""
-    out = np.full((len(a), width), fill, dtype=a.dtype)
-    out[:, :a.shape[1]] = a
-    return out
-
-
 def _partition(X: np.ndarray, y: np.ndarray, rows: np.ndarray, trees: np.ndarray, lo: np.ndarray,
                counts: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> tuple:
     """Partition each segment ``rows[trees[i], lo[i]:lo[i] + counts[i]]`` in place, with one
@@ -537,46 +526,37 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
     children, left first; then one batched search scores every node opened in
     the step. Each tree equals the one grown alone.
 
-    The growth state is arrays, tree x node. A node's rows are a contiguous
-    segment of its tree's row of ``rows``, and a pop partitions its segment, the
-    rows at or below the threshold first. A tree's heap is its row of
-    ``pending``: the decrease of each node pushed and not yet popped, else -inf.
-    Nodes are pushed in id order, so the first maximum is the heap's
-    (-decrease, push counter) minimum.
+    The growth state is arrays, tree x node, sized once, at the most nodes a
+    tree can have. A node's rows are a contiguous segment of its tree's row of
+    ``rows``, and a pop partitions its segment, the rows at or below the
+    threshold first. A tree's heap is its row of ``pending``: the decrease of
+    each node pushed and not yet popped, else -inf. Nodes are pushed in id
+    order, so the first maximum is the heap's (-decrease, push counter) minimum.
     """
     n_trees, n = samples.shape
     d = X.shape[1]
     m = d if max_features is None else min(max_features, d)
     binary = ((X == 0) | (X == 1)).all(axis=0)
     # the copies of a row go to one side of every split, so a tree of r distinct rows has at most
-    # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure leaf holds two rows
+    # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure node holds two distinct rows
     distinct = int((np.diff(np.sort(samples, axis=1), axis=1) != 0).sum(axis=1).max()) + 1
-    # the node arrays start at FIRST_NODE_EXTENT nodes per tree and double when a pop needs more
-    fills = (0, 0, 0, -1, 0, 0.0, -np.inf)  # start, size, n_true, left, feature, threshold, pending
+    draws = max(distinct - 1, 1)  # _draw_features needs a count of at least 1
+    table = _draw_features(rngs, d, m, draws) if m < d else np.broadcast_to(np.arange(d), (n_trees, draws, d))
     start, size, n_true, left, feature, threshold, pending = (
-        np.full((n_trees, min(FIRST_NODE_EXTENT, 2 * distinct - 1)), fill) for fill in fills)
+        np.full((n_trees, 2 * distinct - 1), fill) for fill in (0, 0, 0, -1, 0, 0.0, -np.inf))
     rows = samples.copy()
     size[:, 0], n_true[:, 0] = n, y[samples].sum(axis=1)
-    n_nodes, n_drawn = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
-    table = np.empty((n_trees, 0, m), dtype=np.int16)  # _draw_features widens it above FLOYD_MAX_POPULATION
-    every_feature = np.broadcast_to(np.arange(d), (2 * n_trees, d))  # a step opens two nodes per tree at most
+    n_nodes, n_impure = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
     trees, nodes = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)  # the nodes opened in a step
     while len(trees):
         impure = (0 < n_true[trees, nodes]) & (n_true[trees, nodes] < size[trees, nodes])
         trees, nodes = trees[impure], nodes[impure]
-        if m < d:
-            # the k-th draw of a tree goes to its k-th impure node: a step opens one or two
-            # nodes per tree, next to each other, the left one first
-            k = n_drawn[trees] + np.append(False, trees[1:] == trees[:-1])
-            n_drawn += np.bincount(trees, minlength=n_trees)
-            if n_drawn.max() > table.shape[1]:
-                extent = min(max(2 * table.shape[1], int(n_drawn.max()), FIRST_DRAW_EXTENT), distinct - 1)
-                table = np.concatenate([table, _draw_features(rngs, d, m, extent - table.shape[1])], axis=1)
-            features = table[trees, k]
-        else:
-            features = every_feature[:len(trees)]
+        # a tree's k-th impure node gets row k of its table, a draw or every feature: a step
+        # opens one or two nodes per tree, next to each other, the left one first
+        k = n_impure[trees] + np.append(False, trees[1:] == trees[:-1])
+        n_impure += np.bincount(trees, minlength=n_trees)
         decrease, best, cut = _best_splits(X, y, rows.ravel(), trees * n + start[trees, nodes], size[trees, nodes],
-                                           n_true[trees, nodes], features, binary)
+                                           n_true[trees, nodes], table[trees, k], binary)
         found = decrease > -np.inf
         trees, nodes = trees[found], nodes[found]
         pending[trees, nodes], feature[trees, nodes], threshold[trees, nodes] = decrease[found], best[found], cut[found]
@@ -586,10 +566,6 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
         if max_leaf_nodes is not None:
             trees = trees[n_nodes[trees] < 2 * max_leaf_nodes - 1]
         nodes = popped[trees]
-        if len(trees) and n_nodes[trees].max() + 2 > start.shape[1]:
-            width = min(2 * start.shape[1], 2 * distinct - 1)
-            start, size, n_true, left, feature, threshold, pending = (
-                _widened(a, width, fill) for a, fill in zip((start, size, n_true, left, feature, threshold, pending), fills))
         pending[trees, nodes] = -np.inf
         lo, counts = start[trees, nodes], size[trees, nodes]
         n_left, t_left = _partition(X, y, rows, trees, lo, counts, feature[trees, nodes], threshold[trees, nodes])
@@ -824,6 +800,8 @@ def train(spec: ModelSpec, data) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise EmptyInput("no training instances")
+    if X.shape[1] == 0:
+        raise EmptyInput("no feature columns")
     estimator = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).fit(X, y)
     return TrainedModel(spec.family, dict(spec.hyperparameters), spec.seed, X.shape[1], estimator)
 

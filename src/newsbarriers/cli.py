@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 from .evaluate import REPORT_COLUMNS, accuracy, parse_report_csv, render_report
 from .pipeline import annotate_corpus, build_vocab, ingest_corpus, make_out_dir, run_pipeline, stage
 from .synth import SyntheticSpec, generate_corpus
-from .tables import write_file
+from .tables import csv_field, write_file
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +75,7 @@ def cmd_concept_freq(args) -> int:
     vocab = build_vocab(config, examples, index)
     print("concept,frequency")
     for concept, frequency in vocab.entries:
-        print(f"{concept},{frequency}")
+        print(f"{csv_field(concept)},{frequency}")
     return 0
 
 

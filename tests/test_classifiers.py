@@ -136,6 +136,16 @@ def test_knn_vote_tie_goes_false():
     assert not KNearestNeighbors(k=2).fit(X, y).predict(np.array([[0.5]]))[0]
 
 
+def test_knn_k_above_int64_is_capped_at_the_training_size():
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(15, 3)), rng.random(15) < 0.4
+    Xe = rng.normal(size=(10, 3))
+    model = KNearestNeighbors(k=10**20).fit(X, y)
+    expected = KNearestNeighbors(k=len(X)).fit(X, y).predict(Xe)
+    assert model.predict(Xe).tolist() == expected.tolist()
+    assert model.predict_grid(Xe, [1, 10**20])[1].tolist() == expected.tolist()
+
+
 def test_svm_hand_built_decision_rule():
     est = LinearSVM()
     est.weights = np.array([1.0, -1.0])
@@ -670,7 +680,7 @@ def growth_cases(draw):
 
 XOR_X = np.array([[0.0, 0.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0]])
 XOR_Y = np.array([True, True, False, False])
-# 1000 distinct rows of random labels: a tree opens over 2 * FIRST_DRAW_EXTENT impure nodes
+# 1000 distinct rows of random labels: a tree opens hundreds of impure nodes, each with its own draw
 WIDE_X = np.random.default_rng(3).normal(size=(1000, 6))
 WIDE_Y = np.random.default_rng(4).random(1000) < 0.5
 # all 0/1, as a political barrier dataset is: sparse concept columns, a constant column, duplicate rows
@@ -684,7 +694,7 @@ CONCEPT_PROFILE_X, CONCEPT_PROFILE_Y = concept_profile_matrix()
 @settings(max_examples=150, deadline=None)
 @given(growth_cases())
 @example((DecisionTreeCART(), XOR_X, XOR_Y))  # both children of the root have decrease 1: left pops first
-@example((RandomForest(3, 2, seed=5), WIDE_X, WIDE_Y))  # the draw table is extended twice
+@example((RandomForest(3, 2, seed=5), WIDE_X, WIDE_Y))  # deep trees read far into the draw table
 @example((DecisionTreeCART(), ALL01_X, ALL01_Y))
 @example((DecisionTreeCART(max_leaf_nodes=4), ALL01_X, ALL01_Y))
 @example((RandomForest(30, 4, seed=7), ALL01_X, ALL01_Y))
@@ -704,11 +714,15 @@ def test_lockstep_growth_equals_growing_each_tree_alone(case):
     assert state == {"trees": expected}
 
 
-def test_wide_example_outgrows_the_first_draw_extent():
+def test_a_fit_draws_its_feature_table_in_one_call():
     with mock.patch.object(classifiers, "_draw_features", wraps=classifiers._draw_features) as draws:
         RandomForest(3, 2, seed=5).fit(WIDE_X, WIDE_Y)
-    # each extent doubles the table: 64 draws per tree, then 64 more, then 128
-    assert [call.args[3] for call in draws.call_args_list] == [classifiers.FIRST_DRAW_EXTENT * k for k in (1, 1, 2)]
+        # one draw per impure node, and a tree of r distinct rows has at most r - 1 of them
+        boots = [np.random.default_rng(child).integers(0, len(WIDE_X), size=len(WIDE_X))
+                 for child in np.random.SeedSequence(5).spawn(3)]
+        assert [call.args[3] for call in draws.call_args_list] == [max(len(np.unique(b)) for b in boots) - 1]
+        DecisionTreeCART().fit(WIDE_X, WIDE_Y)  # every node's candidates are every feature
+        assert draws.call_count == 1
 
 
 def reference_walk(tree, X, splits=None):
@@ -755,11 +769,14 @@ def test_tree_predict_equals_a_per_row_walk(case, data):
 
 def test_forest_fit_memory_stays_flat():
     """The grower gathers each chunk from X by row index: per-tree copies of the
-    bootstrap rows (100 x 900 x 313 floats, 225 MB) would show up here. The peak
-    is set by the root chunks, whatever the labels; a 5 % TRUE label keeps the
-    trees, and so the traced fit, small. On continuous data every cell is sorted,
-    and the root cells of all 100 trees (100 x 7 x 900 rows) in one chunk would
-    take about 70 MB."""
+    bootstrap rows (100 x 900 x 313 floats, 225 MB) would show up here. The grower
+    sizes its state once per fit, for the largest tree the bootstraps allow (591
+    distinct rows), whatever the labels, so the 5 % TRUE label's small trees
+    leave most of it unused. On the 0/1 matrix the peak is the draw table: 590
+    draws per tree of 35 words each (8 MB) and the table itself (2 MB). On
+    continuous data it is the node arrays (6.3 MB) and the root chunks: every cell
+    is sorted, and the root cells of all 100 trees (100 x 7 x 900 rows) in one
+    chunk would take about 70 MB."""
     rng = np.random.default_rng(0)
     for X in ((rng.random((900, 313)) < 0.05).astype(float), rng.normal(size=(900, 40))):
         y = rng.random(900) < 0.05

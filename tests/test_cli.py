@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 from dataclasses import fields
@@ -125,6 +127,27 @@ def test_concept_freq_identical_runs(tmp_path, corpus, capsys):
     first = capsys.readouterr().out
     main(["concept-freq", *corpus_args(corpus), "--out", str(tmp_path / "x"), "--vocab-size", "10"])
     assert capsys.readouterr().out == first
+
+
+def test_concept_freq_prints_the_vocabulary_file_as_csv(tmp_path, corpus, capsys):
+    """A concept holding a comma or a quote is quoted, as in vocabulary.csv: it printed as a row of
+    three fields before."""
+    records = [json.loads(line) for line in Path(corpus["concepts"]).read_text(encoding="utf-8").splitlines()]
+    first_two = list(dict.fromkeys(concept for record in records for concept in record["concepts"]))[:2]
+    rename = dict(zip(first_two, ("Washington,_D.C.", 'Say "hi"')))
+    for record in records:
+        record["concepts"] = [rename.get(concept, concept) for concept in record["concepts"]]
+    concepts = tmp_path / "concepts.jsonl"
+    concepts.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    args = corpus_args(corpus)
+    args[args.index("--concepts") + 1] = str(concepts)
+    assert main(["annotate", *args, "--out", str(tmp_path / "run"), "--vocab-size", "100000"]) == 0
+    with open(tmp_path / "run" / "vocabulary.csv", newline="", encoding="utf-8") as fh:
+        expected = list(csv.reader(fh))
+    capsys.readouterr()
+    assert main(["concept-freq", *args, "--out", str(tmp_path / "x"), "--vocab-size", "100000"]) == 0
+    assert list(csv.reader(io.StringIO(capsys.readouterr().out))) == expected
+    assert {"Washington,_D.C.", 'Say "hi"'} <= {row[0] for row in expected}
 
 
 def test_concept_freq_does_not_read_the_country_columns(tmp_path, corpus, capsys):

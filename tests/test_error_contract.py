@@ -275,6 +275,9 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     ("train", ["--data", "{one_class}", "--family", "naive_bayes"], 2,
      "train: gaussian NB needs both classes in training data"),
     ("train", ["--param", "k=0"], 1, "train: kNN: k must be an integer >= 1, got 0"),
+    # a header with no feature column exited 3 for the trees and Naive Bayes; kNN wrote a model evaluate rejected
+    *[("train", ["--data", "{no_features}", "--family", family], 2, "train: no feature columns")
+      for family in ("decision_tree", "random_forest", "naive_bayes", "knn")],
     ("synth", ["--n-articles", "0"], 1, "synth: counts must be positive"),
     # a diff regime past its grid's distinct values exited 3, a negative pair count 0
     ("synth", ["--n-countries", "54", "--regime", "timezone=diff"], 1,
@@ -294,16 +297,19 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
      "concepts: malformed line 1: 'article' must be a string and 'concepts' a list"),
     ("run", ["--concepts", "{concept_number}"], 2, "concepts: malformed line 1: 'concepts' must contain only strings"),
     ("run", ["--countries", "{blank_code}"], 2, "countries: malformed row 2: empty country_code"),
-], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range", "synth-no-articles",
+], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range",
+        "train-no-features-decision-tree", "train-no-features-random-forest", "train-no-features-naive-bayes",
+        "train-no-features-knn", "synth-no-articles",
         "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
         "synth-too-many-countries", "synth-one-country-diff", "synth-one-publisher-diff", "regime-no-value",
         "concepts-article-number", "concepts-concept-number", "countries-blank-code"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
     datasets = {name: tmp_path / name for name in
-                ("header_only", "one_class", "article_number", "concept_number", "blank_code")}
+                ("header_only", "one_class", "no_features", "article_number", "concept_number", "blank_code")}
     datasets["header_only"].write_bytes(files["dataset"].split(b"\n", 1)[0] + b"\n")
     datasets["one_class"].write_text("article_id,label,f0\na0,TRUE,1.0\na1,TRUE,2.0\n", encoding="utf-8")
+    datasets["no_features"].write_text("article_id,label\na0,TRUE\na1,FALSE\n", encoding="utf-8")
     concepts = files["concepts"].split(b"\n", 1)[1]
     datasets["article_number"].write_bytes(b'{"article": 1, "concepts": []}\n' + concepts)
     datasets["concept_number"].write_bytes(b'{"article": "a0000", "concepts": [1]}\n' + concepts)

@@ -41,7 +41,7 @@ def test_draws_equal_sorted_choice_calls(data):
     seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=6), label="seeds")
     rngs, refs = bootstrapped(seeds, n), bootstrapped(seeds, n)
     assert {rng.bit_generator.state["has_uint32"] for rng in rngs} == {n % 2}
-    # successive extents continue each stream where the last one left it
+    # successive calls continue each stream where the last one left it
     for count in data.draw(st.lists(st.integers(1, 6 if m < 1000 else 2), min_size=1, max_size=3), label="counts"):
         table = _draw_features(rngs, d, m, count)
         assert table.shape == (len(seeds), count, m)
