@@ -277,20 +277,26 @@ class LinearSVM(Stateful):
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        y_pm = np.where(_as_bool_labels(y), 1.0, -1.0)
+        y_pm = np.where(_as_bool_labels(y), 1.0, -1.0).tolist()
         Xs = self.scaler.fit(X).transform(X)
         Xa = np.hstack([Xs, np.ones((len(Xs), 1))])
-        w = np.zeros(Xa.shape[1])
+        rows = list(Xa)
+        w, step = np.zeros(Xa.shape[1]), np.empty(Xa.shape[1])
         rng = np.random.default_rng(self.seed)
-        t = 0
+        multiply, add = np.multiply, np.add
+        lam, t = self.lam, 0
         for _ in range(self.epochs):
-            for i in rng.permutation(len(Xa)):
-                t += 1
-                eta = 1.0 / (self.lam * t)
-                violated = y_pm[i] * float(Xa[i] @ w) < 1.0
-                w *= 1.0 - eta * self.lam
+            # the epoch's steps as lists: row, label, 1 - eta * lam and eta * label, eta = 1 / (lam * t)
+            order = rng.permutation(len(Xa)).tolist()
+            eta = [1.0 / (lam * s) for s in range(t + 1, t + len(order) + 1)]
+            labels = [y_pm[i] for i in order]
+            t += len(order)
+            for row, label, decay, scale in zip([rows[i] for i in order], labels, [1.0 - e * lam for e in eta],
+                                                 [e * y_t for e, y_t in zip(eta, labels)]):
+                violated = label * row.dot(w) < 1.0  # the 1-D BLAS dot of np.dot and of Xa[i] @ w
+                multiply(w, decay, out=w)
                 if violated:
-                    w += eta * y_pm[i] * Xa[i]
+                    add(w, multiply(row, scale, out=step), out=w)
         self.weights = w[:-1]
         self.bias = float(w[-1])
         return self
@@ -304,7 +310,8 @@ class LinearSVM(Stateful):
 
 
 class _Tree(Stateful):
-    """Flat binary tree: parallel node arrays, feature < 0 marks a leaf."""
+    """Flat binary tree: parallel node arrays, feature < 0 marks a leaf. A forest's trees lie end to
+    end in one such table, each child indexed into the whole table (``RandomForest``)."""
 
     # children after their parent, so predict walks down and cannot loop
     AFTER_NODE = ("after its node where feature >= 0", lambda child, tree, d: (
@@ -324,81 +331,170 @@ class _Tree(Stateful):
         return int(np.count_nonzero(self.feature < 0))
 
     def predict(self, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
-        """Leaf predictions; with ``splits`` set, those of the tree as it stood
-        after its first ``splits`` splits (``_predict_trees``)."""
-        return _predict_trees([self], X, splits)[0]
+        """Leaf predictions of the tree rooted at node 0; with ``splits`` set, those of the
+        tree as it stood after its first ``splits`` splits (``_predict_trees``)."""
+        return _predict_trees(self, np.zeros(1, dtype=np.intp), X, splits)[0]
 
 
-def _predict_trees(trees: list, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
-    """(tree, row) leaf predictions of the ``_Tree``s ``trees`` on ``X``; with ``splits`` set,
-    those of each tree as it stood after its first ``splits`` splits.
+def _predict_trees(table: _Tree, roots: np.ndarray, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
+    """(tree, row) leaf predictions on ``X`` of the trees of ``table`` rooted at ``roots``; with
+    ``splits`` set, those of the tree at root 0 as it stood after its first ``splits`` splits.
 
-    The trees' node arrays are laid end to end, and every (tree, row) pair walks down
-    together, one level per pass. Node ids are allocated in split order (split r creates
-    nodes 2r+1 and 2r+2), so an internal node whose left child is 2*splits+1 or later was
-    split afterwards and still acts as the leaf it was.
+    Every (tree, row) pair walks down together, one level per pass. Node ids are allocated
+    in split order (split r creates nodes 2r+1 and 2r+2), so an internal node whose left
+    child is 2*splits+1 or later was split afterwards and still acts as the leaf it was.
     """
-    sizes = [len(tree.feature) for tree in trees]
-    roots = np.cumsum(sizes) - sizes
-    base = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left, right = (np.concatenate([getattr(tree, side) for tree in trees]) for side in ("left", "right"))
+    feature, threshold, left, right = table.feature, table.threshold, table.left, table.right
     inner = (feature >= 0) if splits is None else (feature >= 0) & (left < 2 * splits + 1)
-    left, right = left + base, right + base
     node = np.repeat(roots, len(X))
-    row = np.tile(np.arange(len(X)), len(trees))
+    row = np.tile(np.arange(len(X)), len(roots))
     walking = np.arange(len(node))
     while len(walking):
         at = node[walking]
         walking, at = walking[inner[at]], at[inner[at]]
         node[walking] = np.where(X[row[walking], feature[at]] <= threshold[at], left[at], right[at])
-    return np.concatenate([tree.prediction for tree in trees])[node].reshape(len(trees), len(X))
+    return table.prediction[node].reshape(len(roots), len(X))
+
+
+def _shifted_children(table: _Tree, bounds: np.ndarray, sign: int) -> tuple:
+    """``table``'s left and right, each internal node's children moved by ``sign`` times the first
+    node of its tree (tree t holds nodes ``bounds[t]`` to ``bounds[t + 1]``): +1 turns indices within
+    each tree into indices into the table, -1 back. A leaf's children are never read: they stay."""
+    base = sign * np.repeat(bounds[:-1], np.diff(bounds))
+    inner = table.feature >= 0
+    return np.where(inner, table.left + base, table.left), np.where(inner, table.right + base, table.right)
+
+
+MASK32 = 0xFFFFFFFF
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _spawn_states(seed: int, n: int) -> list:
+    """The PCG64 ``(state, inc)`` of ``default_rng(child)`` for each child of
+    ``SeedSequence(seed).spawn(n)``, n <= 2^32, computed for all children at once.
+
+    Child i's entropy is the seed's 32-bit words, low first and zero-padded to 4, then i.
+    SeedSequence hashes it into a pool of 4 words and ``generate_state(4, np.uint64)``
+    hashes the pool into (initstate, initseq), each a high then a low 64-bit word; the
+    constants are numpy's. PCG64 then sets inc = 2 initseq + 1 and steps twice from 0,
+    adding initstate between the steps.
+    """
+    seed = int(seed)
+    run = [seed >> s & MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, word, dtype=np.uint32) for word in run + [0] * (4 - len(run))]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931E8875 & MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * 0x58F38DED & MASK32
+        value = value * np.uint32(const)
+        words.append((value ^ value >> 16).astype(np.uint64))
+    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for high, low, seq_high, seq_low in zip(*halves):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & ((1 << 128) - 1)
+        states.append(((((high << 64 | low) + inc) * PCG64_MULTIPLIER + inc) % (1 << 128), inc))
+    return states
+
+
+def _pcg64(state: tuple, bit_generator: Optional[np.random.PCG64] = None) -> np.random.PCG64:
+    """``bit_generator`` (a new one by default) set to the PCG64 ``(state, inc)`` ``state``."""
+    bit_generator = bit_generator or np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def _stream_words(states: list, count: int) -> np.ndarray:
+    """(stream, count) table of the first ``count`` 32-bit words of each PCG64 ``(state, inc)``'s
+    stream, as ``Generator.integers`` reads them: each 64-bit output's low half, then its high half."""
+    out = np.empty((len(states), count), dtype=np.uint32)
+    bit_generator = np.random.PCG64()
+    for t, state in enumerate(states):
+        raw = _pcg64(state, bit_generator).random_raw((count + 1) // 2)
+        out[t] = raw.astype("<u8", copy=False).view("<u4")[:count]
+    return out
+
+
+def _bootstrap(states: list, n: int, count: int) -> tuple:
+    """Each PCG64 ``(state, inc)``'s ``Generator.integers(0, n, size=n)``, the bootstrap, as a
+    (stream, n) array, and the (stream, count) table of the 32-bit words that follow it.
+
+    A bounded draw is Lemire's method on one word, as in ``_draw_features``, so but for a
+    rejection the bootstrap reads the first n words, and for n = 1 none. A stream with a
+    rejected word makes its bootstrap and reads its words through its own ``Generator``.
+    """
+    skip = n if n > 1 else 0
+    words = _stream_words(states, skip + count)
+    product = words[:, :skip].astype(np.uint64) * np.uint64(n)
+    samples = (product >> 32).astype(np.intp) if skip else np.zeros((len(states), 1), dtype=np.intp)
+    for t in np.flatnonzero(((product & MASK32) < (1 << 32) % n).any(axis=1)).tolist():
+        rng = np.random.Generator(_pcg64(states[t]))
+        samples[t] = rng.integers(0, n, size=n)
+        words[t, skip:] = rng.integers(0, 1 << 32, size=count, dtype=np.uint32)
+    return samples, words[:, skip:]
 
 
 # numpy's Generator.choice(d, m, replace=False) is Floyd's algorithm up to this d; above, it may shuffle
 FLOYD_MAX_POPULATION = 10000
 
 
-def _draw_features(rngs: list, d: int, m: int, count: int) -> np.ndarray:
+def _draw_features(words: np.ndarray, d: int, m: int, count: int, restart) -> np.ndarray:
     """(tree, k, m) table whose [t, k] is the k-th of ``count`` successive
-    ``np.sort(rngs[t].choice(d, m, replace=False))`` calls (0 < m < d); each rng is left
-    where those calls leave it.
+    ``np.sort(rng.choice(d, m, replace=False))`` calls (0 < m < d) of ``rng = restart(t)``, a
+    new ``Generator`` for tree t; for d <= ``FLOYD_MAX_POPULATION``, ``words[t]`` holds the first
+    ``count * (2m - 1)`` 32-bit words that ``rng`` reads, and above it is not read.
 
     Up to ``FLOYD_MAX_POPULATION`` a call is Floyd's algorithm: for j = d - m, ..., d - 1 a
     bounded draw in [0, j], which is taken unless already taken, when j is. A shuffle of m - 1
     bounded draws follows, in [0, i] for i = m - 1, ..., 1; after the sort only its word count
     matters. Each bounded draw is Lemire's method on one word, and takes another only where the
     product's low half is below 2^32 mod (j + 1), about j in 2^32 words. So, but for such a
-    rejection, the k-th call reads words [k(2m - 1), (k + 1)(2m - 1)) of its rng's stream, and
-    every tree's calls are replayed at once, one word column at a time. A tree whose words hold
-    a rejection is set back to the start of that call, and it and the later calls are ``choice``
-    itself, as is every call above ``FLOYD_MAX_POPULATION``. The words are read, and skipped,
-    with ``integers(0, 2**32, dtype=np.uint32)``, which returns the stream's words as they are.
+    rejection, the k-th call reads words [k(2m - 1), (k + 1)(2m - 1)), and every tree's calls
+    are replayed at once, one word column at a time. A tree whose words hold a rejection gets
+    ``restart(t)``, which skips the words of the calls before the rejected one, and it and the
+    later calls are ``choice`` itself, as is every call above ``FLOYD_MAX_POPULATION``.
     """
-    states = [rng.bit_generator.state for rng in rngs]
-    per_call = 2 * m - 1
+    n_trees, per_call = len(words), 2 * m - 1
     if d > FLOYD_MAX_POPULATION:
-        table = np.empty((len(rngs), count, m), dtype=np.intp)
-        first = np.zeros(len(rngs), dtype=np.intp)
+        table = np.empty((n_trees, count, m), dtype=np.intp)
+        first = np.zeros(n_trees, dtype=np.intp)
     else:
-        words = np.empty((len(rngs), count, per_call), dtype=np.uint32)
-        for t, rng in enumerate(rngs):
-            words[t] = rng.integers(0, 1 << 32, size=count * per_call, dtype=np.uint32).reshape(count, per_call)
-        rejected = np.zeros((len(rngs), count), dtype=bool)
-        table = np.empty((len(rngs), count, m), dtype=np.int16)  # d <= FLOYD_MAX_POPULATION < 2^15
+        words = words.reshape(n_trees, count, per_call)
+        rejected = np.zeros((n_trees, count), dtype=bool)
+        table = np.empty((n_trees, count, m), dtype=np.int16)  # d <= FLOYD_MAX_POPULATION < 2^15
         # j + 1 for each Floyd word, then i + 1 for each shuffle word
         for c, bound in enumerate([*range(d - m + 1, d + 1), *range(m, 1, -1)]):
             product = words[:, :, c] * np.uint64(bound)
-            rejected |= (product & 0xFFFFFFFF) < (1 << 32) % bound
+            rejected |= (product & MASK32) < (1 << 32) % bound
             if c < m:
                 value = (product >> 32).astype(np.int16)
                 table[:, :, c] = np.where((table[:, :, :c] == value[:, :, None]).any(axis=2), bound - 1, value)
         table.sort(axis=2)
         first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), count)
     for t in np.flatnonzero(first < count).tolist():
-        rng, k = rngs[t], int(first[t])
-        rng.bit_generator.state = states[t]
+        rng, k = restart(t), int(first[t])
         rng.integers(0, 1 << 32, size=k * per_call, dtype=np.uint32)  # skip the words of the calls before k
         table[t, k:] = [np.sort(rng.choice(d, m, replace=False)) for _ in range(k, count)]
     return table
@@ -515,13 +611,20 @@ def _partition(X: np.ndarray, y: np.ndarray, rows: np.ndarray, trees: np.ndarray
     return n_left, t_left
 
 
-def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_features: Optional[int],
-          max_leaf_nodes: Optional[int]) -> list:
-    """The ``_Tree`` grown on each row of ``samples`` (row indices into ``X``, ``y``), all in lockstep.
+def _most_distinct(samples: np.ndarray) -> int:
+    """The most distinct rows in a row of ``samples``. The copies of a row go to one side of
+    every split, so a tree of r distinct rows has at most r leaves, 2r - 1 nodes; and it draws
+    at most r - 1 times, as an impure node holds two distinct rows."""
+    return int((np.diff(np.sort(samples, axis=1), axis=1) != 0).sum(axis=1).max()) + 1
 
-    An impure node's candidate features are all ``d`` when ``max_features`` is
-    unset or at least ``d``, else a sorted draw of ``max_features`` from its
-    tree's rng, made in the tree's open order (``_draw_features``). At each step
+
+def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, table: np.ndarray, max_leaf_nodes: Optional[int]) -> tuple:
+    """The trees grown on the rows of ``samples`` (row indices into ``X``, ``y``), all in lockstep:
+    one ``_Tree`` table that lays them end to end, and the bounds: tree t holds nodes
+    ``bounds[t]`` to ``bounds[t + 1]``.
+
+    ``table`` is (tree, k, m), k at least ``_most_distinct(samples) - 1``: a tree's k-th impure
+    node, in its open order, gets the candidate features ``table[tree, k]``. At each step
     every tree with a node on its heap pops its best node and opens both
     children, left first; then one batched search scores every node opened in
     the step. Each tree equals the one grown alone.
@@ -534,14 +637,8 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
     order, so the first maximum is the heap's (-decrease, push counter) minimum.
     """
     n_trees, n = samples.shape
-    d = X.shape[1]
-    m = d if max_features is None else min(max_features, d)
     binary = ((X == 0) | (X == 1)).all(axis=0)
-    # the copies of a row go to one side of every split, so a tree of r distinct rows has at most
-    # r leaves, 2r - 1 nodes; and it draws at most r - 1 times, as an impure node holds two distinct rows
-    distinct = int((np.diff(np.sort(samples, axis=1), axis=1) != 0).sum(axis=1).max()) + 1
-    draws = max(distinct - 1, 1)  # _draw_features needs a count of at least 1
-    table = _draw_features(rngs, d, m, draws) if m < d else np.broadcast_to(np.arange(d), (n_trees, draws, d))
+    distinct = _most_distinct(samples)
     start, size, n_true, left, feature, threshold, pending = (
         np.full((n_trees, 2 * distinct - 1), fill) for fill in (0, 0, 0, -1, 0, 0.0, -np.inf))
     rows = samples.copy()
@@ -576,18 +673,17 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, max_fea
         n_true[trees, children + 1] = n_true[trees, nodes] - t_left
         n_nodes[trees] += 2
         trees, nodes = np.repeat(trees, 2), (children[:, None] + np.arange(2)).ravel()
+    kept = np.arange(left.shape[1]) < n_nodes[:, None]  # one mask lays the trees end to end
     internal = left >= 0
-    out = []
-    for t, count in enumerate(n_nodes.tolist()):
-        tree = _Tree()
-        inner = internal[t, :count]
-        tree.feature = np.where(inner, feature[t, :count], -1)
-        tree.threshold = np.where(inner, threshold[t, :count], 0.0)
-        tree.left = left[t, :count].copy()
-        tree.right = np.where(inner, left[t, :count] + 1, -1)
-        tree.prediction = 2 * n_true[t, :count] > size[t, :count]
-        out.append(tree)
-    return out
+    out = _Tree()
+    out.feature = np.where(internal, feature, -1)[kept]
+    out.threshold = np.where(internal, threshold, 0.0)[kept]
+    out.left = left[kept]
+    out.right = np.where(internal, left + 1, -1)[kept]
+    out.prediction = (2 * n_true > size)[kept]
+    bounds = np.append(0, np.cumsum(n_nodes))
+    out.left, out.right = _shifted_children(out, bounds, 1)
+    return out, bounds
 
 
 class DecisionTreeCART(Stateful):
@@ -606,7 +702,9 @@ class DecisionTreeCART(Stateful):
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        (self.tree_,) = _grow(X, _as_bool_labels(y), np.arange(len(X))[None], [None], None, self.max_leaf_nodes)
+        n, d = X.shape
+        every = np.broadcast_to(np.arange(d), (1, max(n - 1, 1), d))
+        self.tree_, _ = _grow(X, _as_bool_labels(y), np.arange(n)[None], every, self.max_leaf_nodes)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -622,9 +720,12 @@ class DecisionTreeCART(Stateful):
 class RandomForest(Stateful):
     """Bagged CART trees voting by majority; vote ties go to FALSE.
 
-    Each tree sees a bootstrap sample and draws ``max_features`` candidate
-    features per node, ceil(sqrt(d)) unless set, from its own rng. All trees
-    grow together, in lockstep (``_grow``).
+    Tree t draws from the generator ``default_rng(SeedSequence(seed).spawn(n_estimators)[t])``:
+    first its bootstrap, ``integers(0, n, size=n)``, then ``max_features`` candidate features per
+    impure node, ceil(sqrt(d)) unless set (``_draw_features``). The streams are computed in bulk
+    (``_spawn_states``, ``_bootstrap``) and the draws replayed from their words; a tree with a
+    rejected word gets its generator. All trees grow together, in lockstep (``_grow``), into one
+    node table, ``nodes_``, where tree t holds nodes ``bounds_[t]`` to ``bounds_[t + 1]``.
     """
 
     STATE = (Field("trees", "tree_tables", _Tree, ("trees",)),)
@@ -633,38 +734,71 @@ class RandomForest(Stateful):
         self.n_estimators = n_estimators
         self.max_features = max_features
         self.seed = seed
-        self.trees_: list = []
+        self.nodes_, self.bounds_ = _Tree(), np.zeros(1, dtype=np.intp)  # no trees until a fit
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         n, d = X.shape
-        max_features = self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1
-        rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(self.seed).spawn(self.n_estimators)]
-        samples = np.array([rng.integers(0, n, size=n) for rng in rngs])  # the bootstrap: each tree's first draw
-        self.tree_tables = _grow(X, _as_bool_labels(y), samples, rngs, max_features, None)
+        m = min(self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1, d)
+        states = _spawn_states(self.seed, self.n_estimators)
+        # where the draws are replayed, each reads 2m - 1 words, and a tree draws at most n - 1 times
+        per_call = 2 * m - 1 if m < d <= FLOYD_MAX_POPULATION else 0
+        samples, words = _bootstrap(states, n, max(n - 1, 1) * per_call)
+        draws = max(_most_distinct(samples) - 1, 1)  # _draw_features needs a count of at least 1
+        if m == d:
+            table = np.broadcast_to(np.arange(d), (len(states), draws, d))
+        else:
+            def after_bootstrap(t):
+                rng = np.random.Generator(_pcg64(states[t]))
+                rng.integers(0, n, size=n)
+                return rng
+
+            table = _draw_features(words[:, :draws * per_call], d, m, draws, after_bootstrap)
+        del words  # freed before the grower sizes its arrays
+        self.nodes_, self.bounds_ = _grow(X, _as_bool_labels(y), samples, table, None)
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self.predict_grid(X, [len(self.trees_)])[0]
+        return self.predict_grid(X, [len(self.bounds_) - 1])[0]
 
     def predict_grid(self, X, values: Sequence[int]) -> list:
         """Predictions for each ``n_estimators`` in ``values`` (at most the
         fitted one): tree seeds come from ``SeedSequence(seed).spawn(n)``, whose
         first n children do not depend on n, so a smaller forest is a prefix."""
         X = np.asarray(X, dtype=float)
-        votes = np.cumsum(_predict_trees(self.tree_tables, X), axis=0)
+        votes = np.cumsum(_predict_trees(self.nodes_, self.bounds_[:-1], X), axis=0)
         return [votes[n - 1] * 2 > n for n in values]
 
     @property
+    def trees_(self) -> list:
+        """A ``DecisionTreeCART`` per tree, in vote order, holding its ``tree_tables`` entry."""
+        trees = []
+        for table in self.tree_tables:
+            trees.append(DecisionTreeCART())
+            trees[-1].tree_ = table
+        return trees
+
+    @property
     def tree_tables(self) -> list:
-        """The node table of each tree, in vote order."""
-        return [tree.tree_ for tree in self.trees_]
+        """The node table of each tree, in vote order, its children indexed within it."""
+        nodes, bounds = self.nodes_, self.bounds_.tolist()
+        left, right = _shifted_children(nodes, self.bounds_, -1)
+        tables = []
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            table = _Tree()
+            table.feature, table.threshold, table.prediction = (
+                nodes.feature[a:z], nodes.threshold[a:z], nodes.prediction[a:z])
+            table.left, table.right = left[a:z], right[a:z]
+            tables.append(table)
+        return tables
 
     @tree_tables.setter
     def tree_tables(self, tables: list) -> None:
-        self.trees_ = [DecisionTreeCART() for _ in tables]
-        for tree, table in zip(self.trees_, tables):
-            tree.tree_ = table
+        self.bounds_ = np.append(0, np.cumsum([len(table.feature) for table in tables]))
+        self.nodes_ = nodes = _Tree()
+        for key in ("feature", "threshold", "left", "right", "prediction"):
+            setattr(nodes, key, np.concatenate([getattr(table, key) for table in tables]))
+        nodes.left, nodes.right = _shifted_children(nodes, self.bounds_, 1)
 
 
 class GaussianNaiveBayes(Stateful):
@@ -712,7 +846,8 @@ class GaussianNaiveBayes(Stateful):
 # name -> (allowed values, test) for every hyperparameter a family accepts
 HYPERPARAMETER_RANGES = {
     "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "n_estimators": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    # each tree's seed is one 32-bit spawn word (_spawn_states)
+    "n_estimators": ("an integer in [1, 2^32)", lambda v: _is_int(v) and 1 <= v < 1 << 32),
     "epochs": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "max_leaf_nodes": ("an integer >= 2 or none", lambda v: v is None or (_is_int(v) and v >= 2)),
     "lam": (

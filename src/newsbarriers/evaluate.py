@@ -45,13 +45,12 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[
     fold_of = np.empty(n, dtype=int)
     rng = np.random.default_rng(seed)
     for label in (False, True):
-        members = [i for i in range(n) if labels[i] == label]
+        members = np.flatnonzero(labels == label).tolist()
         if len(members) < k:
             raise TooFewPerClass(f"class {label} has {len(members)} instances, fewer than k={k} folds")
         members.sort(key=lambda i: (ids[i], i))
-        order = rng.permutation(len(members))
-        for position, j in enumerate(order):
-            fold_of[members[j]] = position % k
+        # the member at shuffled position p goes to fold p mod k
+        fold_of[np.array(members)[rng.permutation(len(members))]] = np.arange(len(members)) % k
     return fold_of
 
 

@@ -21,6 +21,7 @@ from newsbarriers.classifiers import (
     ModelSpec,
     MostFrequentBaseline,
     RandomForest,
+    Standardizer,
     StratifiedBaseline,
     TrainedModel,
     UniformBaseline,
@@ -173,6 +174,59 @@ def test_svm_deterministic():
     a = LinearSVM(seed=9).fit(X, y)
     b = LinearSVM(seed=9).fit(X, y)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+def reference_svm(X, y, lam, epochs, seed):
+    """(weights, bias) of the per-step loop that ``LinearSVM.fit`` replaced with per-epoch lists."""
+    y_pm = np.where(y, 1.0, -1.0)
+    Xs = Standardizer().fit(X).transform(X)
+    Xa = np.hstack([Xs, np.ones((len(Xs), 1))])
+    w = np.zeros(Xa.shape[1])
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(Xa)):
+            t += 1
+            eta = 1.0 / (lam * t)
+            violated = y_pm[i] * float(Xa[i] @ w) < 1.0
+            w *= 1.0 - eta * lam
+            if violated:
+                w += eta * y_pm[i] * Xa[i]
+    return w[:-1], float(w[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_svm_fit_equals_the_per_step_loop(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    d = data.draw(st.integers(1, 12) | st.integers(13, 120), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+    # continuous, repeated small integers, or wide-ranged values
+    X = data.draw(st.sampled_from([rng.normal(size=(n, d)), rng.integers(0, 3, size=(n, d)).astype(float),
+                                   rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)]), label="X")
+    y = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="share TRUE")
+    lam = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.37, 1, 3]), label="lam")  # an int lam, as a model file may hold
+    epochs = data.draw(st.integers(1, 20), label="epochs")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    model = LinearSVM(lam=lam, epochs=epochs, seed=seed).fit(X, y)
+    weights, bias = reference_svm(X, y, lam, epochs, seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert float(model.bias).hex() == bias.hex()
+
+
+def test_svm_fit_memory_does_not_grow_with_epochs():
+    """The step lists hold one epoch: lists of all 5000 epochs' 200 000 steps would take megabytes."""
+    X, y = blobs(n_per_class=20, seed=5)
+    LinearSVM(epochs=1).fit(X, y)  # numpy's first-call allocations
+    peaks = {}
+    for epochs in (50, 5000):
+        tracemalloc.start()
+        try:
+            LinearSVM(epochs=epochs).fit(X, y)
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] <= peaks[50] + 16 * 1024, peaks
 
 
 def test_cart_training_accuracy_on_distinct_rows():
@@ -488,6 +542,7 @@ def test_grid_predictions_reject_values_that_do_not_fit_the_family():
     (ModelFamily.SVM, {"lam": float("inf")}),
     (ModelFamily.SVM, {"lam": "abc"}),
     (ModelFamily.SVM, {"epochs": 0}),
+    (ModelFamily.RANDOM_FOREST, {"n_estimators": 2**32}),  # each tree's seed is one 32-bit spawn word
 ])
 def test_hyperparameter_out_of_range(family, params):
     X, y = blobs(n_per_class=5, seed=28)
@@ -720,7 +775,16 @@ def test_a_fit_draws_its_feature_table_in_one_call():
         # one draw per impure node, and a tree of r distinct rows has at most r - 1 of them
         boots = [np.random.default_rng(child).integers(0, len(WIDE_X), size=len(WIDE_X))
                  for child in np.random.SeedSequence(5).spawn(3)]
-        assert [call.args[3] for call in draws.call_args_list] == [max(len(np.unique(b)) for b in boots) - 1]
+        (call,) = draws.call_args_list
+        words, d, m, count, restart = call.args
+        assert (d, m, count) == (6, 2, max(len(np.unique(b)) for b in boots) - 1)
+        # each tree's words are those that follow its bootstrap, 2m - 1 = 3 for each draw
+        assert words.shape == (3, 3 * count)
+        for t, child in enumerate(np.random.SeedSequence(5).spawn(3)):
+            rng = np.random.default_rng(child)
+            rng.integers(0, len(WIDE_X), size=len(WIDE_X))
+            assert restart(t).bit_generator.state == rng.bit_generator.state
+            assert words[t].tolist() == rng.integers(0, 2**32, size=3 * count, dtype=np.uint32).tolist()
         DecisionTreeCART().fit(WIDE_X, WIDE_Y)  # every node's candidates are every feature
         assert draws.call_count == 1
 
@@ -772,8 +836,9 @@ def test_forest_fit_memory_stays_flat():
     bootstrap rows (100 x 900 x 313 floats, 225 MB) would show up here. The grower
     sizes its state once per fit, for the largest tree the bootstraps allow (591
     distinct rows), whatever the labels, so the 5 % TRUE label's small trees
-    leave most of it unused. On the 0/1 matrix the peak is the draw table: 590
-    draws per tree of 35 words each (8 MB) and the table itself (2 MB). On
+    leave most of it unused. On the 0/1 matrix the peak is the draw words,
+    read for the 899 draws a tree of 900 rows could make, 35 words each
+    (12.6 MB), and the table of the 590 it can make (2 MB). On
     continuous data it is the node arrays (6.3 MB) and the root chunks: every cell
     is sorted, and the root cells of all 100 trees (100 x 7 x 900 rows) in one
     chunk would take about 70 MB."""

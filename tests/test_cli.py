@@ -331,7 +331,7 @@ def dataset(tmp_path_factory, corpus):
     ("knn", "k=abc", "param: cannot parse value 'abc'"),
     ("perceptron", "k=3", "family: unknown model family: 'perceptron'"),
     ("knn", "k=1.5", "train: kNN: k must be an integer >= 1, got 1.5"),
-    ("random_forest", "n_estimators=0", "train: Random Forest: n_estimators must be an integer >= 1, got 0"),
+    ("random_forest", "n_estimators=0", "train: Random Forest: n_estimators must be an integer in [1, 2^32), got 0"),
     ("svm", "lam=0", "train: SVM: lam must be a finite number > 0, got 0"),
 ], ids=["unknown-param", "bad-value", "unknown-family", "non-integer", "zero-trees", "zero-lam"])
 def test_train_rejects_bad_family_or_param(tmp_path, dataset, capsys, family, param, message):
@@ -381,7 +381,7 @@ def test_evaluate_malformed_model_is_data_error(tmp_path, dataset, capsys, text)
     (["--grid", "knn.k=0"], "grid.knn: kNN: k must be an integer >= 1, got 0"),
     (["--grid", "knn.k=3,-1"], "grid.knn: kNN: k must be an integer >= 1, got -1"),
     (["--grid", "random_forest.n_estimators=0"],
-     "grid.random_forest: Random Forest: n_estimators must be an integer >= 1, got 0"),
+     "grid.random_forest: Random Forest: n_estimators must be an integer in [1, 2^32), got 0"),
     (["--grid", "decision_tree.max_leaf_nodes=1.5"],
      "grid.decision_tree: Decision Tree: max_leaf_nodes must be an integer >= 2 or none, got 1.5"),
     (["--grid", "svm.lam=0"], "grid.svm: SVM: lam must be a finite number > 0, got 0"),

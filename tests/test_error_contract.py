@@ -9,11 +9,13 @@ import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from newsbarriers.classifiers import RandomForest
 from newsbarriers.cli import main
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 
@@ -317,6 +319,22 @@ def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, m
     datasets["blank_code"].write_bytes(b"\r\n".join([header, b"," + first.split(b",", 1)[1], rest]))
     argv = base_argv(command, root, paths) + [flag.format(**datasets) for flag in flags]
     assert call(argv) == (code, message + "\n")
+
+
+# Each tree's seed is one 32-bit spawn word. At 10^20 trees the spawn exited 3 with
+# "Python int too large to convert to C ssize_t"; at 2^32 the run went on for minutes.
+# A forest fit fails the test at once, so a missed check cannot start one.
+@pytest.mark.parametrize("command,flags,stage", [
+    ("run", ["--grid", "random_forest.n_estimators={}"], "grid.random_forest"),
+    ("train", ["--family", "random_forest", "--param", "n_estimators={}"], "train"),
+])
+@pytest.mark.parametrize("value", [10**20, 2**32])
+def test_forests_past_the_seed_words_are_config_errors(inputs, command, flags, stage, value):
+    root, paths, _ = inputs
+    argv = base_argv(command, root, paths) + [flag.format(value) for flag in flags]
+    with mock.patch.object(RandomForest, "fit", side_effect=AssertionError("a forest was fit")):
+        code, err = call(argv)
+    assert (code, err) == (1, f"{stage}: Random Forest: n_estimators must be an integer in [1, 2^32), got {value}\n")
 
 
 # Scaling an empty profile store exited 3. Scaled or not, a header-only countries.csv

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,43 @@ def test_stratified_seed_determinism():
     c = stratified_kfold(labels, k=5, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_stratified_kfold(labels, k, seed, ids):
+    """The per-element loops that ``stratified_kfold`` replaced with array calls."""
+    labels = np.asarray(labels, dtype=bool)
+    n = len(labels)
+    ids = [""] * n if ids is None else ids
+    fold_of = np.empty(n, dtype=int)
+    rng = np.random.default_rng(seed)
+    for label in (False, True):
+        members = [i for i in range(n) if labels[i] == label]
+        if len(members) < k:
+            raise TooFewPerClass(f"class {label} has {len(members)} instances, fewer than k={k} folds")
+        members.sort(key=lambda i: (ids[i], i))
+        order = rng.permutation(len(members))
+        for position, j in enumerate(order):
+            fold_of[members[j]] = position % k
+    return fold_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stratified_folds_equal_the_per_element_loops(data):
+    n_false, n_true = data.draw(st.integers(0, 40), label="FALSE"), data.draw(st.integers(0, 40), label="TRUE")
+    labels = data.draw(st.permutations([False] * n_false + [True] * n_true), label="labels")
+    k = data.draw(st.integers(1, 10), label="k")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    # repeated ids, so the position breaks ties in the order
+    ids = data.draw(st.none() | st.lists(st.sampled_from(["", "a", "a1", "b", "a0000"]),
+                                         min_size=len(labels), max_size=len(labels)), label="ids")
+    try:
+        expected = reference_stratified_kfold(labels, k, seed, ids)
+    except TooFewPerClass as exc:
+        with pytest.raises(TooFewPerClass, match=re.escape(str(exc))):
+            stratified_kfold(labels, k=k, seed=seed, ids=ids)
+        return
+    assert stratified_kfold(labels, k=k, seed=seed, ids=ids).tolist() == expected.tolist()
 
 
 def test_micro_metrics_hand_enumerated():
