@@ -285,18 +285,21 @@ class LinearSVM(Stateful):
         rng = np.random.default_rng(self.seed)
         multiply, add = np.multiply, np.add
         lam, t = self.lam, 0
-        for _ in range(self.epochs):
-            # the epoch's steps as lists: row, label, 1 - eta * lam and eta * label, eta = 1 / (lam * t)
-            order = rng.permutation(len(Xa)).tolist()
-            eta = [1.0 / (lam * s) for s in range(t + 1, t + len(order) + 1)]
-            labels = [y_pm[i] for i in order]
-            t += len(order)
-            for row, label, decay, scale in zip([rows[i] for i in order], labels, [1.0 - e * lam for e in eta],
-                                                 [e * y_t for e, y_t in zip(eta, labels)]):
-                violated = label * row.dot(w) < 1.0  # the 1-D BLAS dot of np.dot and of Xa[i] @ w
-                multiply(w, decay, out=w)
-                if violated:
-                    add(w, multiply(row, scale, out=step), out=w)
+        with np.errstate(over="ignore", invalid="ignore"):  # a lam too small overflows: checked below
+            for _ in range(self.epochs):
+                # the epoch's steps as lists: row, label, 1 - eta * lam and eta * label, eta = 1 / (lam * t)
+                order = rng.permutation(len(Xa)).tolist()
+                eta = [1.0 / (lam * s) for s in range(t + 1, t + len(order) + 1)]
+                labels = [y_pm[i] for i in order]
+                t += len(order)
+                for row, label, decay, scale in zip([rows[i] for i in order], labels, [1.0 - e * lam for e in eta],
+                                                     [e * y_t for e, y_t in zip(eta, labels)]):
+                    violated = label * row.dot(w) < 1.0  # the 1-D BLAS dot of np.dot and of Xa[i] @ w
+                    multiply(w, decay, out=w)
+                    if violated:
+                        add(w, multiply(row, scale, out=step), out=w)
+        if not np.isfinite(w).all():
+            raise ConfigError(f"SVM: lam = {lam!r} is too small: the weights overflow")
         self.weights = w[:-1]
         self.bias = float(w[-1])
         return self
@@ -311,7 +314,7 @@ class LinearSVM(Stateful):
 
 class _Tree(Stateful):
     """Flat binary tree: parallel node arrays, feature < 0 marks a leaf. A forest's trees lie end to
-    end in one such table, each child indexed into the whole table (``RandomForest``)."""
+    end in one such table, each child indexed within its tree (``RandomForest``)."""
 
     # children after their parent, so predict walks down and cannot loop
     AFTER_NODE = ("after its node where feature >= 0", lambda child, tree, d: (
@@ -337,15 +340,19 @@ class _Tree(Stateful):
 
 
 def _predict_trees(table: _Tree, roots: np.ndarray, X: np.ndarray, splits: Optional[int] = None) -> np.ndarray:
-    """(tree, row) leaf predictions on ``X`` of the trees of ``table`` rooted at ``roots``; with
-    ``splits`` set, those of the tree at root 0 as it stood after its first ``splits`` splits.
+    """(tree, row) leaf predictions on ``X`` of the trees of ``table``, which lie end to end from
+    the first nodes ``roots``, each child indexed within its tree; with ``splits`` set, those of
+    one tree as it stood after its first ``splits`` splits.
 
-    Every (tree, row) pair walks down together, one level per pass. Node ids are allocated
-    in split order (split r creates nodes 2r+1 and 2r+2), so an internal node whose left
-    child is 2*splits+1 or later was split afterwards and still acts as the leaf it was.
+    Every (tree, row) pair walks down together, one level per pass, with each node's tree start
+    added to its children once per call. Node ids are allocated in split order (split r creates
+    nodes 2r+1 and 2r+2), so an internal node whose left child is 2*splits+1 or later was split
+    afterwards and still acts as the leaf it was.
     """
-    feature, threshold, left, right = table.feature, table.threshold, table.left, table.right
-    inner = (feature >= 0) if splits is None else (feature >= 0) & (left < 2 * splits + 1)
+    feature, threshold = table.feature, table.threshold
+    inner = (feature >= 0) if splits is None else (feature >= 0) & (table.left < 2 * splits + 1)
+    start = np.repeat(roots, np.diff(roots, append=len(feature)))
+    left, right = table.left + start, table.right + start
     node = np.repeat(roots, len(X))
     row = np.tile(np.arange(len(X)), len(roots))
     walking = np.arange(len(node))
@@ -354,15 +361,6 @@ def _predict_trees(table: _Tree, roots: np.ndarray, X: np.ndarray, splits: Optio
         walking, at = walking[inner[at]], at[inner[at]]
         node[walking] = np.where(X[row[walking], feature[at]] <= threshold[at], left[at], right[at])
     return table.prediction[node].reshape(len(roots), len(X))
-
-
-def _shifted_children(table: _Tree, bounds: np.ndarray, sign: int) -> tuple:
-    """``table``'s left and right, each internal node's children moved by ``sign`` times the first
-    node of its tree (tree t holds nodes ``bounds[t]`` to ``bounds[t + 1]``): +1 turns indices within
-    each tree into indices into the table, -1 back. A leaf's children are never read: they stay."""
-    base = sign * np.repeat(bounds[:-1], np.diff(bounds))
-    inner = table.feature >= 0
-    return np.where(inner, table.left + base, table.left), np.where(inner, table.right + base, table.right)
 
 
 MASK32 = 0xFFFFFFFF
@@ -437,67 +435,54 @@ def _stream_words(states: list, count: int) -> np.ndarray:
     return out
 
 
-def _bootstrap(states: list, n: int, count: int) -> tuple:
-    """Each PCG64 ``(state, inc)``'s ``Generator.integers(0, n, size=n)``, the bootstrap, as a
-    (stream, n) array, and the (stream, count) table of the 32-bit words that follow it.
-
-    A bounded draw is Lemire's method on one word, as in ``_draw_features``, so but for a
-    rejection the bootstrap reads the first n words, and for n = 1 none. A stream with a
-    rejected word makes its bootstrap and reads its words through its own ``Generator``.
-    """
-    skip = n if n > 1 else 0
-    words = _stream_words(states, skip + count)
-    product = words[:, :skip].astype(np.uint64) * np.uint64(n)
-    samples = (product >> 32).astype(np.intp) if skip else np.zeros((len(states), 1), dtype=np.intp)
-    for t in np.flatnonzero(((product & MASK32) < (1 << 32) % n).any(axis=1)).tolist():
-        rng = np.random.Generator(_pcg64(states[t]))
-        samples[t] = rng.integers(0, n, size=n)
-        words[t, skip:] = rng.integers(0, 1 << 32, size=count, dtype=np.uint32)
-    return samples, words[:, skip:]
-
-
 # numpy's Generator.choice(d, m, replace=False) is Floyd's algorithm up to this d; above, it may shuffle
 FLOYD_MAX_POPULATION = 10000
 
 
-def _draw_features(words: np.ndarray, d: int, m: int, count: int, restart) -> np.ndarray:
-    """(tree, k, m) table whose [t, k] is the k-th of ``count`` successive
-    ``np.sort(rng.choice(d, m, replace=False))`` calls (0 < m < d) of ``rng = restart(t)``, a
-    new ``Generator`` for tree t; for d <= ``FLOYD_MAX_POPULATION``, ``words[t]`` holds the first
-    ``count * (2m - 1)`` 32-bit words that ``rng`` reads, and above it is not read.
+def _tree_draws(states: list, n: int, d: int, m: int) -> tuple:
+    """Each tree's draws from ``rng = Generator(PCG64 (state, inc) states[t])``, for all trees at
+    once: the (tree, n) bootstrap, ``rng.integers(0, n, size=n)``, and the (tree, count, m) table
+    of the next ``count`` calls of ``np.sort(rng.choice(d, m, replace=False))``, where count is
+    ``max(_most_distinct(samples) - 1, 1)``; for m = d, each row of the table is every feature.
 
-    Up to ``FLOYD_MAX_POPULATION`` a call is Floyd's algorithm: for j = d - m, ..., d - 1 a
-    bounded draw in [0, j], which is taken unless already taken, when j is. A shuffle of m - 1
-    bounded draws follows, in [0, i] for i = m - 1, ..., 1; after the sort only its word count
-    matters. Each bounded draw is Lemire's method on one word, and takes another only where the
-    product's low half is below 2^32 mod (j + 1), about j in 2^32 words. So, but for such a
-    rejection, the k-th call reads words [k(2m - 1), (k + 1)(2m - 1)), and every tree's calls
-    are replayed at once, one word column at a time. A tree whose words hold a rejection gets
-    ``restart(t)``, which skips the words of the calls before the rejected one, and it and the
-    later calls are ``choice`` itself, as is every call above ``FLOYD_MAX_POPULATION``.
+    A bounded draw is Lemire's method on one 32-bit word: the product's high half, unless its low
+    half is below 2^32 mod bound (about bound in 2^32 words), which rejects the word and reads
+    another. Up to ``FLOYD_MAX_POPULATION`` a ``choice`` call is Floyd's algorithm: for j = d - m,
+    ..., d - 1 a bounded draw in [0, j], which is taken unless already taken, when j is. A shuffle
+    of m - 1 bounded draws follows, in [0, i] for i = m - 1, ..., 1; after the sort only its word
+    count matters. So, but for a rejection, the bootstrap reads the first n words (for n = 1
+    none) and the k-th call the 2m - 1 after the bootstrap from k(2m - 1) on, and every tree's
+    draws are replayed from them at once, one word column at a time. A tree whose words hold a
+    rejection, and every tree above ``FLOYD_MAX_POPULATION``, is redrawn whole by its ``rng``.
     """
-    n_trees, per_call = len(words), 2 * m - 1
-    if d > FLOYD_MAX_POPULATION:
-        table = np.empty((n_trees, count, m), dtype=np.intp)
-        first = np.zeros(n_trees, dtype=np.intp)
-    else:
-        words = words.reshape(n_trees, count, per_call)
-        rejected = np.zeros((n_trees, count), dtype=bool)
-        table = np.empty((n_trees, count, m), dtype=np.int16)  # d <= FLOYD_MAX_POPULATION < 2^15
-        # j + 1 for each Floyd word, then i + 1 for each shuffle word
-        for c, bound in enumerate([*range(d - m + 1, d + 1), *range(m, 1, -1)]):
-            product = words[:, :, c] * np.uint64(bound)
-            rejected |= (product & MASK32) < (1 << 32) % bound
-            if c < m:
-                value = (product >> 32).astype(np.int16)
-                table[:, :, c] = np.where((table[:, :, :c] == value[:, :, None]).any(axis=2), bound - 1, value)
-        table.sort(axis=2)
-        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), count)
-    for t in np.flatnonzero(first < count).tolist():
-        rng, k = restart(t), int(first[t])
-        rng.integers(0, 1 << 32, size=k * per_call, dtype=np.uint32)  # skip the words of the calls before k
-        table[t, k:] = [np.sort(rng.choice(d, m, replace=False)) for _ in range(k, count)]
-    return table
+    n_trees = len(states)
+    floyd = d <= FLOYD_MAX_POPULATION
+    skip = n if n > 1 else 0
+    per_call = 2 * m - 1 if m < d and floyd else 0
+    words = _stream_words(states, skip + max(n - 1, 1) * per_call)  # a tree draws at most n - 1 times
+    product = words[:, :skip].astype(np.uint64) * np.uint64(n)
+    redraw = ((product & MASK32) < (1 << 32) % n).any(axis=1)
+    samples = (product >> 32).astype(np.intp) if skip else np.zeros((n_trees, 1), dtype=np.intp)
+    for t in np.flatnonzero(redraw).tolist():
+        samples[t] = np.random.Generator(_pcg64(states[t])).integers(0, n, size=n)
+    count = max(_most_distinct(samples) - 1, 1)
+    if m == d:
+        return samples, np.broadcast_to(np.arange(d), (n_trees, count, d))
+    words = words[:, skip:skip + count * per_call].reshape(n_trees, count, per_call)
+    table = np.empty((n_trees, count, m), dtype=np.int16 if floyd else np.intp)  # FLOYD_MAX_POPULATION < 2^15
+    # j + 1 for each Floyd word, then i + 1 for each shuffle word
+    for c, bound in enumerate([*range(d - m + 1, d + 1), *range(m, 1, -1)] if floyd else []):
+        product = words[:, :, c] * np.uint64(bound)
+        redraw |= ((product & MASK32) < (1 << 32) % bound).any(axis=1)
+        if c < m:
+            value = (product >> 32).astype(np.int16)
+            table[:, :, c] = np.where((table[:, :, :c] == value[:, :, None]).any(axis=2), bound - 1, value)
+    table.sort(axis=2)
+    for t in np.flatnonzero(redraw | (not floyd)).tolist():
+        rng = np.random.Generator(_pcg64(states[t]))
+        rng.integers(0, n, size=n)
+        table[t] = [np.sort(rng.choice(d, m, replace=False)) for _ in range(count)]
+    return samples, table
 
 
 # a chunk of the split search holds the nodes whose first (row, candidate) pair, or the sorted cells
@@ -620,8 +605,8 @@ def _most_distinct(samples: np.ndarray) -> int:
 
 def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, table: np.ndarray, max_leaf_nodes: Optional[int]) -> tuple:
     """The trees grown on the rows of ``samples`` (row indices into ``X``, ``y``), all in lockstep:
-    one ``_Tree`` table that lays them end to end, and the bounds: tree t holds nodes
-    ``bounds[t]`` to ``bounds[t + 1]``.
+    one ``_Tree`` table that lays them end to end, each child indexed within its tree, and the
+    bounds: tree t holds nodes ``bounds[t]`` to ``bounds[t + 1]``.
 
     ``table`` is (tree, k, m), k at least ``_most_distinct(samples) - 1``: a tree's k-th impure
     node, in its open order, gets the candidate features ``table[tree, k]``. At each step
@@ -629,18 +614,17 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, table: np.ndarray, 
     children, left first; then one batched search scores every node opened in
     the step. Each tree equals the one grown alone.
 
-    The growth state is arrays, tree x node, sized once, at the most nodes a
-    tree can have. A node's rows are a contiguous segment of its tree's row of
-    ``rows``, and a pop partitions its segment, the rows at or below the
+    The growth state is arrays, tree x node, sized once from ``table``: a tree has at most
+    k + 1 distinct rows, so at most 2k + 1 nodes. A node's rows are a contiguous segment
+    of its tree's row of ``rows``, and a pop partitions its segment, the rows at or below the
     threshold first. A tree's heap is its row of ``pending``: the decrease of
     each node pushed and not yet popped, else -inf. Nodes are pushed in id
     order, so the first maximum is the heap's (-decrease, push counter) minimum.
     """
     n_trees, n = samples.shape
     binary = ((X == 0) | (X == 1)).all(axis=0)
-    distinct = _most_distinct(samples)
     start, size, n_true, left, feature, threshold, pending = (
-        np.full((n_trees, 2 * distinct - 1), fill) for fill in (0, 0, 0, -1, 0, 0.0, -np.inf))
+        np.full((n_trees, 2 * table.shape[1] + 1), fill) for fill in (0, 0, 0, -1, 0, 0.0, -np.inf))
     rows = samples.copy()
     size[:, 0], n_true[:, 0] = n, y[samples].sum(axis=1)
     n_nodes, n_impure = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
@@ -681,9 +665,7 @@ def _grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray, table: np.ndarray, 
     out.left = left[kept]
     out.right = np.where(internal, left + 1, -1)[kept]
     out.prediction = (2 * n_true > size)[kept]
-    bounds = np.append(0, np.cumsum(n_nodes))
-    out.left, out.right = _shifted_children(out, bounds, 1)
-    return out, bounds
+    return out, np.append(0, np.cumsum(n_nodes))
 
 
 class DecisionTreeCART(Stateful):
@@ -722,10 +704,11 @@ class RandomForest(Stateful):
 
     Tree t draws from the generator ``default_rng(SeedSequence(seed).spawn(n_estimators)[t])``:
     first its bootstrap, ``integers(0, n, size=n)``, then ``max_features`` candidate features per
-    impure node, ceil(sqrt(d)) unless set (``_draw_features``). The streams are computed in bulk
-    (``_spawn_states``, ``_bootstrap``) and the draws replayed from their words; a tree with a
-    rejected word gets its generator. All trees grow together, in lockstep (``_grow``), into one
-    node table, ``nodes_``, where tree t holds nodes ``bounds_[t]`` to ``bounds_[t + 1]``.
+    impure node, ceil(sqrt(d)) unless set. The streams are computed in bulk (``_spawn_states``)
+    and the draws replayed from their words (``_tree_draws``); a tree with a rejected word is
+    redrawn by its generator. All trees grow together, in lockstep (``_grow``), into one node
+    table, ``nodes_``, where tree t holds nodes ``bounds_[t]`` to ``bounds_[t + 1]``, each child
+    indexed within its tree.
     """
 
     STATE = (Field("trees", "tree_tables", _Tree, ("trees",)),)
@@ -740,21 +723,7 @@ class RandomForest(Stateful):
         X = np.asarray(X, dtype=float)
         n, d = X.shape
         m = min(self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1, d)
-        states = _spawn_states(self.seed, self.n_estimators)
-        # where the draws are replayed, each reads 2m - 1 words, and a tree draws at most n - 1 times
-        per_call = 2 * m - 1 if m < d <= FLOYD_MAX_POPULATION else 0
-        samples, words = _bootstrap(states, n, max(n - 1, 1) * per_call)
-        draws = max(_most_distinct(samples) - 1, 1)  # _draw_features needs a count of at least 1
-        if m == d:
-            table = np.broadcast_to(np.arange(d), (len(states), draws, d))
-        else:
-            def after_bootstrap(t):
-                rng = np.random.Generator(_pcg64(states[t]))
-                rng.integers(0, n, size=n)
-                return rng
-
-            table = _draw_features(words[:, :draws * per_call], d, m, draws, after_bootstrap)
-        del words  # freed before the grower sizes its arrays
+        samples, table = _tree_draws(_spawn_states(self.seed, self.n_estimators), n, d, m)
         self.nodes_, self.bounds_ = _grow(X, _as_bool_labels(y), samples, table, None)
         return self
 
@@ -780,25 +749,21 @@ class RandomForest(Stateful):
 
     @property
     def tree_tables(self) -> list:
-        """The node table of each tree, in vote order, its children indexed within it."""
-        nodes, bounds = self.nodes_, self.bounds_.tolist()
-        left, right = _shifted_children(nodes, self.bounds_, -1)
+        """The node table of each tree, in vote order: a slice of ``nodes_``."""
+        bounds = self.bounds_.tolist()
         tables = []
         for a, z in zip(bounds[:-1], bounds[1:]):
-            table = _Tree()
-            table.feature, table.threshold, table.prediction = (
-                nodes.feature[a:z], nodes.threshold[a:z], nodes.prediction[a:z])
-            table.left, table.right = left[a:z], right[a:z]
-            tables.append(table)
+            tables.append(_Tree())
+            for f in _Tree.STATE:
+                setattr(tables[-1], f.attr, getattr(self.nodes_, f.attr)[a:z])
         return tables
 
     @tree_tables.setter
     def tree_tables(self, tables: list) -> None:
         self.bounds_ = np.append(0, np.cumsum([len(table.feature) for table in tables]))
-        self.nodes_ = nodes = _Tree()
-        for key in ("feature", "threshold", "left", "right", "prediction"):
-            setattr(nodes, key, np.concatenate([getattr(table, key) for table in tables]))
-        nodes.left, nodes.right = _shifted_children(nodes, self.bounds_, 1)
+        self.nodes_ = _Tree()
+        for f in _Tree.STATE:
+            setattr(self.nodes_, f.attr, np.concatenate([getattr(table, f.attr) for table in tables]))
 
 
 class GaussianNaiveBayes(Stateful):

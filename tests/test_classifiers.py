@@ -176,8 +176,9 @@ def test_svm_deterministic():
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
-def reference_svm(X, y, lam, epochs, seed):
-    """(weights, bias) of the per-step loop that ``LinearSVM.fit`` replaced with per-epoch lists."""
+def reference_svm(X, y, lam, epochs, seed, dot=lambda row, w: float(row @ w)):
+    """(weights, bias) of the per-step loop that ``LinearSVM.fit`` replaced with per-epoch lists;
+    ``dot`` computes the margin's dot product."""
     y_pm = np.where(y, 1.0, -1.0)
     Xs = Standardizer().fit(X).transform(X)
     Xa = np.hstack([Xs, np.ones((len(Xs), 1))])
@@ -188,7 +189,7 @@ def reference_svm(X, y, lam, epochs, seed):
         for i in rng.permutation(len(Xa)):
             t += 1
             eta = 1.0 / (lam * t)
-            violated = y_pm[i] * float(Xa[i] @ w) < 1.0
+            violated = y_pm[i] * dot(Xa[i], w) < 1.0
             w *= 1.0 - eta * lam
             if violated:
                 w += eta * y_pm[i] * Xa[i]
@@ -212,6 +213,30 @@ def test_svm_fit_equals_the_per_step_loop(data):
     weights, bias = reference_svm(X, y, lam, epochs, seed)
     assert model.weights.tobytes() == weights.tobytes()
     assert float(model.bias).hex() == bias.hex()
+
+
+def test_svm_margin_is_the_blas_dot_not_a_sum():
+    """A margin within an ulp of 1.0 tells ``x @ w`` from ``(x * w).sum()``, whose summation
+    order differs: search for a lam that puts the second step's margin there. At step 1 the
+    margin is 0, and w becomes y_a x_a / lam; so at lam0 = y_a y_b (x_b . x_a) step 2's margin
+    is 1. The search runs here, not once for a pinned constant, as BLAS's ddot may differ by host."""
+    data = np.random.default_rng(0)
+    a, b = np.random.default_rng(0).permutation(4)[:2]  # the first two rows of epoch 1
+    for _ in range(20):
+        X, y = data.normal(size=(4, 24)), data.random(4) < 0.5
+        Xa = np.hstack([Standardizer().fit(X).transform(X), np.ones((4, 1))])
+        y_a, y_b = np.where(y[[a, b]], 1.0, -1.0)
+        lam0 = y_a * y_b * float(Xa[b] @ Xa[a])
+        for lam in (lam0 + np.spacing(lam0) * np.arange(-64, 65)).tolist() if lam0 > 0 else []:  # a few ulps
+            w = Xa[a] * (1.0 / lam * y_a)
+            if (y_b * float(Xa[b] @ w) < 1.0) != (y_b * float((Xa[b] * w).sum()) < 1.0):
+                model = LinearSVM(lam=lam, epochs=1, seed=0).fit(X, y)
+                weights, bias = reference_svm(X, y, lam, 1, 0)
+                assert model.weights.tobytes() == weights.tobytes() and float(model.bias).hex() == bias.hex()
+                summed, _ = reference_svm(X, y, lam, 1, 0, dot=lambda row, w: float((row * w).sum()))
+                assert summed.tobytes() != weights.tobytes()
+                return
+    pytest.skip("no lam puts the margin between the two dot products on this host")
 
 
 def test_svm_fit_memory_does_not_grow_with_epochs():
@@ -770,21 +795,19 @@ def test_lockstep_growth_equals_growing_each_tree_alone(case):
 
 
 def test_a_fit_draws_its_feature_table_in_one_call():
-    with mock.patch.object(classifiers, "_draw_features", wraps=classifiers._draw_features) as draws:
+    with mock.patch.object(classifiers, "_tree_draws", wraps=classifiers._tree_draws) as draws, \
+            mock.patch.object(classifiers, "_grow", wraps=classifiers._grow) as grow:
         RandomForest(3, 2, seed=5).fit(WIDE_X, WIDE_Y)
-        # one draw per impure node, and a tree of r distinct rows has at most r - 1 of them
-        boots = [np.random.default_rng(child).integers(0, len(WIDE_X), size=len(WIDE_X))
-                 for child in np.random.SeedSequence(5).spawn(3)]
         (call,) = draws.call_args_list
-        words, d, m, count, restart = call.args
-        assert (d, m, count) == (6, 2, max(len(np.unique(b)) for b in boots) - 1)
-        # each tree's words are those that follow its bootstrap, 2m - 1 = 3 for each draw
-        assert words.shape == (3, 3 * count)
-        for t, child in enumerate(np.random.SeedSequence(5).spawn(3)):
-            rng = np.random.default_rng(child)
-            rng.integers(0, len(WIDE_X), size=len(WIDE_X))
-            assert restart(t).bit_generator.state == rng.bit_generator.state
-            assert words[t].tolist() == rng.integers(0, 2**32, size=3 * count, dtype=np.uint32).tolist()
+        states, n, d, m = call.args
+        assert (n, d, m) == (len(WIDE_X), 6, 2)
+        children = np.random.SeedSequence(5).spawn(3)
+        assert states == [(s["state"]["state"], s["state"]["inc"]) for s in (np.random.PCG64(c).state for c in children)]
+        # one draw per impure node, and a tree of r distinct rows has at most r - 1 of them
+        boots = [np.random.default_rng(child).integers(0, len(WIDE_X), size=len(WIDE_X)) for child in children]
+        _, _, samples, table, _ = grow.call_args.args
+        assert samples.tolist() == [b.tolist() for b in boots]
+        assert table.shape == (3, max(len(np.unique(b)) for b in boots) - 1, 2)
         DecisionTreeCART().fit(WIDE_X, WIDE_Y)  # every node's candidates are every feature
         assert draws.call_count == 1
 

@@ -277,6 +277,12 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     ("train", ["--data", "{one_class}", "--family", "naive_bayes"], 2,
      "train: gaussian NB needs both classes in training data"),
     ("train", ["--param", "k=0"], 1, "train: kNN: k must be an integer >= 1, got 0"),
+    # an SVM lam whose steps overflow wrote a model file that evaluate rejected, and a run's
+    # report came from those weights, with numpy warnings on stderr
+    ("train", ["--family", "svm", "--param", "lam=1e-308"], 1,
+     "train: SVM: lam = 1e-308 is too small: the weights overflow"),
+    ("run", ["--models", "svm", "--grid", "svm.lam=1e-308"], 1,
+     "experiment[economic]: SVM: lam = 1e-308 is too small: the weights overflow"),
     # a header with no feature column exited 3 for the trees and Naive Bayes; kNN wrote a model evaluate rejected
     *[("train", ["--data", "{no_features}", "--family", family], 2, "train: no feature columns")
       for family in ("decision_tree", "random_forest", "naive_bayes", "knn")],
@@ -300,6 +306,7 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     ("run", ["--concepts", "{concept_number}"], 2, "concepts: malformed line 1: 'concepts' must contain only strings"),
     ("run", ["--countries", "{blank_code}"], 2, "countries: malformed row 2: empty country_code"),
 ], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range",
+        "train-svm-overflow", "run-svm-overflow",
         "train-no-features-decision-tree", "train-no-features-random-forest", "train-no-features-naive-bayes",
         "train-no-features-knn", "synth-no-articles",
         "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
