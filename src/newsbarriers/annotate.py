@@ -13,15 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    IncompleteMetadata,
-    LengthMismatch,
-    MalformedRow,
-    MissingColumn,
-    UnknownAlignment,
-    ZeroVector,
-)
+from .errors import DataError, IncompleteMetadata, MalformedRow, UnknownAlignment, ZeroVector
 from .features import ConceptVocabulary, assemble_instance, concept_block
 from .ingest import SpreadingExample
 from .knowledge import BARRIERS, BarrierKind, barrier_profile, profile_feature_names
@@ -38,7 +30,7 @@ def cosine_similarity(u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
-        raise LengthMismatch(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
+        raise DataError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
     norm_u = float(np.sqrt(np.dot(u, u)))
     norm_v = float(np.sqrt(np.dot(v, v)))
     if norm_u == 0.0 or norm_v == 0.0:
@@ -83,7 +75,7 @@ class BarrierDataset:
 
     def arrays(self):
         if not self.instances:
-            raise EmptyInput(f"no instances in {self.barrier.value} dataset")
+            raise DataError(f"no instances in {self.barrier.value} dataset")
         concepts = np.stack([i.concepts for i in self.instances])
         X = np.hstack([concepts, np.stack([i.profile for i in self.instances])])  # float64
         y = np.array([i.label for i in self.instances], dtype=bool)
@@ -115,7 +107,7 @@ def build_barrier_dataset(
     if kind is BarrierKind.ECONOMIC and economic_features:
         for name in economic_features:
             if name not in columns:
-                raise MissingColumn(name)
+                raise DataError(f"missing column: {name}")
         columns = tuple(economic_features)
     dataset = BarrierDataset(
         barrier=kind,
@@ -190,5 +182,5 @@ def load_barrier_dataset(path):
             X.append([parse_float(v, rownum, name) for name, v in zip(feature_names, cells[2:])])
             y.append(cells[1] == "TRUE")
     if not y:
-        raise EmptyInput("no instances in the dataset")
+        raise DataError("no instances in the dataset")
     return np.array(X, dtype=float), np.array(y, dtype=bool)

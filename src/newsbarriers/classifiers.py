@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateTrainingSet, EmptyInput, LengthMismatch
+from .errors import ConfigError, DataError
 from .tables import decode_json, read_file, write_json
 
 
@@ -192,7 +192,7 @@ class StratifiedBaseline(Stateful):
     def fit(self, X, y):
         y = _as_bool_labels(y)
         if y.all() or not y.any():
-            raise DegenerateTrainingSet("stratified baseline needs both classes in training data")
+            raise DataError("stratified baseline needs both classes in training data")
         self.p_true = float(y.mean())
         return self
 
@@ -371,37 +371,23 @@ def _spawn_states(seed: int, n: int) -> list:
     """The PCG64 ``(state, inc)`` of ``default_rng(child)`` for each child of
     ``SeedSequence(seed).spawn(n)``, n <= 2^32, computed for all children at once.
 
-    Child i's entropy is the seed's 32-bit words, low first and zero-padded to 4, then i.
-    SeedSequence hashes it into a pool of 4 words and ``generate_state(4, np.uint64)``
-    hashes the pool into (initstate, initseq), each a high then a low 64-bit word; the
-    constants are numpy's. PCG64 then sets inc = 2 initseq + 1 and steps twice from 0,
-    adding initstate between the steps.
+    A child's entropy is the seed's 32-bit words, zero-padded to 4, then its index i; the seed's
+    words mix the same for every child, into ``SeedSequence(seed).pool``, so only i is mixed in
+    here, after the hash constant has stepped past the seed's 16 + 4 max(words - 4, 0) hashmix
+    calls. ``generate_state(4, np.uint64)`` then hashes the pool into (initstate, initseq), each
+    a high then a low 64-bit word; the constants are numpy's. PCG64 then sets inc = 2 initseq + 1
+    and steps twice from 0, adding initstate between the steps.
     """
-    seed = int(seed)
-    run = [seed >> s & MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(n, word, dtype=np.uint32) for word in run + [0] * (4 - len(run))]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+    n_words = (max(int(seed).bit_length(), 1) + 31) // 32
+    hash_const = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * max(n_words - 4, 0), 1 << 32) & MASK32
+    spawn = np.arange(n, dtype=np.uint32)
+    pool = []
+    for word in np.random.SeedSequence(seed).pool.tolist():  # mix(word, hashmix(spawn))
+        value = spawn ^ np.uint32(hash_const)
         hash_const = hash_const * 0x931E8875 & MASK32
         value = value * np.uint32(hash_const)
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        value = np.uint32(word * 0xCA01F9DD & MASK32) - (value ^ value >> 16) * np.uint32(0x4973F715)
+        pool.append(value ^ value >> 16)
     const, words = 0x8B51F9DD, []
     for i in range(8):
         value = pool[i % 4] ^ np.uint32(const)
@@ -781,7 +767,7 @@ class GaussianNaiveBayes(Stateful):
         X = np.asarray(X, dtype=float)
         y = _as_bool_labels(y)
         if y.all() or not y.any():
-            raise DegenerateTrainingSet("gaussian NB needs both classes in training data")
+            raise DataError("gaussian NB needs both classes in training data")
         max_var = float(X.var(axis=0).max())
         eps = self.VAR_SMOOTHING * max_var if max_var > 0 else self.VAR_SMOOTHING
         means, variances, priors = [], [], []
@@ -879,7 +865,7 @@ class TrainedModel:
     def _checked(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise LengthMismatch(f"expected rows of {self.n_features} features, got an array of shape {X.shape}")
+            raise DataError(f"expected rows of {self.n_features} features, got an array of shape {X.shape}")
         return X
 
     # A loaded model may hold values whose scores overflow: an infinite or NaN
@@ -899,9 +885,9 @@ def train(spec: ModelSpec, data) -> TrainedModel:
     X, y = data
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
-        raise EmptyInput("no training instances")
+        raise DataError("no training instances")
     if X.shape[1] == 0:
-        raise EmptyInput("no feature columns")
+        raise DataError("no feature columns")
     estimator = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).fit(X, y)
     return TrainedModel(spec.family, dict(spec.hyperparameters), spec.seed, X.shape[1], estimator)
 

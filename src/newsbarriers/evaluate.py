@@ -16,7 +16,7 @@ from .annotate import BarrierDataset
 # ``train`` is not called here: the benchmark's own tests read ``evaluate.train`` to check
 # that tracing swaps it in every module that holds it and restores it afterwards
 from .classifiers import FAMILIES, ModelFamily, best_point, grid_predictions, sweep_full, train  # noqa: F401
-from .errors import DataError, EmptyInput, LengthMismatch, MalformedRow, TooFewPerClass
+from .errors import DataError, MalformedRow
 from .knowledge import BARRIERS, BarrierKind
 from .tables import csv_text, read_table
 
@@ -47,7 +47,7 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0, ids: Optional[Sequence[
     for label in (False, True):
         members = np.flatnonzero(labels == label).tolist()
         if len(members) < k:
-            raise TooFewPerClass(f"class {label} has {len(members)} instances, fewer than k={k} folds")
+            raise DataError(f"class {label} has {len(members)} instances, fewer than k={k} folds")
         members.sort(key=lambda i: (ids[i], i))
         # the member at shuffled position p goes to fold p mod k
         fold_of[np.array(members)[rng.permutation(len(members))]] = np.arange(len(members)) % k
@@ -59,9 +59,9 @@ def accuracy(predictions, gold) -> float:
     predictions = np.asarray(predictions, dtype=bool)
     gold = np.asarray(gold, dtype=bool)
     if predictions.shape != gold.shape:
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(gold)} gold labels")
+        raise DataError(f"{len(predictions)} predictions vs {len(gold)} gold labels")
     if len(predictions) == 0:
-        raise EmptyInput("no predictions to score")
+        raise DataError("no predictions to score")
     return int((predictions == gold).sum()) / len(gold)
 
 
@@ -136,7 +136,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
     to two decimals; csv keeps full precision and round-trips.
     """
     if not rows:
-        raise EmptyInput("no report rows")
+        raise DataError("no report rows")
     ordered = _sorted_rows(rows)
     if fmt == "csv":
         cells = ((BARRIERS[r.barrier].title, FAMILIES[r.family].display_name, *[repr(r.accuracy)] * 4) for r in ordered)

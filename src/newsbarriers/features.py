@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .errors import DataError
 from .ingest import SpreadingExample
 from .tables import write_table
 
@@ -46,7 +46,7 @@ def _rank(concept_sets, k: int) -> ConceptVocabulary:
         raise ValueError("k must be at least 1")
     frequency = Counter(c for concepts in concept_sets for c in concepts)
     if not frequency:
-        raise EmptyCorpus("no concepts found in the corpus")
+        raise DataError("no concepts found in the corpus")
     ordered = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
     return ConceptVocabulary(entries=tuple(ordered[:k]))
 

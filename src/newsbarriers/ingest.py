@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .errors import MalformedLine, MalformedRow, UnknownClassLabel
+from .errors import DataError, MalformedLine, MalformedRow
 from .knowledge import PublisherRecord, normalize_uri
 from .tables import format_float, read_json_lines, read_table, write_table
 
@@ -113,7 +113,7 @@ def parse_pairs(path) -> list:
                 raise MalformedRow(rownum, f"weight {cells[2]!r} outside [0, 1]")
             klass = _CLASS_BY_KEY.get(cells[3].lower())
             if klass is None:
-                raise UnknownClassLabel(rownum, cells[3])
+                raise DataError(f"unknown propagation class in row {rownum}: {cells[3]!r}")
             pairs.append(ArticlePair(cells[0], cells[1], weight, klass, *cells[4:]))
     return pairs
 

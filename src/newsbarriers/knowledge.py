@@ -13,16 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateCountry,
-    DuplicatePublisher,
-    IncompleteMetadata,
-    MalformedRow,
-    MissingColumn,
-    RangeViolation,
-    UnknownAlignment,
-    ZeroVector,
-)
+from .errors import DataError, IncompleteMetadata, MalformedRow, UnknownAlignment, ZeroVector
 from .tables import format_float, parse_float, read_table, write_table
 
 
@@ -155,7 +146,7 @@ def _require_columns(header: tuple, columns: Sequence[str]) -> None:
     """A metadata CSV's header must carry every name in ``columns``, in any order."""
     for column in columns:
         if column not in header:
-            raise MissingColumn(column)
+            raise DataError(f"missing column: {column}")
 
 
 def load_country_profiles(path) -> dict:
@@ -175,13 +166,13 @@ def load_country_profiles(path) -> dict:
             values = {c: parse_float(row[c], rownum, c) for c in COUNTRY_COLUMNS[1:]}
             for column, (lo, hi) in COLUMN_RANGES.items():
                 if not lo <= values[column] <= hi:
-                    raise RangeViolation(rownum, column, values[column], lo, hi)
+                    raise DataError(f"value {values[column]!r} in row {rownum}, column {column!r} outside [{lo}, {hi}]")
             values["utc_offset"] = float(int(values["utc_offset"]))
             for kind, barrier in BARRIERS.items():
                 if barrier.cosine and not any(values[c] for c in barrier.columns):
                     raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
             if code in profiles:
-                raise DuplicateCountry(f"duplicate country_code: {code}")
+                raise DataError(f"duplicate country_code: {code}")
             profiles[code] = CountryProfile(code, values)
     return profiles
 
@@ -205,7 +196,7 @@ def load_publishers(path) -> dict:
             if not uri:
                 raise MalformedRow(rownum, "empty publisher_uri")
             if uri in records:
-                raise DuplicatePublisher(f"duplicate publisher_uri: {uri}")
+                raise DataError(f"duplicate publisher_uri: {uri}")
             alignment = normalize_alignment(row["political_alignment"])
             records[uri] = PublisherRecord(uri, row["publisher_name"], row["country_code"].upper(), alignment)
     return records

@@ -193,6 +193,10 @@ def _vector_label(u, v) -> bool:
     return not score > SIMILARITY_THRESHOLD
 
 
+# truth.csv's label for a pair: None where an unknown alignment drops it
+_TRUTH_LABELS = {True: "TRUE", False: "FALSE", None: "DROPPED"}
+
+
 def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     """Write the synthetic corpus files and return their paths."""
     spec.validate()
@@ -255,65 +259,38 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     pairs = []
     concept_lines = []
     truth_rows = []
+
+    def add_pair(from_id, to_id, s, t, weight_range, propagation_class):
+        """Concepts for the source article and, in a propagated pair, the target; then the weight."""
+        concept_lines.append({"article": from_id, "concepts": sample_concepts()})
+        if propagation_class is PropagationClass.INFORMATION_PROPAGATED:
+            concept_lines.append({"article": to_id, "concepts": sample_concepts()})
+        weight = round(float(rng.uniform(*weight_range)), 3)
+        pairs.append(ArticlePair(from_id, to_id, weight, propagation_class, f"Publisher {s}", f"Publisher {t}",
+                                 f"pub{s:03d}.example.com", f"pub{t:03d}.example.com"))
+
     for i in range(spec.n_articles):
         s, t = sample_pair_publishers()
-        from_id, to_id = f"a{i:04d}", f"b{i:04d}"
-        concept_lines.append({"article": from_id, "concepts": sample_concepts()})
-        concept_lines.append({"article": to_id, "concepts": sample_concepts()})
-        pairs.append(
-            ArticlePair(
-                from_id=from_id,
-                to_id=to_id,
-                weight=round(float(rng.uniform(0.71, 0.99)), 3),
-                propagation_class=PropagationClass.INFORMATION_PROPAGATED,
-                from_publisher=f"Publisher {s}",
-                to_publisher=f"Publisher {t}",
-                from_publisher_uri=f"pub{s:03d}.example.com",
-                to_publisher_uri=f"pub{t:03d}.example.com",
-            )
-        )
+        from_id = f"a{i:04d}"
+        add_pair(from_id, f"b{i:04d}", s, t, (0.71, 0.99), PropagationClass.INFORMATION_PROPAGATED)
         cs, ct = country_of[s], country_of[t]
+        apart = max(abs(a - b) for a, b in zip(coords[cs], coords[ct]))
+        ls, lt = alignments[s], alignments[t]
         labels = {
             BarrierKind.ECONOMIC.value: _vector_label(economic[cs], economic[ct]),
             BarrierKind.CULTURAL.value: _vector_label(cultural[cs], cultural[ct]),
-            BarrierKind.GEOGRAPHICAL.value: not (
-                cs == ct
-                or (
-                    abs(coords[cs][0] - coords[ct][0]) <= COORDINATE_EPSILON
-                    and abs(coords[cs][1] - coords[ct][1]) <= COORDINATE_EPSILON
-                )
-            ),
+            BarrierKind.GEOGRAPHICAL.value: apart > COORDINATE_EPSILON,
             BarrierKind.TIME_ZONE.value: offsets[cs] != offsets[ct],
+            BarrierKind.POLITICAL.value: None if ls is None or lt is None else ls != lt,
         }
-        if alignments[s] is None or alignments[t] is None:
-            political = "DROPPED"
-        else:
-            political = "TRUE" if alignments[s] != alignments[t] else "FALSE"
-        for name in BARRIER_NAMES:
-            if name == BarrierKind.POLITICAL.value:
-                value = political
-            else:
-                value = "TRUE" if labels[name] else "FALSE"
-            truth_rows.append((i, from_id, name, value))
+        truth_rows.extend((i, from_id, name, _TRUTH_LABELS[labels[name]]) for name in BARRIER_NAMES)
 
     for i in range(spec.extra_unclassified_pairs):
         s = int(rng.integers(0, spec.n_publishers))
         t = int(rng.integers(0, spec.n_publishers))
         unsure = i % 2 == 0
-        from_id, to_id = f"x{i:04d}", f"y{i:04d}"
-        concept_lines.append({"article": from_id, "concepts": sample_concepts()})
-        pairs.append(
-            ArticlePair(
-                from_id=from_id,
-                to_id=to_id,
-                weight=round(float(rng.uniform(0.41, 0.69) if unsure else rng.uniform(0.01, 0.39)), 3),
-                propagation_class=PropagationClass.UNSURE if unsure else PropagationClass.INFORMATION_NOT_PROPAGATED,
-                from_publisher=f"Publisher {s}",
-                to_publisher=f"Publisher {t}",
-                from_publisher_uri=f"pub{s:03d}.example.com",
-                to_publisher_uri=f"pub{t:03d}.example.com",
-            )
-        )
+        add_pair(f"x{i:04d}", f"y{i:04d}", s, t, (0.41, 0.69) if unsure else (0.01, 0.39),
+                 PropagationClass.UNSURE if unsure else PropagationClass.INFORMATION_NOT_PROPAGATED)
 
     serialize_pairs(pairs, out / "pairs.csv")
     write_json(out / "concepts.jsonl", concept_lines, lines=True)

@@ -18,7 +18,7 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError, DataError, MalformedLine, MalformedRow, NonFiniteValue
+from .errors import ConfigError, DataError, MalformedLine, MalformedRow
 
 
 def format_float(value) -> str:
@@ -33,9 +33,9 @@ def parse_float(raw, row: int, column: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise NonFiniteValue(row, column, raw) from None
+        value = math.nan
     if not math.isfinite(value):
-        raise NonFiniteValue(row, column, raw)
+        raise DataError(f"non-finite value in row {row}, column {column!r}: {raw!r}")
     return value
 
 
@@ -125,12 +125,17 @@ def write_file(path, text: str) -> None:
 
 
 def write_json(path, value, lines: bool = False) -> None:
-    """``value`` as JSON indented by one with sorted keys; with ``lines``, each item on a line of its own."""
+    """``value`` as JSON indented by one with sorted keys; with ``lines``, each item on a line of its own.
+    A NaN or infinity, which JSON cannot hold, is a DataError, and leaves no file."""
     with atomic_writer(path) as fh:
-        if lines:
-            fh.writelines(json.dumps(item) + "\n" for item in value)
-        else:
-            fh.write(json.dumps(value, indent=1, sort_keys=True) + "\n")
+        try:
+            if lines:
+                encode = json.JSONEncoder(allow_nan=False).encode
+                fh.writelines(encode(item) + "\n" for item in value)
+            else:
+                fh.write(json.dumps(value, indent=1, sort_keys=True, allow_nan=False) + "\n")
+        except ValueError:
+            raise DataError(f"{Path(path).name}: a value is not finite, and JSON holds no NaN or infinity") from None
 
 
 def write_table(path, header, rows) -> None:

@@ -19,7 +19,7 @@ from newsbarriers.annotate import (
     load_barrier_dataset,
     save_barrier_dataset,
 )
-from newsbarriers.errors import IncompleteMetadata, LengthMismatch, MissingColumn, UnknownAlignment, ZeroVector
+from newsbarriers.errors import DataError, IncompleteMetadata, UnknownAlignment, ZeroVector
 from newsbarriers.features import LabeledInstance, build_vocabulary
 from newsbarriers.ingest import (
     SpreadingExample,
@@ -108,7 +108,7 @@ def test_cosine_zero_vector():
 
 
 def test_cosine_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match=r"^vector lengths differ: 1 vs 2$"):
         cosine_similarity([1.0], [1.0, 2.0])
 
 
@@ -341,7 +341,7 @@ def test_economic_features_narrow_the_block(demo_examples, profiles, alignments)
     cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab,
                                      economic_features=("Rank",))
     assert cultural.feature_names == ("c0",) + CULTURAL_FEATURES
-    with pytest.raises(MissingColumn):
+    with pytest.raises(DataError, match=r"^missing column: NotAColumn$"):
         build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab,
                               economic_features=("NotAColumn",))
 

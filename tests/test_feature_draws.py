@@ -187,9 +187,11 @@ def test_rejected_words_are_redrawn_in_floyd_and_in_the_shuffle():
         assert redrawn == expected == ([1, 2] if n == 9 else [])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128 + 5, 2**200 + 9])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 2**128 - 1, 2**128, 2**128 + 5,
+                                  2**200 + 9])
 def test_bulk_seeding_equals_each_spawned_generator(seed):
-    # an entropy of 1, 2, 3, 4, 5 and 7 words; SeedSequence pads it to 4 before a spawn key
+    # an entropy of 1, 2, 3, 4, 5 and 7 words; SeedSequence pads it to 4 before a spawn key, and
+    # 2^128 - 1 and 2^128 are the last 4-word seed and the first 5-word one
     n = 37
     children = np.random.SeedSequence(seed).spawn(n)
     states = _spawn_states(seed, n)

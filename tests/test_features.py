@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbarriers.errors import EmptyCorpus, IncompleteMetadata, UnknownAlignment
+from newsbarriers.errors import DataError, IncompleteMetadata, UnknownAlignment
 from newsbarriers.features import (
     ConceptVocabulary,
     assemble_instance,
@@ -49,7 +49,7 @@ def test_duplicate_article_counts_once():
 
 
 def test_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match=r"^no concepts found in the corpus$"):
         build_vocabulary([], k=5)
 
 
