@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, IncompleteMetadata, MalformedRow, UnknownAlignment, ZeroVector
-from .features import ConceptVocabulary, assemble_instance, concept_block
+from .errors import DataError, MalformedRow
+from .features import assemble_instance, concept_block
 from .ingest import SpreadingExample
 from .knowledge import BARRIERS, BarrierKind, barrier_profile, profile_feature_names
 from .tables import atomic_writer, csv_field, csv_text, format_float, parse_float, read_table
@@ -34,7 +34,7 @@ def cosine_similarity(u, v) -> float:
     norm_u = float(np.sqrt(np.dot(u, u)))
     norm_v = float(np.sqrt(np.dot(v, v)))
     if norm_u == 0.0 or norm_v == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero vector")
+        raise DataError("cosine similarity undefined for a zero vector")
     return float(np.dot(u, v)) / (norm_u * norm_v)
 
 
@@ -87,21 +87,23 @@ def build_barrier_dataset(
     kind: BarrierKind,
     profiles: dict,
     alignments: Sequence[str],
-    vocab: ConceptVocabulary,
+    vocab: Sequence,
     threshold: float = SIMILARITY_THRESHOLD,
     profile_side: str = "source",
     economic_features: Sequence[str] = (),
 ) -> BarrierDataset:
     """Label every example for one barrier and assemble its instances.
 
-    ``profiles`` is ``load_country_profiles``' dict and ``alignments`` the
-    political block's vocabulary (``knowledge.alignment_vocabulary``).
+    ``profiles`` is ``load_country_profiles``' dict, ``alignments`` the
+    political block's vocabulary (``knowledge.alignment_vocabulary``) and
+    ``vocab`` the concept vocabulary of ``features.build_vocabulary``.
     ``economic_features`` narrows the economic block to those indicators.
-    Examples that cannot be labeled (missing country metadata, unknown
-    political alignment) are dropped and tallied by reason, the source's
-    reason before the target's; instance order follows input order. The
-    concept block is built once per call and each publisher's profile block
-    once; instances hold references to both.
+    Examples that cannot be labeled are dropped and tallied in ``dropped`` by
+    reason: a publisher without a block is ``unknown_alignment`` for the
+    political barrier and ``incomplete_metadata`` for the others, and else a
+    cosine block of zero norm is ``zero_vector``. Instance order follows input
+    order. The concept block is built once per call and each publisher's
+    profile block once; instances hold references to both.
     """
     columns = BARRIERS[kind].columns
     if kind is BarrierKind.ECONOMIC and economic_features:
@@ -114,28 +116,21 @@ def build_barrier_dataset(
         instances=[],
         feature_names=tuple(f"c{i}" for i in range(len(vocab))) + profile_feature_names(columns, alignments),
     )
-    blocks = {}  # publisher uri -> its profile block, or the drop reason it gives
-
-    def profile_of(publisher):
-        uri = publisher.publisher_uri
-        if uri not in blocks:
-            try:
-                blocks[uri] = barrier_profile(publisher, profiles, columns, alignments)
-            except IncompleteMetadata as exc:
-                blocks[uri] = "unknown_alignment" if isinstance(exc, UnknownAlignment) else "incomplete_metadata"
-        return blocks[uri]
-
+    missing = "unknown_alignment" if kind is BarrierKind.POLITICAL else "incomplete_metadata"
+    publishers = {p.publisher_uri: p for example in examples for p in (example.source, example.target)}
+    blocks = {uri: barrier_profile(p, profiles, columns, alignments) for uri, p in publishers.items()}
+    cosine = BARRIERS[kind].cosine
+    zero_norm = {uri for uri, block in blocks.items() if cosine and block is not None and not np.dot(block, block)}
     for example, concepts in zip(examples, concept_block(examples, vocab)):
-        a, b = profile_of(example.source), profile_of(example.target)
-        reason = a if isinstance(a, str) else b if isinstance(b, str) else None
-        if reason:
-            dataset.dropped[reason] += 1
+        source, target = example.source.publisher_uri, example.target.publisher_uri
+        a, b = blocks[source], blocks[target]
+        if a is None or b is None:
+            dataset.dropped[missing] += 1
             continue
-        try:
-            label = barrier_present(kind, a, b, threshold)
-        except ZeroVector:
+        if source in zero_norm or target in zero_norm:
             dataset.dropped["zero_vector"] += 1
             continue
+        label = barrier_present(kind, a, b, threshold)
         profile = a if profile_side == "source" else b
         dataset.instances.append(assemble_instance(example, concepts, profile, label))
     return dataset

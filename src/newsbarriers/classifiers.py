@@ -881,15 +881,18 @@ class TrainedModel:
 
 
 def train(spec: ModelSpec, data) -> TrainedModel:
-    """Fit ``spec`` on ``data``, a pair of a feature matrix and its labels."""
+    """Fit ``spec`` on ``data``, a pair of a feature matrix and its labels. A numpy scalar
+    hyperparameter or seed is read as the Python value it holds, the value a model file records."""
     X, y = data
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise DataError("no training instances")
     if X.shape[1] == 0:
         raise DataError("no feature columns")
-    estimator = FAMILIES[spec.family].build(spec.seed, **spec.hyperparameters).fit(X, y)
-    return TrainedModel(spec.family, dict(spec.hyperparameters), spec.seed, X.shape[1], estimator)
+    plain = {name: v.item() if isinstance(v, np.generic) else v for name, v in spec.hyperparameters.items()}
+    seed = spec.seed.item() if isinstance(spec.seed, np.generic) else spec.seed
+    estimator = FAMILIES[spec.family].build(seed, **plain).fit(X, y)
+    return TrainedModel(spec.family, plain, seed, X.shape[1], estimator)
 
 
 def grid_predictions(family: ModelFamily, values: Sequence, train_data, X_eval, seed: int = 0) -> list:

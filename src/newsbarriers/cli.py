@@ -74,7 +74,7 @@ def cmd_concept_freq(args) -> int:
     _, index, examples, _ = ingest_corpus(config)
     vocab = build_vocab(config, examples, index)
     print("concept,frequency")
-    for concept, frequency in vocab.entries:
+    for concept, frequency in vocab:
         print(f"{csv_field(concept)},{frequency}")
     return 0
 

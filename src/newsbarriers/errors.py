@@ -1,11 +1,10 @@
-"""The pipeline's two error kinds and the few subclasses some code needs.
+"""The pipeline's two error kinds.
 
 ``ConfigError`` (bad invocation, unreadable paths) exits 1 from the CLI and
 ``DataError`` (malformed or inconsistent input data) exits 2; anything else
 escaping a stage is an internal error. A failure is told apart by its message.
-``MalformedRow`` and ``MalformedLine`` carry the row or line they name, and
-``build_barrier_dataset`` drops a pair, by reason, on ``IncompleteMetadata``,
-``UnknownAlignment`` or ``ZeroVector``.
+The two ``DataError`` subclasses, ``MalformedRow`` and ``MalformedLine``, carry
+the row (``.row``) or line (``.line``) they name.
 """
 
 
@@ -27,15 +26,3 @@ class MalformedLine(DataError):
     def __init__(self, line: int, reason: str):
         self.line = line
         super().__init__(f"malformed line {line}: {reason}")
-
-
-class IncompleteMetadata(DataError):
-    """A publisher or country lacks a field the current barrier needs."""
-
-
-class UnknownAlignment(IncompleteMetadata):
-    """Political alignment absent for a publisher that needs one."""
-
-
-class ZeroVector(DataError):
-    """All-zero vector where cosine similarity is required."""

@@ -1,7 +1,9 @@
 """Concept vocabulary and feature-vector assembly.
 
 An instance's features are a binary concept block (top-K concepts by document
-frequency) followed by a per-barrier publisher profile block.
+frequency) followed by a per-barrier publisher profile block. A vocabulary is
+the tuple of its ranked ``(concept, document frequency)`` pairs; position is
+feature index.
 """
 
 from collections import Counter
@@ -12,22 +14,8 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import SpreadingExample
-from .tables import write_table
 
 DEFAULT_VOCABULARY_SIZE = 300
-
-
-@dataclass(frozen=True)
-class ConceptVocabulary:
-    """Ranked (concept, document frequency) pairs; position is feature index."""
-
-    entries: tuple  # of (concept, frequency)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def save(self, path) -> None:
-        write_table(path, ("concept", "frequency"), self.entries)
 
 
 @dataclass(frozen=True)
@@ -40,7 +28,7 @@ class LabeledInstance:
     article_id: str
 
 
-def _rank(concept_sets, k: int) -> ConceptVocabulary:
+def _rank(concept_sets, k: int) -> tuple:
     """The k concepts held by the most sets, ties broken by concept identifier."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -48,10 +36,10 @@ def _rank(concept_sets, k: int) -> ConceptVocabulary:
     if not frequency:
         raise DataError("no concepts found in the corpus")
     ordered = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
-    return ConceptVocabulary(entries=tuple(ordered[:k]))
+    return tuple(ordered[:k])
 
 
-def build_vocabulary(examples: Sequence[SpreadingExample], k: int = DEFAULT_VOCABULARY_SIZE) -> ConceptVocabulary:
+def build_vocabulary(examples: Sequence[SpreadingExample], k: int = DEFAULT_VOCABULARY_SIZE) -> tuple:
     """Top-k concepts by document frequency over the examples' articles.
 
     Each distinct article counts at most once per concept. Ties in frequency
@@ -61,7 +49,7 @@ def build_vocabulary(examples: Sequence[SpreadingExample], k: int = DEFAULT_VOCA
     return _rank({e.article_id: e.concepts for e in examples}.values(), k)
 
 
-def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -> ConceptVocabulary:
+def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -> tuple:
     """Top-k concepts over every article of an article_id -> concepts index.
 
     This is the corpus-global alternative to the per-event default: supply a
@@ -70,10 +58,10 @@ def build_vocabulary_from_index(index: dict, k: int = DEFAULT_VOCABULARY_SIZE) -
     return _rank(index.values(), k)
 
 
-def concept_block(examples: Sequence[SpreadingExample], vocab: ConceptVocabulary) -> np.ndarray:
+def concept_block(examples: Sequence[SpreadingExample], vocab: Sequence) -> np.ndarray:
     """Binary presence matrix: one uint8 row per example, one column per vocabulary
     entry in rank order. Concepts outside the vocabulary are ignored."""
-    column = {concept: j for j, (concept, _) in enumerate(vocab.entries)}
+    column = {concept: j for j, (concept, _) in enumerate(vocab)}
     block = np.zeros((len(examples), len(vocab)), dtype=np.uint8)
     block.flat[[i * len(vocab) + column[c] for i, e in enumerate(examples) for c in e.concepts if c in column]] = 1
     return block

@@ -3,17 +3,18 @@
 Two CSV files feed this module: ``countries.csv`` (one row per country with
 economic indicators, cultural dimensions, coordinates, and UTC offset) and
 ``publishers.csv`` (publisher URI, display name, country, optional political
-alignment). Each loads into a plain dict: ``{country_code: CountryProfile}`` and
-``{normalized publisher uri: PublisherRecord}``.
+alignment). Each loads into a plain dict: ``{country_code: {column: value}}`` and
+``{normalized publisher uri: PublisherRecord}``. ``barrier_profile`` reads one
+publisher's block of a barrier from them, or ``None`` where the metadata has none.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, IncompleteMetadata, MalformedRow, UnknownAlignment, ZeroVector
+from .errors import DataError, MalformedRow
 from .tables import format_float, parse_float, read_table, write_table
 
 
@@ -102,12 +103,6 @@ def normalize_alignment(alignment: str) -> Optional[str]:
 
 
 @dataclass(frozen=True)
-class CountryProfile:
-    country_code: str
-    values: dict  # each numeric COUNTRY_COLUMNS name -> float; utc_offset in whole minutes
-
-
-@dataclass(frozen=True)
 class PublisherRecord:
     publisher_uri: str
     publisher_name: str
@@ -124,15 +119,14 @@ def minmax_scaled(profiles: dict) -> dict:
     if not profiles:
         return profiles
     columns = [c for barrier in BARRIERS.values() if barrier.cosine for c in barrier.columns]
-    block = np.array([[p.values[c] for c in columns] for p in profiles.values()], dtype=float)
+    block = np.array([[values[c] for c in columns] for values in profiles.values()], dtype=float)
     lo, hi = block.min(axis=0), block.max(axis=0)
     span = hi - lo
     scaled = np.full_like(block, 0.5)
     nonconst = span > 0
     scaled[:, nonconst] = (block[:, nonconst] - lo[nonconst]) / span[nonconst]
     return {
-        code: replace(p, values={**p.values, **dict(zip(columns, row.tolist()))})
-        for (code, p), row in zip(profiles.items(), scaled)
+        code: {**values, **dict(zip(columns, row.tolist()))} for (code, values), row in zip(profiles.items(), scaled)
     }
 
 
@@ -150,7 +144,8 @@ def _require_columns(header: tuple, columns: Sequence[str]) -> None:
 
 
 def load_country_profiles(path) -> dict:
-    """Load countries.csv as ``{country_code: CountryProfile}``; a code seen twice is a DataError.
+    """Load countries.csv as ``{country_code: {column: value}}``, one float per numeric
+    COUNTRY_COLUMNS name with utc_offset in whole minutes; a code seen twice is a DataError.
 
     Values must be finite and within COLUMN_RANGES, and no cosine barrier's
     columns may be all zero.
@@ -170,23 +165,23 @@ def load_country_profiles(path) -> dict:
             values["utc_offset"] = float(int(values["utc_offset"]))
             for kind, barrier in BARRIERS.items():
                 if barrier.cosine and not any(values[c] for c in barrier.columns):
-                    raise ZeroVector(f"row {rownum}: {kind.value} vector for {code} is all zero")
+                    raise DataError(f"row {rownum}: {kind.value} vector for {code} is all zero")
             if code in profiles:
                 raise DataError(f"duplicate country_code: {code}")
-            profiles[code] = CountryProfile(code, values)
+            profiles[code] = values
     return profiles
 
 
 def save_country_profiles(profiles: dict, path) -> None:
-    """Serialize ``{country_code: CountryProfile}`` back to countries.csv, round-trip exact."""
-    rows = ([p.country_code] + [format_float(p.values[c]) for c in COUNTRY_COLUMNS[1:]] for p in profiles.values())
+    """Serialize ``{country_code: {column: value}}`` back to countries.csv, round-trip exact."""
+    rows = ([code] + [format_float(values[c]) for c in COUNTRY_COLUMNS[1:]] for code, values in profiles.items())
     write_table(path, COUNTRY_COLUMNS, rows)
 
 
 def load_publishers(path) -> dict:
     """Load publishers.csv as ``{normalized uri: PublisherRecord}``; a uri seen twice is a
-    DataError. A record whose country has no profile is kept; ``barrier_profile`` finds it
-    incomplete."""
+    DataError. A record whose country has no profile is kept; ``barrier_profile`` gives it
+    no block."""
     records = {}
     with read_table(path) as (header, rows):
         _require_columns(header, PUBLISHER_COLUMNS)
@@ -214,28 +209,20 @@ def barrier_profile(
     profiles: dict,
     columns: Sequence[str],
     alignment_vocabulary: Sequence[str] = (),
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Numeric feature block describing one publisher over a barrier's countries.csv ``columns``.
 
     With columns, the publisher's country is looked up in ``profiles``;
     without, the block is the publisher's alignment, one-hot encoded over
-    ``alignment_vocabulary``.
+    ``alignment_vocabulary``. ``None`` where the country has no profile or the
+    alignment is unknown or outside the vocabulary.
     """
     if not columns:
-        if publisher.political_alignment is None:
-            raise UnknownAlignment(f"publisher {publisher.publisher_uri} has no political alignment")
-        onehot = np.zeros(len(alignment_vocabulary), dtype=float)
-        try:
-            onehot[list(alignment_vocabulary).index(publisher.political_alignment)] = 1.0
-        except ValueError:
-            raise UnknownAlignment(
-                f"alignment {publisher.political_alignment!r} not in the store vocabulary"
-            ) from None
-        return onehot
-
-    profile = profiles.get(publisher.country_code)
-    if profile is None:
-        raise IncompleteMetadata(
-            f"publisher {publisher.publisher_uri}: country {publisher.country_code!r} not in profile store"
-        )
-    return np.fromiter(map(profile.values.__getitem__, columns), dtype=float, count=len(columns))
+        alignment = publisher.political_alignment
+        if alignment not in alignment_vocabulary:
+            return None
+        return np.array([a == alignment for a in alignment_vocabulary], dtype=float)
+    values = profiles.get(publisher.country_code)
+    if values is None:
+        return None
+    return np.fromiter(map(values.__getitem__, columns), dtype=float, count=len(columns))

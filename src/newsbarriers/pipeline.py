@@ -23,7 +23,7 @@ from .ingest import (
     to_spreading_examples,
 )
 from .knowledge import BarrierKind, alignment_vocabulary, load_country_profiles, load_publishers, minmax_scaled
-from .tables import write_file
+from .tables import write_file, write_table
 
 
 @contextmanager
@@ -80,7 +80,7 @@ def annotate_corpus(config: PipelineConfig):
         write_file(out / "ingest_report.txt", report.render())
     vocab = build_vocab(config, examples, index)
     with stage("out"):
-        vocab.save(out / "vocabulary.csv")
+        write_table(out / "vocabulary.csv", ("concept", "frequency"), vocab)
     datasets = {}
     for name in config.barriers:
         kind = BarrierKind(name)

@@ -29,7 +29,6 @@ from .knowledge import (
     ECONOMIC_FEATURES,
     PUBLISHER_COLUMNS,
     BarrierKind,
-    CountryProfile,
     save_country_profiles,
 )
 from .tables import read_table, write_json, write_table
@@ -211,16 +210,13 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     offsets = _offsets(rng, spec.n_countries, spec.regime(BarrierKind.TIME_ZONE))
 
     profiles = {
-        codes[i]: CountryProfile(
-            codes[i],
-            {
-                "latitude": coords[i][0],
-                "longitude": coords[i][1],
-                "utc_offset": float(offsets[i]),
-                **dict(zip(CULTURAL_FEATURES, cultural[i])),
-                **dict(zip(ECONOMIC_FEATURES, economic[i])),
-            },
-        )
+        codes[i]: {
+            "latitude": coords[i][0],
+            "longitude": coords[i][1],
+            "utc_offset": float(offsets[i]),
+            **dict(zip(CULTURAL_FEATURES, cultural[i])),
+            **dict(zip(ECONOMIC_FEATURES, economic[i])),
+        }
         for i in range(spec.n_countries)
     }
     save_country_profiles(profiles, out / "countries.csv")

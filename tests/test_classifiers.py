@@ -404,6 +404,11 @@ def test_train_takes_arrays():
     assert model.predict_batch(X[:1]).tolist() in ([True], [False])
 
 
+def test_train_on_no_rows_is_a_data_error():
+    with pytest.raises(DataError, match=r"^no training instances$"):
+        train(ModelSpec(ModelFamily.KNN), (np.zeros((0, 2)), np.zeros(0, dtype=bool)))
+
+
 def test_predict_length_mismatch():
     X, y = blobs(n_per_class=10, seed=19)
     model = train(ModelSpec(ModelFamily.KNN, {"k": 1}), (X, y))
@@ -471,6 +476,27 @@ def test_save_load_round_trip(tmp_path, family, params):
     assert reloaded.family is family
     assert reloaded.n_features == model.n_features
     assert np.array_equal(model.predict_batch(X), reloaded.predict_batch(X))
+
+
+@pytest.mark.parametrize("family,numpy_params,numpy_seed,params,seed", [
+    (ModelFamily.KNN, {"k": np.int64(3)}, np.int64(2), {"k": 3}, 2),
+    (ModelFamily.RANDOM_FOREST, {"n_estimators": np.int32(5)}, np.uint8(7), {"n_estimators": 5}, 7),
+])
+def test_numpy_scalars_train_the_model_of_their_python_values(tmp_path, family, numpy_params, numpy_seed, params,
+                                                              seed):
+    X, y = blobs(n_per_class=20, seed=25)
+    save_model(train(ModelSpec(family, numpy_params, numpy_seed), (X, y)), tmp_path / "numpy.json")
+    save_model(train(ModelSpec(family, params, seed), (X, y)), tmp_path / "python.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
+
+def test_a_float32_lam_saves_and_loads(tmp_path):
+    X, y = blobs(n_per_class=20, seed=25)
+    model = train(ModelSpec(ModelFamily.SVM, {"lam": np.float32(1e-3)}), (X, y))
+    save_model(model, tmp_path / "model.json")
+    reloaded = load_model(tmp_path / "model.json")
+    assert reloaded.hyperparameters == {"lam": float(np.float32(1e-3))}
+    assert np.array_equal(reloaded.predict_batch(X), model.predict_batch(X))
 
 
 @pytest.mark.parametrize("family", [ModelFamily.SVM, ModelFamily.KNN, ModelFamily.NAIVE_BAYES])

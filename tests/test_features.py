@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbarriers.errors import DataError, IncompleteMetadata, UnknownAlignment
+from newsbarriers.errors import DataError
 from newsbarriers.features import (
-    ConceptVocabulary,
     assemble_instance,
     build_vocabulary,
     build_vocabulary_from_index,
@@ -26,7 +25,7 @@ def test_build_vocabulary_counts_and_ties():
     # brute-force document frequency over {a: XY, b: X, c: XZ}: X=3, Y=1, Z=1
     corpus = [example("a", {"X", "Y"}), example("b", {"X"}), example("c", {"X", "Z"})]
     vocab = build_vocabulary(corpus, k=2)
-    assert vocab.entries == (("X", 3), ("Y", 1))
+    assert vocab == (("X", 3), ("Y", 1))
 
 
 def test_build_vocabulary_saturates():
@@ -45,7 +44,7 @@ def test_build_vocabulary_top_300():
 def test_duplicate_article_counts_once():
     corpus = [example("a", {"X"}), example("a", {"X"}), example("b", {"Y"})]
     vocab = build_vocabulary(corpus, k=5)
-    assert dict(vocab.entries)["X"] == 1
+    assert dict(vocab)["X"] == 1
 
 
 def test_empty_corpus():
@@ -70,11 +69,11 @@ def test_vocabulary_permutation_invariant(order, rnd):
 
 def presence(example, vocab) -> list:
     """The per-entry presence test the concept block replaced, kept as a reference."""
-    return [1 if concept in example.concepts else 0 for concept, _ in vocab.entries]
+    return [1 if concept in example.concepts else 0 for concept, _ in vocab]
 
 
 def test_concept_block_hits_and_misses():
-    vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
+    vocab = (("X", 3), ("Y", 2), ("Z", 1))
     block = concept_block([example("a", {"X", "Y", "Z"}), example("b", {"Q"}), example("c", {"Z", "X"})], vocab)
     assert block.dtype == np.uint8
     assert block.tolist() == [[1, 1, 1], [0, 0, 0], [1, 0, 1]]
@@ -83,7 +82,7 @@ def test_concept_block_hits_and_misses():
 
 @given(st.sets(st.sampled_from(["A", "B", "C", "D", "E"])), st.sets(st.text("abc", max_size=3)))
 def test_concept_block_ignores_out_of_vocabulary(hits, noise):
-    vocab = ConceptVocabulary(entries=(("A", 5), ("B", 4), ("C", 3)))
+    vocab = (("A", 5), ("B", 4), ("C", 3))
     block = concept_block([example("a", hits | {f"oov_{n}" for n in noise}), example("a", hits)], vocab)
     assert np.array_equal(block[0], block[1])
 
@@ -93,7 +92,7 @@ def test_concept_block_ignores_out_of_vocabulary(hits, noise):
 def test_concept_block_rows_equal_the_presence_test(concept_sets, ranked):
     # vocabulary entries are a subset of the concepts the examples draw from, so rows
     # mix hits with out-of-vocabulary concepts
-    vocab = ConceptVocabulary(entries=tuple((c, 1) for c in ranked))
+    vocab = tuple((c, 1) for c in ranked)
     examples = [example(f"a{i}", concepts) for i, concepts in enumerate(concept_sets)]
     block = concept_block(examples, vocab)
     assert block.shape == (len(examples), len(vocab))
@@ -105,7 +104,7 @@ def block(publishers, profiles, uri, kind):
 
 
 def test_assemble_timezone_instance(profiles, publishers):
-    vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
+    vocab = (("X", 3), ("Y", 2), ("Z", 1))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.TIME_ZONE)
     ex = example("a", {"X", "Z"})
     concepts = concept_block([ex], vocab)[0]
@@ -118,7 +117,7 @@ def test_assemble_timezone_instance(profiles, publishers):
 
 
 def test_assemble_economic_length(profiles, publishers):
-    vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2), ("Z", 1)))
+    vocab = (("X", 3), ("Y", 2), ("Z", 1))
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.ECONOMIC)
     ex = example("a", {"X"})
     inst = assemble_instance(ex, concept_block([ex], vocab)[0], profile, False)
@@ -127,17 +126,12 @@ def test_assemble_economic_length(profiles, publishers):
 
 
 def test_assemble_political_unknown_alignment(profiles, publishers):
-    vocab = ConceptVocabulary(entries=(("X", 3),))
-    ex = example("a", {"X"}, source=publishers["stern.de"])
-    # the profile block of a publisher without an alignment cannot be built
-    for error in (IncompleteMetadata, UnknownAlignment):
-        with pytest.raises(error):
-            profile = block(publishers, profiles, ex.source.publisher_uri, BarrierKind.POLITICAL)
-            assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
+    # a publisher without an alignment has no political profile block to assemble
+    assert block(publishers, profiles, "stern.de", BarrierKind.POLITICAL) is None
 
 
 def test_assemble_deterministic(profiles, publishers):
-    vocab = ConceptVocabulary(entries=(("X", 3), ("Y", 2)))
+    vocab = (("X", 3), ("Y", 2))
     ex = example("a", {"X"})
     profile = block(publishers, profiles, "news.sky.com", BarrierKind.CULTURAL)
     a = assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
@@ -148,4 +142,4 @@ def test_assemble_deterministic(profiles, publishers):
 def test_build_vocabulary_from_index():
     index = {"a": frozenset({"X", "Y"}), "b": frozenset({"X"}), "c": frozenset({"X", "Z"}), "d": frozenset({"Z"})}
     vocab = build_vocabulary_from_index(index, k=2)
-    assert vocab.entries == (("X", 3), ("Z", 2))
+    assert vocab == (("X", 3), ("Z", 2))

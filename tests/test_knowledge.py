@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsbarriers.errors import DataError, IncompleteMetadata, MalformedRow, UnknownAlignment, ZeroVector
+from newsbarriers.annotate import build_barrier_dataset
+from newsbarriers.errors import DataError, MalformedRow
+from newsbarriers.ingest import SpreadingExample
 from newsbarriers.knowledge import (
     BARRIERS,
     CULTURAL_FEATURES,
     ECONOMIC_FEATURES,
     BarrierKind,
-    CountryProfile,
+    PublisherRecord,
     alignment_vocabulary,
     barrier_profile,
     load_country_profiles,
@@ -38,7 +40,7 @@ def write_publishers(tmp_path, rows, header=PUBLISHER_HEADER):
 def test_load_profiles_size_and_lookup(tmp_path):
     store = load_country_profiles(write_countries(tmp_path, COUNTRY_ROWS[:3]))
     assert len(store) == 3
-    assert store.get("GB").values["utc_offset"] == 0
+    assert store["GB"]["utc_offset"] == 0
 
 
 def test_latitude_out_of_range(tmp_path):
@@ -101,14 +103,14 @@ def test_utc_offset_out_of_range(tmp_path):
 def test_half_hour_zone_supported(tmp_path):
     row = COUNTRY_ROWS[1].replace("GB,54.0,-2.0,0", "IN,21.0,78.0,330")
     store = load_country_profiles(write_countries(tmp_path, [row]))
-    assert store.get("IN").values["utc_offset"] == 330
+    assert store["IN"]["utc_offset"] == 330
 
 
 def test_utc_offset_truncated_to_whole_minutes(tmp_path):
     rows = [COUNTRY_ROWS[1].replace("GB,54.0,-2.0,0", "IN,21.0,78.0,330.7"),
             COUNTRY_ROWS[2].replace("DE,51.0,9.0,60", "XX,51.0,9.0,-30.5")]
     store = load_country_profiles(write_countries(tmp_path, rows))
-    assert [store.get(c).values["utc_offset"] for c in ("IN", "XX")] == [330.0, -30.0]
+    assert [store[c]["utc_offset"] for c in ("IN", "XX")] == [330.0, -30.0]
     out = tmp_path / "again.csv"
     save_country_profiles(store, out)
     assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["330", "-30"]
@@ -117,7 +119,7 @@ def test_utc_offset_truncated_to_whole_minutes(tmp_path):
 def test_all_zero_cultural_vector_rejected(tmp_path):
     cells = COUNTRY_ROWS[0].split(",")
     cells[4:10] = ["0"] * 6
-    with pytest.raises(ZeroVector):
+    with pytest.raises(DataError, match=r"^row 2: cultural vector for SI is all zero$"):
         load_country_profiles(write_countries(tmp_path, [",".join(cells)]))
 
 
@@ -144,8 +146,7 @@ def test_duplicate_publisher(tmp_path):
 def test_publisher_with_unknown_country_is_kept(publishers, profiles):
     record = publishers.get("247wallst.com")
     assert record.country_code == "US" and "US" not in profiles
-    with pytest.raises(IncompleteMetadata):
-        barrier_profile(record, profiles, BARRIERS[BarrierKind.TIME_ZONE].columns)
+    assert barrier_profile(record, profiles, BARRIERS[BarrierKind.TIME_ZONE].columns) is None
 
 
 def test_publisher_lookup_normalizes_uri(publishers):
@@ -190,20 +191,24 @@ def test_cultural_and_geographic_blocks(publishers, profiles):
 
 
 def test_incomplete_metadata(publishers, profiles):
-    with pytest.raises(IncompleteMetadata):
-        barrier_profile(publishers.get("247wallst.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns)
+    assert barrier_profile(publishers.get("247wallst.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns) is None
 
 
 def test_unknown_alignment(publishers, profiles):
-    with pytest.raises(UnknownAlignment):
-        barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
-                        alignment_vocabulary(publishers))
+    assert barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
+                           alignment_vocabulary(publishers)) is None
 
 
-def test_unknown_alignment_is_incomplete_metadata(publishers, profiles):
-    with pytest.raises(IncompleteMetadata):
-        barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
-                        alignment_vocabulary(publishers))
+def test_alignment_outside_the_vocabulary_is_unknown(publishers, profiles):
+    vocab = alignment_vocabulary(publishers)
+    outsider = PublisherRecord("outsider.example", "Outsider", "GB", "centrism")
+    assert "centrism" not in vocab
+    assert barrier_profile(outsider, profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab) is None
+    examples = [SpreadingExample("a", outsider, publishers["news.sky.com"], frozenset({"X"})),
+                SpreadingExample("b", publishers["news.sky.com"], publishers["derstandard.at"], frozenset({"X"}))]
+    dataset = build_barrier_dataset(examples, BarrierKind.POLITICAL, profiles, vocab, (("X", 2),))
+    assert dataset.dropped == {"unknown_alignment": 1}
+    assert [(i.article_id, i.label) for i in dataset.instances] == [("b", True)]
 
 
 def test_profile_deterministic_and_constant_width(publishers, profiles):
@@ -211,10 +216,10 @@ def test_profile_deterministic_and_constant_width(publishers, profiles):
     for kind in BarrierKind:
         widths = set()
         for record in publishers.values():
-            try:
-                first = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
-                second = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
-            except IncompleteMetadata:
+            first = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
+            second = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)
+            if first is None:
+                assert second is None
                 continue
             assert np.array_equal(first, second)
             widths.add(len(first))
@@ -231,9 +236,8 @@ def test_round_trip_fixture(tmp_path, profiles):
     save_country_profiles(profiles, out)
     reloaded = load_country_profiles(out)
     assert len(reloaded) == len(profiles)
-    for p in profiles.values():
-        q = reloaded.get(p.country_code)
-        assert q == p
+    for code, values in profiles.items():
+        assert reloaded[code] == values
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e12, max_value=1e12)
@@ -255,30 +259,30 @@ def country_profiles(draw):
     }
     values.update(zip(ECONOMIC_FEATURES, economic))
     values.update(zip(CULTURAL_FEATURES, cultural))
-    return CountryProfile(code, values)
+    return code, values
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(country_profiles(), min_size=1, max_size=6, unique_by=lambda p: p.country_code))
+@given(st.lists(country_profiles(), min_size=1, max_size=6, unique_by=lambda p: p[0]))
 def test_round_trip_bit_exact(tmp_path_factory, profiles_list):
     path = tmp_path_factory.mktemp("roundtrip") / "c.csv"
-    store = {p.country_code: p for p in profiles_list}
+    store = dict(profiles_list)
     save_country_profiles(store, path)
     reloaded = load_country_profiles(path)
-    for p in profiles_list:
-        assert reloaded.get(p.country_code) == p
+    for code, values in profiles_list:
+        assert reloaded[code] == values
 
 
 def test_minmax_scaling(profiles):
     scaled = minmax_scaled(profiles)
-    econ = np.array([[p.values[c] for c in ECONOMIC_FEATURES] for p in scaled.values()])
+    econ = np.array([[values[c] for c in ECONOMIC_FEATURES] for values in scaled.values()])
     assert econ.min() >= 0.0 and econ.max() <= 1.0
     # per-feature extremes hit 0 and 1 for non-constant columns
     assert np.allclose(econ.min(axis=0), 0.0)
     assert np.allclose(econ.max(axis=0), 1.0)
     # coordinates and offsets untouched
-    assert scaled.get("GB").values["utc_offset"] == 0
-    assert scaled.get("GB").values["latitude"] == 54.0
+    assert scaled["GB"]["utc_offset"] == 0
+    assert scaled["GB"]["latitude"] == 54.0
 
 
 def test_minmax_constant_feature(tmp_path):
@@ -287,6 +291,6 @@ def test_minmax_constant_feature(tmp_path):
         "AB,2.0,2.0,0," + ",".join(["5"] * 6) + "," + ",".join(["7"] * 13),
     ]
     store = minmax_scaled(load_country_profiles(write_countries(tmp_path, rows)))
-    assert {store.get("AA").values[c] for c in ECONOMIC_FEATURES} == {0.5}
-    assert {store.get("AA").values[c] for c in CULTURAL_FEATURES} == {0.5}
+    assert {store["AA"][c] for c in ECONOMIC_FEATURES} == {0.5}
+    assert {store["AA"][c] for c in CULTURAL_FEATURES} == {0.5}
 
