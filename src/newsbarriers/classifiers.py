@@ -75,10 +75,6 @@ class Standardizer:
         return (X - self.mean) / self.scale
 
 
-def _as_bool_labels(y) -> np.ndarray:
-    return np.asarray(y, dtype=bool)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -190,7 +186,6 @@ class StratifiedBaseline(Stateful):
         self.seed = seed
 
     def fit(self, X, y):
-        y = _as_bool_labels(y)
         if y.all() or not y.any():
             raise DataError("stratified baseline needs both classes in training data")
         self.p_true = float(y.mean())
@@ -208,7 +203,6 @@ class MostFrequentBaseline(Stateful):
     prediction: Optional[bool] = None
 
     def fit(self, X, y):
-        y = _as_bool_labels(y)
         n_true = int(y.sum())
         self.prediction = n_true > len(y) - n_true
         return self
@@ -235,9 +229,8 @@ class KNearestNeighbors(Stateful):
         self.scaler = Standardizer()
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
         self.X_ = self.scaler.fit(X).transform(X)
-        self.y_ = _as_bool_labels(y)
+        self.y_ = y
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -246,7 +239,7 @@ class KNearestNeighbors(Stateful):
     def predict_grid(self, X, values: Sequence[int]) -> list:
         """Predictions for each k in ``values``: the fit does not depend on k,
         and the k nearest neighbours are a prefix of one stable sort."""
-        Xs = self.scaler.transform(np.asarray(X, dtype=float))
+        Xs = self.scaler.transform(X)
         ks = np.array([min(k, len(self.X_)) for k in values], dtype=int)  # capped before numpy: k may pass int64
         out = np.empty((len(ks), len(Xs)), dtype=bool)
         for i, q in enumerate(Xs):
@@ -276,8 +269,7 @@ class LinearSVM(Stateful):
         self.scaler = Standardizer()
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y_pm = np.where(_as_bool_labels(y), 1.0, -1.0).tolist()
+        y_pm = np.where(y, 1.0, -1.0).tolist()
         Xs = self.scaler.fit(X).transform(X)
         Xa = np.hstack([Xs, np.ones((len(Xs), 1))])
         rows = list(Xa)
@@ -305,8 +297,7 @@ class LinearSVM(Stateful):
         return self
 
     def decision_values(self, X) -> np.ndarray:
-        Xs = self.scaler.transform(np.asarray(X, dtype=float))
-        return Xs @ self.weights + self.bias
+        return self.scaler.transform(X) @ self.weights + self.bias
 
     def predict(self, X) -> np.ndarray:
         return self.decision_values(X) > 0.0
@@ -344,23 +335,22 @@ def _predict_trees(table: _Tree, roots: np.ndarray, X: np.ndarray, splits: Optio
     the first nodes ``roots``, each child indexed within its tree; with ``splits`` set, those of
     one tree as it stood after its first ``splits`` splits.
 
-    Every (tree, row) pair walks down together, one level per pass, with each node's tree start
-    added to its children once per call. Node ids are allocated in split order (split r creates
-    nodes 2r+1 and 2r+2), so an internal node whose left child is 2*splits+1 or later was split
-    afterwards and still acts as the leaf it was.
+    Every (tree, row) pair walks down together, one level per pass. A pair's node id stays local
+    to its tree, as the children are, and the pair's tree start is added at each gather. Node ids
+    are allocated in split order (split r creates nodes 2r+1 and 2r+2), so an internal node whose
+    left child is 2*splits+1 or later was split afterwards and still acts as the leaf it was.
     """
-    feature, threshold = table.feature, table.threshold
-    inner = (feature >= 0) if splits is None else (feature >= 0) & (table.left < 2 * splits + 1)
-    start = np.repeat(roots, np.diff(roots, append=len(feature)))
-    left, right = table.left + start, table.right + start
-    node = np.repeat(roots, len(X))
+    feature, threshold, left, right = table.feature, table.threshold, table.left, table.right
+    inner = (feature >= 0) if splits is None else (feature >= 0) & (left < 2 * splits + 1)
+    start = np.repeat(roots, len(X))  # each pair's tree start
+    node = np.zeros(len(start), dtype=np.intp)
     row = np.tile(np.arange(len(X)), len(roots))
     walking = np.arange(len(node))
     while len(walking):
-        at = node[walking]
+        at = start[walking] + node[walking]
         walking, at = walking[inner[at]], at[inner[at]]
         node[walking] = np.where(X[row[walking], feature[at]] <= threshold[at], left[at], right[at])
-    return table.prediction[node].reshape(len(roots), len(X))
+    return table.prediction[start + node].reshape(len(roots), len(X))
 
 
 MASK32 = 0xFFFFFFFF
@@ -669,19 +659,17 @@ class DecisionTreeCART(Stateful):
         self.tree_: Optional[_Tree] = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
         n, d = X.shape
         every = np.broadcast_to(np.arange(d), (1, max(n - 1, 1), d))
-        self.tree_, _ = _grow(X, _as_bool_labels(y), np.arange(n)[None], every, self.max_leaf_nodes)
+        self.tree_, _ = _grow(X, y, np.arange(n)[None], every, self.max_leaf_nodes)
         return self
 
     def predict(self, X) -> np.ndarray:
-        return self.tree_.predict(np.asarray(X, dtype=float))
+        return self.tree_.predict(X)
 
     def predict_grid(self, X, values: Sequence[Optional[int]]) -> list:
         """Predictions for each ``max_leaf_nodes`` in ``values`` (at most the
         fitted one): best-first growth to m leaves is the first m - 1 splits."""
-        X = np.asarray(X, dtype=float)
         return [self.tree_.predict(X, None if m is None else m - 1) for m in values]
 
 
@@ -706,11 +694,10 @@ class RandomForest(Stateful):
         self.nodes_, self.bounds_ = _Tree(), np.zeros(1, dtype=np.intp)  # no trees until a fit
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
         n, d = X.shape
         m = min(self.max_features if self.max_features is not None else math.isqrt(d - 1) + 1, d)
         samples, table = _tree_draws(_spawn_states(self.seed, self.n_estimators), n, d, m)
-        self.nodes_, self.bounds_ = _grow(X, _as_bool_labels(y), samples, table, None)
+        self.nodes_, self.bounds_ = _grow(X, y, samples, table, None)
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -720,7 +707,6 @@ class RandomForest(Stateful):
         """Predictions for each ``n_estimators`` in ``values`` (at most the
         fitted one): tree seeds come from ``SeedSequence(seed).spawn(n)``, whose
         first n children do not depend on n, so a smaller forest is a prefix."""
-        X = np.asarray(X, dtype=float)
         votes = np.cumsum(_predict_trees(self.nodes_, self.bounds_[:-1], X), axis=0)
         return [votes[n - 1] * 2 > n for n in values]
 
@@ -764,8 +750,6 @@ class GaussianNaiveBayes(Stateful):
     log_prior = mean = var = None  # rows [False, True]
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = _as_bool_labels(y)
         if y.all() or not y.any():
             raise DataError("gaussian NB needs both classes in training data")
         max_var = float(X.var(axis=0).max())
@@ -790,7 +774,7 @@ class GaussianNaiveBayes(Stateful):
         return jll
 
     def predict(self, X) -> np.ndarray:
-        jll = self._joint_log_likelihood(np.asarray(X, dtype=float))
+        jll = self._joint_log_likelihood(X)
         return jll[:, 1] > jll[:, 0]
 
 
@@ -854,7 +838,8 @@ FAMILIES = {
 
 @dataclass
 class TrainedModel:
-    """A fitted estimator plus everything needed to reuse it elsewhere."""
+    """A fitted estimator plus everything needed to reuse it elsewhere. Its predict methods convert
+    and check their input once (``_checked``): the estimator gets a float64 matrix of n_features columns."""
 
     family: ModelFamily
     hyperparameters: dict
@@ -881,10 +866,12 @@ class TrainedModel:
 
 
 def train(spec: ModelSpec, data) -> TrainedModel:
-    """Fit ``spec`` on ``data``, a pair of a feature matrix and its labels. A numpy scalar
-    hyperparameter or seed is read as the Python value it holds, the value a model file records."""
-    X, y = data
-    X = np.asarray(X, dtype=float)
+    """Fit ``spec`` on ``data``, a pair of a feature matrix and its labels: the one place fit input
+    is converted, to a float64 matrix and bool labels, and checked. A numpy scalar hyperparameter
+    or seed is read as the Python value it holds, the value a model file records."""
+    X, y = np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=bool)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DataError(f"expected a matrix and one label per row, got shapes {X.shape} and {y.shape}")
     if len(X) == 0:
         raise DataError("no training instances")
     if X.shape[1] == 0:

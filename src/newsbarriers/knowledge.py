@@ -147,8 +147,9 @@ def load_country_profiles(path) -> dict:
     """Load countries.csv as ``{country_code: {column: value}}``, one float per numeric
     COUNTRY_COLUMNS name with utc_offset in whole minutes; a code seen twice is a DataError.
 
-    Values must be finite and within COLUMN_RANGES, and no cosine barrier's
-    columns may be all zero.
+    Values must be finite and within COLUMN_RANGES. A cosine barrier's block may not be all zero,
+    and its squared norm, ``np.dot`` of the block with itself as in ``cosine_similarity``, must be
+    finite; one that underflows to 0 loads, and its pairs are dropped as ``zero_vector``.
     """
     profiles = {}
     with read_table(path) as (header, rows):
@@ -163,9 +164,13 @@ def load_country_profiles(path) -> dict:
                 if not lo <= values[column] <= hi:
                     raise DataError(f"value {values[column]!r} in row {rownum}, column {column!r} outside [{lo}, {hi}]")
             values["utc_offset"] = float(int(values["utc_offset"]))
-            for kind, barrier in BARRIERS.items():
-                if barrier.cosine and not any(values[c] for c in barrier.columns):
+            for kind in (kind for kind, barrier in BARRIERS.items() if barrier.cosine):
+                block = np.array([values[c] for c in BARRIERS[kind].columns])
+                if not block.any():
                     raise DataError(f"row {rownum}: {kind.value} vector for {code} is all zero")
+                with np.errstate(over="ignore"):  # a squared norm that overflows is inf
+                    if not np.isfinite(np.dot(block, block)):
+                        raise DataError(f"row {rownum}: {kind.value} vector for {code} is too large to square")
             if code in profiles:
                 raise DataError(f"duplicate country_code: {code}")
             profiles[code] = values

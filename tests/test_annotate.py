@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from collections import Counter
 from itertools import product
 
@@ -41,6 +42,8 @@ from newsbarriers.knowledge import (
 )
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 from newsbarriers.tables import format_float
+
+from conftest import COUNTRY_HEADER, COUNTRY_ROWS
 
 unit_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=8
@@ -280,6 +283,25 @@ def test_build_dataset_drop_reasons(demo_examples, profiles, alignments):
     assert political.dropped["unknown_alignment"] == 3
     assert [i.article_id for i in political.instances] == ["Extra1"]
     assert political.instances[0].label is True  # social-liberalism vs right-wing
+
+
+# The cells of GB's economic block are not all zero, so its row loads; but their squared norm,
+# as cosine_similarity takes it, underflows to 0: a zero block, whose pairs are dropped.
+def test_a_block_whose_square_underflows_is_a_zero_vector(tmp_path, demo_examples, alignments):
+    rows = [r.split(",") for r in COUNTRY_ROWS]
+    rows[1][10:] = ["1e-200"] * 13
+    countries = tmp_path / "tiny.csv"
+    countries.write_text("\n".join([COUNTRY_HEADER, *map(",".join, rows)]) + "\n", encoding="utf-8")
+    profiles = load_country_profiles(countries)
+    vocab = build_vocabulary(demo_examples, k=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        economic = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab)
+        cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab)
+    # Extra1 and Extra2 target the Daily Mail, in GB; English881 targets a country with no profile
+    assert economic.dropped == Counter(incomplete_metadata=1, zero_vector=2)
+    assert [i.article_id for i in economic.instances] == ["German237"]
+    assert [i.article_id for i in cultural.instances] == ["German237", "Extra1", "Extra2"]
 
 
 def test_same_publisher_pair_labels_false_everywhere(demo_examples, profiles, publishers, alignments):

@@ -409,6 +409,25 @@ def test_train_on_no_rows_is_a_data_error():
         train(ModelSpec(ModelFamily.KNN), (np.zeros((0, 2)), np.zeros(0, dtype=bool)))
 
 
+# kNN and the baselines trained on rows without labels, or labels without rows; SVM, CART,
+# the forest and Naive Bayes failed with an IndexError
+@pytest.mark.parametrize("family", list(ModelFamily), ids=lambda f: f.value)
+@pytest.mark.parametrize("n_labels", [19, 21])
+def test_train_on_labels_not_one_per_row_is_a_data_error(family, n_labels):
+    X, y = blobs(n_per_class=10, seed=20)
+    y = np.resize(y, n_labels)
+    shapes = rf"\(20, 2\) and \({n_labels},\)"
+    with pytest.raises(DataError, match=rf"^expected a matrix and one label per row, got shapes {shapes}$"):
+        train(ModelSpec(family), (X, y))
+
+
+@pytest.mark.parametrize("family", list(ModelFamily), ids=lambda f: f.value)
+def test_train_on_a_1d_matrix_is_a_data_error(family):
+    X, y = blobs(n_per_class=10, seed=20)
+    with pytest.raises(DataError, match=r"^expected a matrix and one label per row, got shapes \(20,\) and"):
+        train(ModelSpec(family), (X[:, 0], y))
+
+
 def test_predict_length_mismatch():
     X, y = blobs(n_per_class=10, seed=19)
     model = train(ModelSpec(ModelFamily.KNN, {"k": 1}), (X, y))

@@ -309,6 +309,8 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
      "synth: could not sample a publisher pair satisfying the diff regimes"),
     ("run", ["--publishers", "{blank_uri}"], 2, "publishers: malformed row 2: empty publisher_uri"),
     ("run", ["--pairs", ""], 1, "pairs: not set"),
+    # a Rank of 1e200 overflowed the cosine's squared norm: exit 0, numpy warnings and NaN labels
+    ("run", ["--countries", "{huge_rank}"], 2, "countries: row 2: economic vector for AA is too large to square"),
 ], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range",
         "train-svm-overflow", "run-svm-overflow",
         "train-no-features-decision-tree", "train-no-features-random-forest", "train-no-features-naive-bayes",
@@ -316,12 +318,12 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
         "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
         "synth-too-many-countries", "synth-one-country-diff", "synth-one-publisher-diff", "regime-no-value",
         "concepts-article-number", "concepts-concept-number", "countries-blank-code", "synth-no-diff-pair",
-        "publishers-blank-uri", "run-pairs-unset"])
+        "publishers-blank-uri", "run-pairs-unset", "countries-huge-rank"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
     datasets = {name: tmp_path / name for name in
                 ("header_only", "one_class", "no_features", "article_number", "concept_number", "blank_code",
-                 "blank_uri")}
+                 "blank_uri", "huge_rank")}
     datasets["header_only"].write_bytes(files["dataset"].split(b"\n", 1)[0] + b"\n")
     datasets["one_class"].write_text("article_id,label,f0\na0,TRUE,1.0\na1,TRUE,2.0\n", encoding="utf-8")
     datasets["no_features"].write_text("article_id,label\na0,TRUE\na1,FALSE\n", encoding="utf-8")
@@ -332,6 +334,10 @@ def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, m
     datasets["blank_code"].write_bytes(b"\r\n".join([header, b"," + first.split(b",", 1)[1], rest]))
     header, first, rest = files["publishers"].split(b"\r\n", 2)
     datasets["blank_uri"].write_bytes(b"\r\n".join([header, b"," + first.split(b",", 1)[1], rest]))
+    header, first, rest = files["countries"].split(b"\r\n", 2)
+    cells = first.split(b",")
+    cells[10] = b"1e200"  # Rank
+    datasets["huge_rank"].write_bytes(b"\r\n".join([header, b",".join(cells), rest]))
     argv = base_argv(command, root, paths) + [flag.format(**datasets) for flag in flags]
     assert call(argv) == (code, message + "\n")
 

@@ -123,6 +123,17 @@ def test_all_zero_cultural_vector_rejected(tmp_path):
         load_country_profiles(write_countries(tmp_path, [",".join(cells)]))
 
 
+# cosine_similarity squares the block with np.dot: a Rank of 1e200 overflowed it to inf, with
+# numpy warnings on stderr, and labelled the country's pairs from a NaN cosine
+@pytest.mark.parametrize("cells,kind", [(slice(10, 11), "economic"), (slice(4, 10), "cultural")],
+                         ids=["economic-rank", "cultural-block"])
+def test_a_block_too_large_to_square_is_rejected(tmp_path, cells, kind):
+    row = COUNTRY_ROWS[0].split(",")
+    row[cells] = ["1e200"] * len(row[cells])
+    with pytest.raises(DataError, match=rf"^row 3: {kind} vector for SI is too large to square$"):
+        load_country_profiles(write_countries(tmp_path, [COUNTRY_ROWS[1], ",".join(row)]))
+
+
 def test_publisher_alignment_present(publishers):
     record = publishers.get("derstandard.at")
     assert record.political_alignment == "social-liberalism"

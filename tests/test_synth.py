@@ -70,6 +70,17 @@ def test_diff_regimes_plant_all_true(tmp_path):
         assert dataset.class_counts[1] == 0  # no FALSE labels anywhere
 
 
+# With two publishers, half the draws pair a publisher with itself; a diff political regime
+# alone resamples them, as no country-level regime is diff to reject them first.
+def test_political_diff_alone_resamples_same_publisher_pairs(tmp_path):
+    spec = SyntheticSpec(n_countries=2, n_publishers=2, n_articles=40, seed=3, regimes={"political": "diff"})
+    paths = generate_corpus(spec, tmp_path / "corpus")
+    propagated = filter_propagated(parse_pairs(paths["pairs"]))
+    assert len(propagated) == 40
+    assert all(p.from_publisher_uri != p.to_publisher_uri for p in propagated)
+    assert {label for _, label in load_truth(paths["truth"])["political"]} == {"TRUE"}
+
+
 def test_shared_utc_offset_means_timezone_false(tmp_path):
     spec = SyntheticSpec(n_countries=2, n_articles=30, seed=3, regimes={"timezone": "same"})
     paths = generate_corpus(spec, tmp_path / "corpus")
