@@ -4,7 +4,8 @@ Label semantics: TRUE means the barrier is present, i.e. the two publishers'
 metadata for that barrier differs. A pair is labeled from the two profile
 blocks that ``knowledge.barrier_profile`` gives its publishers: economic and
 cultural blocks by cosine similarity against a threshold, geographical,
-time-zone and political blocks by whether any value differs.
+time-zone and political blocks by whether any value differs. A barrier is
+named by its key in ``knowledge.BARRIERS``, such as ``"political"``.
 """
 
 from collections import Counter
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import DataError, MalformedRow
 from .features import assemble_instance, concept_block
 from .ingest import SpreadingExample
-from .knowledge import BARRIERS, BarrierKind, barrier_profile, profile_feature_names
+from .knowledge import BARRIERS, barrier_profile, profile_feature_names
 from .tables import atomic_writer, csv_field, csv_text, format_float, parse_float, read_table
 
 SIMILARITY_THRESHOLD = 0.9
@@ -44,7 +45,7 @@ def annotate_vector_barrier(profile_a, profile_b, threshold: float = SIMILARITY_
     return not cosine_similarity(profile_a, profile_b) > threshold
 
 
-def barrier_present(kind: BarrierKind, profile_a, profile_b, threshold: float = SIMILARITY_THRESHOLD) -> bool:
+def barrier_present(barrier: str, profile_a, profile_b, threshold: float = SIMILARITY_THRESHOLD) -> bool:
     """Label of a pair from the two publishers' ``barrier_profile`` blocks.
 
     Economic and cultural blocks use the cosine rule; for the others a barrier
@@ -52,14 +53,14 @@ def barrier_present(kind: BarrierKind, profile_a, profile_b, threshold: float = 
     same country gives the same coordinates, UTC offsets are whole minutes and
     one-hot alignment blocks differ exactly when the alignments do).
     """
-    if BARRIERS[kind].cosine:
+    if BARRIERS[barrier].cosine:
         return annotate_vector_barrier(profile_a, profile_b, threshold)
     return bool((np.abs(profile_a - profile_b) > COORDINATE_EPSILON).any())
 
 
 @dataclass
 class BarrierDataset:
-    barrier: BarrierKind
+    barrier: str
     instances: list
     dropped: Counter = field(default_factory=Counter)
     feature_names: tuple = ()
@@ -75,7 +76,7 @@ class BarrierDataset:
 
     def arrays(self):
         if not self.instances:
-            raise DataError(f"no instances in {self.barrier.value} dataset")
+            raise DataError(f"no instances in {self.barrier} dataset")
         concepts = np.stack([i.concepts for i in self.instances])
         X = np.hstack([concepts, np.stack([i.profile for i in self.instances])])  # float64
         y = np.array([i.label for i in self.instances], dtype=bool)
@@ -84,7 +85,7 @@ class BarrierDataset:
 
 def build_barrier_dataset(
     examples: Sequence[SpreadingExample],
-    kind: BarrierKind,
+    barrier: str,
     profiles: dict,
     alignments: Sequence[str],
     vocab: Sequence,
@@ -105,21 +106,21 @@ def build_barrier_dataset(
     order. The concept block is built once per call and each publisher's
     profile block once; instances hold references to both.
     """
-    columns = BARRIERS[kind].columns
-    if kind is BarrierKind.ECONOMIC and economic_features:
+    columns = BARRIERS[barrier].columns
+    if barrier == "economic" and economic_features:
         for name in economic_features:
             if name not in columns:
                 raise DataError(f"missing column: {name}")
         columns = tuple(economic_features)
     dataset = BarrierDataset(
-        barrier=kind,
+        barrier=barrier,
         instances=[],
         feature_names=tuple(f"c{i}" for i in range(len(vocab))) + profile_feature_names(columns, alignments),
     )
-    missing = "unknown_alignment" if kind is BarrierKind.POLITICAL else "incomplete_metadata"
+    missing = "unknown_alignment" if barrier == "political" else "incomplete_metadata"
     publishers = {p.publisher_uri: p for example in examples for p in (example.source, example.target)}
     blocks = {uri: barrier_profile(p, profiles, columns, alignments) for uri, p in publishers.items()}
-    cosine = BARRIERS[kind].cosine
+    cosine = BARRIERS[barrier].cosine
     zero_norm = {uri for uri, block in blocks.items() if cosine and block is not None and not np.dot(block, block)}
     for example, concepts in zip(examples, concept_block(examples, vocab)):
         source, target = example.source.publisher_uri, example.target.publisher_uri
@@ -130,7 +131,7 @@ def build_barrier_dataset(
         if source in zero_norm or target in zero_norm:
             dataset.dropped["zero_vector"] += 1
             continue
-        label = barrier_present(kind, a, b, threshold)
+        label = barrier_present(barrier, a, b, threshold)
         profile = a if profile_side == "source" else b
         dataset.instances.append(assemble_instance(example, concepts, profile, label))
     return dataset

@@ -83,10 +83,12 @@ def cmd_synth(args) -> int:
     options = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec)}
     regimes = {}
     for item in options.pop("regimes") or ():
-        barrier, sep, regime = item.partition("=")
+        barrier, sep, regime = (part.strip() for part in item.partition("="))
         if not sep:
             raise ConfigError(f"regime: expected BARRIER=same|diff|mixed, got {item!r}")
-        regimes[barrier.strip()] = regime.strip()
+        if barrier in regimes:
+            raise ConfigError(f"regime: repeated barrier {barrier!r}")
+        regimes[barrier] = regime
     spec = SyntheticSpec(regimes=regimes, **{name: value for name, value in options.items() if value is not None})
     make_out_dir(args.out)
     with stage("synth"):

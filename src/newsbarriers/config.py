@@ -10,10 +10,10 @@ from pathlib import Path
 
 from .classifiers import FAMILIES, ModelFamily, family_from_name
 from .errors import ConfigError, DataError
-from .knowledge import ECONOMIC_FEATURES, BarrierKind
+from .knowledge import BARRIERS, ECONOMIC_FEATURES
 from .tables import read_file
 
-ALL_BARRIERS = tuple(k.value for k in BarrierKind)
+ALL_BARRIERS = tuple(BARRIERS)
 ALL_MODELS = tuple(f.value for f in ModelFamily)
 INPUTS = ("pairs", "concepts", "countries", "publishers")  # the options that name input files
 

@@ -17,7 +17,7 @@ from .annotate import BarrierDataset
 # that tracing swaps it in every module that holds it and restores it afterwards
 from .classifiers import FAMILIES, ModelFamily, best_point, grid_predictions, sweep_full, train  # noqa: F401
 from .errors import DataError, MalformedRow
-from .knowledge import BARRIERS, BarrierKind
+from .knowledge import BARRIERS
 from .tables import csv_text, read_table
 
 REPORT_COLUMNS = ("barrier", "model", "ca", "micro_precision", "micro_recall", "micro_f1")
@@ -25,7 +25,7 @@ REPORT_COLUMNS = ("barrier", "model", "ca", "micro_precision", "micro_recall", "
 
 @dataclass(frozen=True)
 class ReportRow:
-    barrier: BarrierKind
+    barrier: str  # a key of BARRIERS
     family: ModelFamily
     accuracy: float
 
@@ -126,7 +126,7 @@ def run_experiment(
 
 
 def _sorted_rows(rows: Sequence[ReportRow]) -> list:
-    return sorted(rows, key=lambda r: (list(BarrierKind).index(r.barrier), list(FAMILIES).index(r.family)))
+    return sorted(rows, key=lambda r: (list(BARRIERS).index(r.barrier), list(FAMILIES).index(r.family)))
 
 
 def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Optional[Sequence[str]] = None) -> str:
@@ -146,7 +146,7 @@ def render_report(rows: Sequence[ReportRow], fmt: str = "markdown", footer: Opti
     lines = ["| Barrier | Model | CA | Mic-Pre | Mic-Rec | Mic-F1 |", "| --- | --- | --- | --- | --- | --- |"]
     last_barrier = None
     for r in ordered:
-        title = BARRIERS[r.barrier].title if r.barrier is not last_barrier else ""
+        title = BARRIERS[r.barrier].title if r.barrier != last_barrier else ""
         last_barrier = r.barrier
         lines.append(f"| {title} | {FAMILIES[r.family].display_name} |" + f" {r.accuracy:.2f} |" * 4)
     text = "\n".join(lines) + "\n"
@@ -160,7 +160,7 @@ def parse_report_csv(path) -> list:
 
     Each row's four metric values must be one accuracy: equal as floats and in [0, 1].
     """
-    title_to_barrier = {b.title: kind for kind, b in BARRIERS.items()}
+    title_to_barrier = {b.title: name for name, b in BARRIERS.items()}
     name_to_family = {f.display_name: family for family, f in FAMILIES.items()}
     rows = []
     with read_table(path) as (header, records):

@@ -1,15 +1,14 @@
 """Pair-file parsing and restructuring into spreading examples.
 
-A pair file carries scored article pairs between publishers. Only pairs whose
-propagation class says information actually spread become examples; each such
-pair is reduced to its source article (the ``from`` side) joined with that
-article's concept annotations.
+A pair file carries scored article pairs between publishers. A pair's
+propagation class is the plain string ``PROPAGATED``, ``UNSURE`` or
+``NOT_PROPAGATED``. Only ``PROPAGATED`` pairs become examples; each is reduced
+to its source article (the ``from`` side) joined with its concept annotations.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .errors import DataError, MalformedLine, MalformedRow
@@ -33,13 +32,12 @@ PROPAGATED_MIN_WEIGHT = 0.7
 NOT_PROPAGATED_MAX_WEIGHT = 0.4
 
 
-class PropagationClass(Enum):
-    INFORMATION_PROPAGATED = "Information-Propagated"
-    UNSURE = "Unsure"
-    INFORMATION_NOT_PROPAGATED = "Information-Not-Propagated"
+# The classes as a pair file spells them: a class cell is read in any case and written so.
+PROPAGATED = "Information-Propagated"
+UNSURE = "Unsure"
+NOT_PROPAGATED = "Information-Not-Propagated"
 
-
-_CLASS_BY_KEY = {c.value.lower(): c for c in PropagationClass}
+_CLASS_BY_KEY = {c.lower(): c for c in (PROPAGATED, UNSURE, NOT_PROPAGATED)}
 
 
 @dataclass(frozen=True)
@@ -47,16 +45,16 @@ class ArticlePair:
     from_id: str
     to_id: str
     weight: float
-    propagation_class: PropagationClass
+    propagation_class: str  # PROPAGATED, UNSURE or NOT_PROPAGATED
     from_publisher: str
     to_publisher: str
     from_publisher_uri: str
     to_publisher_uri: str
 
     def class_weight_consistent(self) -> bool:
-        if self.propagation_class is PropagationClass.INFORMATION_PROPAGATED:
+        if self.propagation_class == PROPAGATED:
             return self.weight >= PROPAGATED_MIN_WEIGHT
-        if self.propagation_class is PropagationClass.INFORMATION_NOT_PROPAGATED:
+        if self.propagation_class == NOT_PROPAGATED:
             return self.weight < NOT_PROPAGATED_MAX_WEIGHT
         return True
 
@@ -120,7 +118,7 @@ def parse_pairs(path) -> list:
 
 def serialize_pairs(pairs: Sequence[ArticlePair], path) -> None:
     rows = (
-        (p.from_id, p.to_id, format_float(p.weight), p.propagation_class.value,
+        (p.from_id, p.to_id, format_float(p.weight), p.propagation_class,
          p.from_publisher, p.to_publisher, p.from_publisher_uri, p.to_publisher_uri)
         for p in pairs
     )
@@ -129,7 +127,7 @@ def serialize_pairs(pairs: Sequence[ArticlePair], path) -> None:
 
 def filter_propagated(pairs: Sequence[ArticlePair]) -> list:
     """Keep exactly the pairs labeled as propagating, in original order."""
-    return [p for p in pairs if p.propagation_class is PropagationClass.INFORMATION_PROPAGATED]
+    return [p for p in pairs if p.propagation_class == PROPAGATED]
 
 
 def count_class_weight_inconsistencies(pairs: Sequence[ArticlePair]) -> int:

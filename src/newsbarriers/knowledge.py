@@ -6,24 +6,17 @@ economic indicators, cultural dimensions, coordinates, and UTC offset) and
 alignment). Each loads into a plain dict: ``{country_code: {column: value}}`` and
 ``{normalized publisher uri: PublisherRecord}``. ``barrier_profile`` reads one
 publisher's block of a barrier from them, or ``None`` where the metadata has none.
+``BARRIERS`` is the one list of barriers, keyed by the plain name that
+``--barriers``, ``dataset_<name>.csv`` and ``truth.csv`` use.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError, MalformedRow
 from .tables import format_float, parse_float, read_table, write_table
-
-
-class BarrierKind(Enum):
-    ECONOMIC = "economic"
-    CULTURAL = "cultural"
-    GEOGRAPHICAL = "geographical"
-    TIME_ZONE = "timezone"
-    POLITICAL = "political"
 
 
 ECONOMIC_FEATURES = (
@@ -81,11 +74,11 @@ class Barrier:
 
 
 BARRIERS = {
-    BarrierKind.ECONOMIC: Barrier("Economic", ECONOMIC_FEATURES, cosine=True),
-    BarrierKind.CULTURAL: Barrier("Cultural", CULTURAL_FEATURES, cosine=True),
-    BarrierKind.GEOGRAPHICAL: Barrier("Geographical", ("latitude", "longitude"), cosine=False),
-    BarrierKind.TIME_ZONE: Barrier("Time Zone", ("utc_offset",), cosine=False),
-    BarrierKind.POLITICAL: Barrier("Political", (), cosine=False),
+    "economic": Barrier("Economic", ECONOMIC_FEATURES, cosine=True),
+    "cultural": Barrier("Cultural", CULTURAL_FEATURES, cosine=True),
+    "geographical": Barrier("Geographical", ("latitude", "longitude"), cosine=False),
+    "timezone": Barrier("Time Zone", ("utc_offset",), cosine=False),
+    "political": Barrier("Political", (), cosine=False),
 }
 
 
@@ -164,13 +157,13 @@ def load_country_profiles(path) -> dict:
                 if not lo <= values[column] <= hi:
                     raise DataError(f"value {values[column]!r} in row {rownum}, column {column!r} outside [{lo}, {hi}]")
             values["utc_offset"] = float(int(values["utc_offset"]))
-            for kind in (kind for kind, barrier in BARRIERS.items() if barrier.cosine):
-                block = np.array([values[c] for c in BARRIERS[kind].columns])
+            for name in (name for name, barrier in BARRIERS.items() if barrier.cosine):
+                block = np.array([values[c] for c in BARRIERS[name].columns])
                 if not block.any():
-                    raise DataError(f"row {rownum}: {kind.value} vector for {code} is all zero")
+                    raise DataError(f"row {rownum}: {name} vector for {code} is all zero")
                 with np.errstate(over="ignore"):  # a squared norm that overflows is inf
                     if not np.isfinite(np.dot(block, block)):
-                        raise DataError(f"row {rownum}: {kind.value} vector for {code} is too large to square")
+                        raise DataError(f"row {rownum}: {name} vector for {code} is too large to square")
             if code in profiles:
                 raise DataError(f"duplicate country_code: {code}")
             profiles[code] = values

@@ -22,7 +22,7 @@ from .ingest import (
     parse_pairs,
     to_spreading_examples,
 )
-from .knowledge import BarrierKind, alignment_vocabulary, load_country_profiles, load_publishers, minmax_scaled
+from .knowledge import BARRIERS, alignment_vocabulary, load_country_profiles, load_publishers, minmax_scaled
 from .tables import write_file, write_table
 
 
@@ -68,7 +68,8 @@ def build_vocab(config: PipelineConfig, examples, index):
 
 
 def annotate_corpus(config: PipelineConfig):
-    """Ingest, build the vocabulary, and materialize per-barrier datasets."""
+    """Ingest, build the vocabulary, and materialize the configured barriers' datasets, in
+    ``BARRIERS`` order: ``{barrier name: BarrierDataset}``."""
     out = make_out_dir(config.out)
     with stage("countries"):
         profiles = load_country_profiles(config.countries)
@@ -82,12 +83,11 @@ def annotate_corpus(config: PipelineConfig):
     with stage("out"):
         write_table(out / "vocabulary.csv", ("concept", "frequency"), vocab)
     datasets = {}
-    for name in config.barriers:
-        kind = BarrierKind(name)
+    for name in (b for b in BARRIERS if b in config.barriers):
         with stage(f"annotate[{name}]"):
             dataset = build_barrier_dataset(
                 examples,
-                kind,
+                name,
                 profiles,
                 alignments,
                 vocab,
@@ -97,7 +97,7 @@ def annotate_corpus(config: PipelineConfig):
             )
         with stage("out"):
             save_barrier_dataset(dataset, out / f"dataset_{name}.csv")
-        datasets[kind] = dataset
+        datasets[name] = dataset
     return datasets, report, vocab
 
 
@@ -115,8 +115,7 @@ def run_pipeline(config: PipelineConfig):
     families = [family_from_name(m) for m in config.models]
     grids = config.model_grids()
     rows, footer = [], []
-    for name in config.barriers:
-        dataset = datasets[BarrierKind(name)]
+    for name, dataset in datasets.items():
         with stage(f"experiment[{name}]"):
             rows.extend(
                 run_experiment(

@@ -6,7 +6,7 @@ pair. Labels are recomputed here from the sampled metadata with plain Python
 arithmetic, independent of the annotation code, so the pipeline can be checked
 against them end to end.
 
-Per-barrier regimes shape the metadata:
+Per-barrier regimes, keyed by the names of ``knowledge.BARRIERS``, shape the metadata:
   same   all publishers share the barrier's metadata, every label FALSE
   diff   metadata differs across the sampled pairs, every label TRUE
   mixed  collisions happen by chance, labels follow the sampled values
@@ -23,19 +23,11 @@ import numpy as np
 from .annotate import COORDINATE_EPSILON, SIMILARITY_THRESHOLD
 from .classifiers import check_seed
 from .errors import ConfigError
-from .ingest import ArticlePair, PropagationClass, serialize_pairs
-from .knowledge import (
-    CULTURAL_FEATURES,
-    ECONOMIC_FEATURES,
-    PUBLISHER_COLUMNS,
-    BarrierKind,
-    save_country_profiles,
-)
+from .ingest import NOT_PROPAGATED, PROPAGATED, UNSURE, ArticlePair, serialize_pairs
+from .knowledge import BARRIERS, CULTURAL_FEATURES, ECONOMIC_FEATURES, PUBLISHER_COLUMNS, save_country_profiles
 from .tables import read_table, write_json, write_table
 
 REGIMES = ("same", "diff", "mixed")
-
-BARRIER_NAMES = tuple(kind.value for kind in BarrierKind)
 
 _MIXED_ALIGNMENTS = ("left-wing", "right-wing", "social-liberalism", "centrism")
 _MIXED_OFFSETS = (-300, 0, 60, 60, 330)
@@ -47,10 +39,10 @@ _DIFF_OFFSETS = np.arange(-720, 841, 30)
 
 # the most countries a diff regime can keep apart, per country-level barrier
 _DIFF_CAPACITY = {
-    BarrierKind.ECONOMIC: len(ECONOMIC_FEATURES),
-    BarrierKind.CULTURAL: len(CULTURAL_FEATURES),
-    BarrierKind.GEOGRAPHICAL: len(_DIFF_LATITUDES),
-    BarrierKind.TIME_ZONE: len(_DIFF_OFFSETS),
+    "economic": len(ECONOMIC_FEATURES),
+    "cultural": len(CULTURAL_FEATURES),
+    "geographical": len(_DIFF_LATITUDES),
+    "timezone": len(_DIFF_OFFSETS),
 }
 
 # Keep every sampled cosine well away from the annotation threshold so that
@@ -69,8 +61,8 @@ class SyntheticSpec:
     unknown_alignment_rate: float = 0.0
     extra_unclassified_pairs: int = 10
 
-    def regime(self, kind: BarrierKind) -> str:
-        return self.regimes.get(kind.value, "mixed")
+    def regime(self, barrier: str) -> str:
+        return self.regimes.get(barrier, "mixed")
 
     def validate(self) -> None:
         if self.n_countries < 1 or self.n_publishers < 1 or self.n_articles < 1:
@@ -83,16 +75,16 @@ class SyntheticSpec:
         if not 0.0 <= self.unknown_alignment_rate <= 1.0:
             raise ConfigError(f"unknown alignment rate must be in [0, 1], got {self.unknown_alignment_rate!r}")
         for name, regime in self.regimes.items():
-            if name not in BARRIER_NAMES:
+            if name not in BARRIERS:
                 raise ConfigError(f"unknown barrier in regimes: {name!r}")
             if regime not in REGIMES:
                 raise ConfigError(f"unknown regime {regime!r} for barrier {name!r}")
-        for kind, capacity in _DIFF_CAPACITY.items():
-            if self.regime(kind) == "diff" and self.n_countries > capacity:
-                raise ConfigError(f"diff {kind.value} regime supports at most {capacity} countries")
-        if any(self.regime(kind) == "diff" for kind in _DIFF_CAPACITY) and self.n_countries < 2:
+        for name, capacity in _DIFF_CAPACITY.items():
+            if self.regime(name) == "diff" and self.n_countries > capacity:
+                raise ConfigError(f"diff {name} regime supports at most {capacity} countries")
+        if any(self.regime(name) == "diff" for name in _DIFF_CAPACITY) and self.n_countries < 2:
             raise ConfigError("diff country-level regimes need at least 2 countries")
-        if self.regime(BarrierKind.POLITICAL) == "diff" and self.n_publishers < 2:
+        if self.regime("political") == "diff" and self.n_publishers < 2:
             raise ConfigError("diff political regime needs at least 2 publishers")
 
 
@@ -204,10 +196,10 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     rng = np.random.default_rng(spec.seed)
 
     codes = _country_codes(spec.n_countries)
-    economic = _vector_block(rng, spec.n_countries, len(ECONOMIC_FEATURES), spec.regime(BarrierKind.ECONOMIC))
-    cultural = _vector_block(rng, spec.n_countries, len(CULTURAL_FEATURES), spec.regime(BarrierKind.CULTURAL))
-    coords = _coordinates(rng, spec.n_countries, spec.regime(BarrierKind.GEOGRAPHICAL))
-    offsets = _offsets(rng, spec.n_countries, spec.regime(BarrierKind.TIME_ZONE))
+    economic = _vector_block(rng, spec.n_countries, len(ECONOMIC_FEATURES), spec.regime("economic"))
+    cultural = _vector_block(rng, spec.n_countries, len(CULTURAL_FEATURES), spec.regime("cultural"))
+    coords = _coordinates(rng, spec.n_countries, spec.regime("geographical"))
+    offsets = _offsets(rng, spec.n_countries, spec.regime("timezone"))
 
     profiles = {
         codes[i]: {
@@ -224,15 +216,15 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     # round-robin start covers every country when publishers allow it
     country_of = [i % spec.n_countries for i in range(min(spec.n_publishers, spec.n_countries))]
     country_of += [int(rng.integers(0, spec.n_countries)) for _ in range(spec.n_publishers - len(country_of))]
-    alignments = _alignments(rng, spec.n_publishers, spec.regime(BarrierKind.POLITICAL), spec.unknown_alignment_rate)
+    alignments = _alignments(rng, spec.n_publishers, spec.regime("political"), spec.unknown_alignment_rate)
     publisher_rows = (
         (f"pub{i:03d}.example.com", f"Publisher {i}", codes[country_of[i]], alignments[i] or "")
         for i in range(spec.n_publishers)
     )
     write_table(out / "publishers.csv", PUBLISHER_COLUMNS, publisher_rows)
 
-    country_diff = any(spec.regime(kind) == "diff" for kind in _DIFF_CAPACITY)
-    political_diff = spec.regime(BarrierKind.POLITICAL) == "diff"
+    country_diff = any(spec.regime(name) == "diff" for name in _DIFF_CAPACITY)
+    political_diff = spec.regime("political") == "diff"
 
     def sample_pair_publishers():
         for _ in range(1000):
@@ -259,7 +251,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     def add_pair(from_id, to_id, s, t, weight_range, propagation_class):
         """Concepts for the source article and, in a propagated pair, the target; then the weight."""
         concept_lines.append({"article": from_id, "concepts": sample_concepts()})
-        if propagation_class is PropagationClass.INFORMATION_PROPAGATED:
+        if propagation_class == PROPAGATED:
             concept_lines.append({"article": to_id, "concepts": sample_concepts()})
         weight = round(float(rng.uniform(*weight_range)), 3)
         pairs.append(ArticlePair(from_id, to_id, weight, propagation_class, f"Publisher {s}", f"Publisher {t}",
@@ -268,25 +260,25 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
     for i in range(spec.n_articles):
         s, t = sample_pair_publishers()
         from_id = f"a{i:04d}"
-        add_pair(from_id, f"b{i:04d}", s, t, (0.71, 0.99), PropagationClass.INFORMATION_PROPAGATED)
+        add_pair(from_id, f"b{i:04d}", s, t, (0.71, 0.99), PROPAGATED)
         cs, ct = country_of[s], country_of[t]
         apart = max(abs(a - b) for a, b in zip(coords[cs], coords[ct]))
         ls, lt = alignments[s], alignments[t]
         labels = {
-            BarrierKind.ECONOMIC.value: _vector_label(economic[cs], economic[ct]),
-            BarrierKind.CULTURAL.value: _vector_label(cultural[cs], cultural[ct]),
-            BarrierKind.GEOGRAPHICAL.value: apart > COORDINATE_EPSILON,
-            BarrierKind.TIME_ZONE.value: offsets[cs] != offsets[ct],
-            BarrierKind.POLITICAL.value: None if ls is None or lt is None else ls != lt,
+            "economic": _vector_label(economic[cs], economic[ct]),
+            "cultural": _vector_label(cultural[cs], cultural[ct]),
+            "geographical": apart > COORDINATE_EPSILON,
+            "timezone": offsets[cs] != offsets[ct],
+            "political": None if ls is None or lt is None else ls != lt,
         }
-        truth_rows.extend((i, from_id, name, _TRUTH_LABELS[labels[name]]) for name in BARRIER_NAMES)
+        truth_rows.extend((i, from_id, name, _TRUTH_LABELS[labels[name]]) for name in BARRIERS)
 
     for i in range(spec.extra_unclassified_pairs):
         s = int(rng.integers(0, spec.n_publishers))
         t = int(rng.integers(0, spec.n_publishers))
         unsure = i % 2 == 0
         add_pair(f"x{i:04d}", f"y{i:04d}", s, t, (0.41, 0.69) if unsure else (0.01, 0.39),
-                 PropagationClass.UNSURE if unsure else PropagationClass.INFORMATION_NOT_PROPAGATED)
+                 UNSURE if unsure else NOT_PROPAGATED)
 
     serialize_pairs(pairs, out / "pairs.csv")
     write_json(out / "concepts.jsonl", concept_lines, lines=True)
@@ -305,7 +297,7 @@ def generate_corpus(spec: SyntheticSpec, out_dir) -> dict:
 
 def load_truth(path) -> dict:
     """truth.csv -> {barrier name: [(article_id, label string), ...] in pair order}."""
-    by_barrier: dict = {name: [] for name in BARRIER_NAMES}
+    by_barrier: dict = {name: [] for name in BARRIERS}
     with read_table(path) as (_, rows):
         for _, (_, article_id, barrier, label) in rows:
             by_barrier[barrier].append((article_id, label))

@@ -28,7 +28,7 @@ from newsbarriers.config import PipelineConfig
 from newsbarriers.evaluate import accuracy, render_report, run_experiment, stratified_kfold
 from newsbarriers.features import LabeledInstance
 from newsbarriers.annotate import BarrierDataset
-from newsbarriers.knowledge import BarrierKind
+from newsbarriers.knowledge import BARRIERS
 from newsbarriers.pipeline import annotate_corpus
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 
@@ -52,7 +52,7 @@ def report(criterion: int, message: str) -> None:
     print(f"[acceptance] criterion {criterion}: PASS - {message}")
 
 
-def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
+def make_dataset(X, y, barrier="economic"):
     """A dataset whose ``arrays()`` are ``X`` and ``y``: each row of X as the profile
     block, after an empty concept block."""
     no_concepts = np.zeros(0, dtype=np.uint8)
@@ -96,7 +96,7 @@ def test_criterion_2_annotation_oracle_equivalence(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    oracle: dict = {kind.value: [] for kind in BarrierKind}
+    oracle: dict = {kind: [] for kind in BARRIERS}
     with open(oracle_out, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -104,10 +104,10 @@ def test_criterion_2_annotation_oracle_equivalence(tmp_path):
             oracle[barrier].append((article_id, label))
 
     for kind, dataset in datasets.items():
-        expected = [(a, l) for a, l in oracle[kind.value] if l != "DROPPED"]
+        expected = [(a, l) for a, l in oracle[kind] if l != "DROPPED"]
         got = [(i.article_id, "TRUE" if i.label else "FALSE") for i in dataset.instances]
-        assert len(got) == 500, f"{kind.value}: {len(got)} instances"
-        assert got == expected, f"{kind.value}: pipeline and brute-force labels disagree"
+        assert len(got) == 500, f"{kind}: {len(got)} instances"
+        assert got == expected, f"{kind}: pipeline and brute-force labels disagree"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle equivalence took {elapsed:.2f}s"
     report(2, f"500/500 agreement on all five barriers, {elapsed:.2f}s")
@@ -224,17 +224,17 @@ def test_criterion_7_table3_counts(tmp_path):
         config.validate()
         datasets, ingest_report, _ = annotate_corpus(config)
         for kind, dataset in datasets.items():
-            expected = TABLE3_COUNTS[event][kind.value]
+            expected = TABLE3_COUNTS[event][kind]
             actual = len(dataset.instances)
             if actual != expected:
                 # every deviation must be accounted for by explicit drop tallies
                 assert actual + dataset.total_dropped == ingest_report.examples
                 assert ingest_report.examples + ingest_report.total_drops == ingest_report.propagated
-                mismatches.append(f"{event}/{kind.value}: {actual} vs {expected} "
+                mismatches.append(f"{event}/{kind}: {actual} vs {expected} "
                                   f"(drops {dict(dataset.dropped)})")
-        for kind in (BarrierKind.CULTURAL, BarrierKind.POLITICAL):
+        for kind in ("cultural", "political"):
             n_true, n_false = datasets[kind].class_counts
-            assert n_false > n_true, f"{event}/{kind.value}: FALSE is not the majority class"
+            assert n_false > n_true, f"{event}/{kind}: FALSE is not the majority class"
     message = "instance counts match the published statistics"
     if mismatches:
         message = "deviations fully accounted by drop reasons: " + "; ".join(mismatches)
@@ -260,10 +260,10 @@ def test_criterion_8_models_beat_baselines(tmp_path):
             rows = run_experiment(dataset, families, k=10, seed=8, grids=grids)
             acc = {r.family: r.accuracy for r in rows}
             for family in learned:
-                assert acc[family] >= acc[ModelFamily.STRATIFIED], f"{event}/{kind.value}: {family}"
-            if kind in (BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
+                assert acc[family] >= acc[ModelFamily.STRATIFIED], f"{event}/{kind}: {family}"
+            if kind in ("geographical", "timezone"):
                 assert any(acc[family] > acc[ModelFamily.MOST_FREQUENT] for family in learned), \
-                    f"{event}/{kind.value}: no learned model beats MostFrequent"
+                    f"{event}/{kind}: no learned model beats MostFrequent"
     report(8, "learned models dominate Stratified everywhere and beat MostFrequent on geo/tz")
 
 

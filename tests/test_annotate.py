@@ -32,7 +32,6 @@ from newsbarriers.knowledge import (
     BARRIERS,
     CULTURAL_FEATURES,
     ECONOMIC_FEATURES,
-    BarrierKind,
     PublisherRecord,
     alignment_vocabulary,
     barrier_profile,
@@ -169,7 +168,7 @@ def test_geographical_same_country_is_false():
     de = make_country("DE", 51.0, 9.0, 60)
     a = make_publisher("a.de", "DE")
     b = make_publisher("b.de", "DE")
-    assert present(BarrierKind.GEOGRAPHICAL, a, b, [de]) is False
+    assert present("geographical", a, b, [de]) is False
 
 
 def test_geographical_same_coordinates_different_code_is_false():
@@ -177,53 +176,53 @@ def test_geographical_same_coordinates_different_code_is_false():
     b = make_publisher("b.y", "BB")
     ca = make_country("AA", 10.0, 20.0)
     cb = make_country("BB", 10.0, 20.0)
-    assert present(BarrierKind.GEOGRAPHICAL, a, b, [ca, cb]) is False
+    assert present("geographical", a, b, [ca, cb]) is False
 
 
 def test_geographical_different_is_true():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
     countries = [make_country("AA", 10.0, 20.0), make_country("BB", -5.0, 20.0)]
-    assert present(BarrierKind.GEOGRAPHICAL, a, b, countries) is True
+    assert present("geographical", a, b, countries) is True
 
 
 def test_timezone_equality():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
-    assert present(BarrierKind.TIME_ZONE, a, b, [make_country("AA", utc=60), make_country("BB", utc=60)]) is False
-    assert present(BarrierKind.TIME_ZONE, a, b, [make_country("AA", utc=0), make_country("BB", utc=330)]) is True
+    assert present("timezone", a, b, [make_country("AA", utc=60), make_country("BB", utc=60)]) is False
+    assert present("timezone", a, b, [make_country("AA", utc=0), make_country("BB", utc=330)]) is True
 
 
 def test_political_different_alignments_is_true():
     a = make_publisher("derstandard.at", "AT", "social-liberalism")
     b = make_publisher("dailymail.co.uk", "GB", "right-wing")
-    assert present(BarrierKind.POLITICAL, a, b, []) is True
+    assert present("political", a, b, []) is True
 
 
 def test_political_equal_alignments_is_false():
     a = make_publisher("a.x", "AA", "right-wing")
     b = make_publisher("b.y", "BB", "right-wing")
-    assert present(BarrierKind.POLITICAL, a, b, []) is False
+    assert present("political", a, b, []) is False
 
 
 def test_political_unknown_alignment_is_incomplete():
     a = make_publisher("stern.de", "DE", None)
     b = make_publisher("dailymail.co.uk", "GB", "right-wing")
-    assert present(BarrierKind.POLITICAL, a, b, []) is None
-    assert present(BarrierKind.POLITICAL, b, a, []) is None
+    assert present("political", a, b, []) is None
+    assert present("political", b, a, []) is None
 
 
 def test_missing_country_is_incomplete():
     a = make_publisher("a.x", "AA")
     b = make_publisher("b.y", "BB")
-    for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
+    for kind in ("economic", "cultural", "geographical", "timezone"):
         assert present(kind, a, b, [make_country("AA")]) is None
         assert present(kind, b, a, [make_country("AA")]) is None
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from(list(BarrierKind)),
+    st.sampled_from(list(BARRIERS)),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=3),
     st.sampled_from([0.5, 0.9, 0.99]),
@@ -264,7 +263,7 @@ def demo_examples(publishers):
 
 def test_build_dataset_accounting_and_order(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    for kind in BarrierKind:
+    for kind in BARRIERS:
         dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
         assert len(dataset.instances) + dataset.total_dropped == len(demo_examples)
         ids = [i.article_id for i in dataset.instances]
@@ -273,12 +272,12 @@ def test_build_dataset_accounting_and_order(demo_examples, profiles, alignments)
 
 def test_build_dataset_drop_reasons(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
+    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
     # English881 targets a publisher with an unmapped country
     assert timezone.dropped["incomplete_metadata"] == 1
     assert [i.article_id for i in timezone.instances] == ["German237", "Extra1", "Extra2"]
 
-    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, alignments, vocab)
+    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, vocab)
     # watson and stern have no alignment; 247wallst.com has none either
     assert political.dropped["unknown_alignment"] == 3
     assert [i.article_id for i in political.instances] == ["Extra1"]
@@ -296,8 +295,8 @@ def test_a_block_whose_square_underflows_is_a_zero_vector(tmp_path, demo_example
     vocab = build_vocabulary(demo_examples, k=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        economic = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab)
-        cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab)
+        economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab)
+        cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab)
     # Extra1 and Extra2 target the Daily Mail, in GB; English881 targets a country with no profile
     assert economic.dropped == Counter(incomplete_metadata=1, zero_vector=2)
     assert [i.article_id for i in economic.instances] == ["German237"]
@@ -307,14 +306,14 @@ def test_a_block_whose_square_underflows_is_a_zero_vector(tmp_path, demo_example
 def test_same_publisher_pair_labels_false_everywhere(demo_examples, profiles, publishers, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
     same = [example(publishers, "German237", "aargauerzeitung.ch", "aargauerzeitung.ch")]
-    for kind in (BarrierKind.ECONOMIC, BarrierKind.CULTURAL, BarrierKind.GEOGRAPHICAL, BarrierKind.TIME_ZONE):
+    for kind in ("economic", "cultural", "geographical", "timezone"):
         dataset = build_barrier_dataset(same, kind, profiles, alignments, vocab)
         assert [i.label for i in dataset.instances] == [False]
 
 
 def test_instances_share_one_feature_length(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    for kind in BarrierKind:
+    for kind in BARRIERS:
         dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
         lengths = {len(i.concepts) + len(i.profile) for i in dataset.instances}
         assert len(lengths) == 1
@@ -323,7 +322,7 @@ def test_instances_share_one_feature_length(demo_examples, profiles, alignments)
 
 def test_class_counts(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=5)
-    dataset = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
+    dataset = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
     n_true, n_false = dataset.class_counts
     assert n_true + n_false == len(dataset.instances)
     labels = [i.label for i in dataset.instances]
@@ -332,42 +331,42 @@ def test_class_counts(demo_examples, profiles, alignments):
 
 def test_feature_names_per_barrier(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=3)
-    economic = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab)
+    economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab)
     assert economic.feature_names[:3] == ("c0", "c1", "c2")
     assert economic.feature_names[3] == "Rank"
     assert len(economic.feature_names) == 3 + 13
-    political = build_barrier_dataset(demo_examples, BarrierKind.POLITICAL, profiles, alignments, vocab)
+    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, vocab)
     assert political.feature_names[3:] == (
         "Political-Alignment=right-wing",
         "Political-Alignment=social-liberalism",
     )
     # countries.csv columns keep their dataset header names
-    geographical = build_barrier_dataset(demo_examples, BarrierKind.GEOGRAPHICAL, profiles, alignments, vocab)
+    geographical = build_barrier_dataset(demo_examples, "geographical", profiles, alignments, vocab)
     assert geographical.feature_names[3:] == ("Latitude", "Longitude")
-    timezone = build_barrier_dataset(demo_examples, BarrierKind.TIME_ZONE, profiles, alignments, vocab)
+    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
     assert timezone.feature_names[3:] == ("UTC-offset",)
 
 
 def test_economic_features_narrow_the_block(demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=1)
-    narrowed = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab,
+    narrowed = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab,
                                      economic_features=("Health", "Rank"))
     assert narrowed.feature_names == ("c0", "Health", "Rank")
     # an empty subset means every indicator, as in PipelineConfig
-    full = build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab, economic_features=())
+    full = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab, economic_features=())
     assert full.feature_names == ("c0",) + ECONOMIC_FEATURES
     # the subset narrows only the economic block
-    cultural = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab,
+    cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab,
                                      economic_features=("Rank",))
     assert cultural.feature_names == ("c0",) + CULTURAL_FEATURES
     with pytest.raises(DataError, match=r"^missing column: NotAColumn$"):
-        build_barrier_dataset(demo_examples, BarrierKind.ECONOMIC, profiles, alignments, vocab,
+        build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab,
                               economic_features=("NotAColumn",))
 
 
 def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, alignments):
     vocab = build_vocabulary(demo_examples, k=4)
-    dataset = build_barrier_dataset(demo_examples, BarrierKind.CULTURAL, profiles, alignments, vocab)
+    dataset = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab)
     path = tmp_path / "dataset.csv"
     save_barrier_dataset(dataset, path)
     X, y = load_barrier_dataset(path)
@@ -381,8 +380,8 @@ def test_threshold_parameter_changes_labels(profiles, publishers, alignments):
     # GB vs DE cultural similarity sits between the default and a higher threshold
     ex = [example(publishers, "a", "news.sky.com", "stern.de")]
     vocab = build_vocabulary(ex, k=1)
-    strict = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, alignments, vocab, threshold=0.999)
-    loose = build_barrier_dataset(ex, BarrierKind.CULTURAL, profiles, alignments, vocab, threshold=0.5)
+    strict = build_barrier_dataset(ex, "cultural", profiles, alignments, vocab, threshold=0.999)
+    loose = build_barrier_dataset(ex, "cultural", profiles, alignments, vocab, threshold=0.5)
     assert strict.instances[0].label is True
     assert loose.instances[0].label is False
 
@@ -390,8 +389,8 @@ def test_threshold_parameter_changes_labels(profiles, publishers, alignments):
 def test_build_dataset_profile_side_target(profiles, publishers, alignments):
     ex = [example(publishers, "a", "news.sky.com", "stern.de", {"X"})]
     vocab = build_vocabulary(ex, k=1)
-    src = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, alignments, vocab, profile_side="source")
-    tgt = build_barrier_dataset(ex, BarrierKind.TIME_ZONE, profiles, alignments, vocab, profile_side="target")
+    src = build_barrier_dataset(ex, "timezone", profiles, alignments, vocab, profile_side="source")
+    tgt = build_barrier_dataset(ex, "timezone", profiles, alignments, vocab, profile_side="target")
     assert src.arrays()[0].tolist() == [[1.0, 0.0]]  # GB offset 0
     assert tgt.arrays()[0].tolist() == [[1.0, 60.0]]  # DE offset 60
     assert src.instances[0].label is tgt.instances[0].label is True
@@ -403,20 +402,20 @@ class Dropped(Exception):
 
 def ladder_label(kind, source, target, profiles, threshold, economic_features):
     """The per-kind labeling ladder that ``barrier_present`` replaced, kept as a reference."""
-    if kind is BarrierKind.POLITICAL:
+    if kind == "political":
         if source.political_alignment is None or target.political_alignment is None:
             raise Dropped("unknown_alignment")
         return source.political_alignment != target.political_alignment
     sv, tv = profiles.get(source.country_code), profiles.get(target.country_code)
     if sv is None or tv is None:
         raise Dropped("incomplete_metadata")
-    if kind is BarrierKind.TIME_ZONE:
+    if kind == "timezone":
         return sv["utc_offset"] != tv["utc_offset"]
-    if kind is BarrierKind.GEOGRAPHICAL:
+    if kind == "geographical":
         if source.country_code == target.country_code:
             return False
         return not (abs(sv["latitude"] - tv["latitude"]) <= 1e-6 and abs(sv["longitude"] - tv["longitude"]) <= 1e-6)
-    names = (economic_features or ECONOMIC_FEATURES) if kind is BarrierKind.ECONOMIC else CULTURAL_FEATURES
+    names = (economic_features or ECONOMIC_FEATURES) if kind == "economic" else CULTURAL_FEATURES
     u, v = [sv[n] for n in names], [tv[n] for n in names]
     if not any(u) or not any(v):
         raise Dropped("zero_vector")
@@ -425,14 +424,14 @@ def ladder_label(kind, source, target, profiles, threshold, economic_features):
 
 def ladder_block(kind, publisher, profiles, alignments, economic_features):
     """The profile block of one publisher, read column by column from its country's values."""
-    if kind is BarrierKind.POLITICAL:
+    if kind == "political":
         return [float(a == publisher.political_alignment) for a in alignments]
     values = profiles[publisher.country_code]
     names = {
-        BarrierKind.ECONOMIC: economic_features or ECONOMIC_FEATURES,
-        BarrierKind.CULTURAL: CULTURAL_FEATURES,
-        BarrierKind.GEOGRAPHICAL: ("latitude", "longitude"),
-        BarrierKind.TIME_ZONE: ("utc_offset",),
+        "economic": economic_features or ECONOMIC_FEATURES,
+        "cultural": CULTURAL_FEATURES,
+        "geographical": ("latitude", "longitude"),
+        "timezone": ("utc_offset",),
     }[kind]
     return [values[n] for n in names]
 
@@ -488,7 +487,7 @@ def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
     alignments = alignment_vocabulary(publishers)
     vocab = build_vocabulary(examples, k=10)
     seen = Counter()
-    for kind, economic_features, side in product(BarrierKind, (None, ("Rank", "Health")), ("source", "target")):
+    for kind, economic_features, side in product(BARRIERS, (None, ("Rank", "Health")), ("source", "target")):
         dataset = build_barrier_dataset(examples, kind, profiles, alignments, vocab, threshold, side, economic_features)
         labels, dropped, blocks = ladder_dataset(examples, kind, profiles, alignments, threshold, side,
                                                  economic_features)
@@ -546,7 +545,7 @@ def datasets(draw):
         for r in range(n)
     ]
     names = tuple(f"c{j}" for j in range(n_concepts)) + tuple(f"p,{j}" for j in range(width))
-    return BarrierDataset(barrier=BarrierKind.POLITICAL, instances=instances, feature_names=names)
+    return BarrierDataset(barrier="political", instances=instances, feature_names=names)
 
 
 @settings(max_examples=300, deadline=None)

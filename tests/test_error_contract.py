@@ -311,6 +311,9 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     ("run", ["--pairs", ""], 1, "pairs: not set"),
     # a Rank of 1e200 overflowed the cosine's squared norm: exit 0, numpy warnings and NaN labels
     ("run", ["--countries", "{huge_rank}"], 2, "countries: row 2: economic vector for AA is too large to square"),
+    # a repeated --regime barrier exited 0 and kept the last regime
+    ("synth", ["--regime", "political=diff", "--regime", "political=same"], 1,
+     "regime: repeated barrier 'political'"),
 ], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range",
         "train-svm-overflow", "run-svm-overflow",
         "train-no-features-decision-tree", "train-no-features-random-forest", "train-no-features-naive-bayes",
@@ -318,7 +321,7 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
         "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
         "synth-too-many-countries", "synth-one-country-diff", "synth-one-publisher-diff", "regime-no-value",
         "concepts-article-number", "concepts-concept-number", "countries-blank-code", "synth-no-diff-pair",
-        "publishers-blank-uri", "run-pairs-unset", "countries-huge-rank"])
+        "publishers-blank-uri", "run-pairs-unset", "countries-huge-rank", "regime-repeated"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
     datasets = {name: tmp_path / name for name in

@@ -21,12 +21,11 @@ from newsbarriers.evaluate import (
     stratified_kfold,
 )
 from newsbarriers.features import LabeledInstance
-from newsbarriers.knowledge import BarrierKind
 
 from conftest import class_summed_micro
 
 
-def make_dataset(X, y, barrier=BarrierKind.ECONOMIC):
+def make_dataset(X, y, barrier="economic"):
     """A dataset whose ``arrays()`` are ``X`` and ``y``: each row of X as the profile
     block, after an empty concept block."""
     no_concepts = np.zeros(0, dtype=np.uint8)
@@ -305,7 +304,7 @@ def test_render_footer_and_dataset_footer():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(20, 2))
     y = np.array([False] * 12 + [True] * 8)
-    dataset = make_dataset(X, y, barrier=BarrierKind.CULTURAL)
+    dataset = make_dataset(X, y, barrier="cultural")
     dataset.dropped["unknown_alignment"] = 3
     footer = dataset_footer(dataset)
     assert footer[0] == "Cultural: 20 instances (TRUE 8 / FALSE 12), dropped 3"

@@ -11,7 +11,7 @@ from newsbarriers.features import (
     concept_block,
 )
 from newsbarriers.ingest import SpreadingExample
-from newsbarriers.knowledge import BARRIERS, BarrierKind, PublisherRecord, alignment_vocabulary, barrier_profile
+from newsbarriers.knowledge import BARRIERS, PublisherRecord, alignment_vocabulary, barrier_profile
 
 SKY = PublisherRecord("news.sky.com", "Sky News", "GB", "right-wing")
 STERN = PublisherRecord("stern.de", "Stern", "DE")
@@ -105,7 +105,7 @@ def block(publishers, profiles, uri, kind):
 
 def test_assemble_timezone_instance(profiles, publishers):
     vocab = (("X", 3), ("Y", 2), ("Z", 1))
-    profile = block(publishers, profiles, "news.sky.com", BarrierKind.TIME_ZONE)
+    profile = block(publishers, profiles, "news.sky.com", "timezone")
     ex = example("a", {"X", "Z"})
     concepts = concept_block([ex], vocab)[0]
     inst = assemble_instance(ex, concepts, profile, True)
@@ -118,7 +118,7 @@ def test_assemble_timezone_instance(profiles, publishers):
 
 def test_assemble_economic_length(profiles, publishers):
     vocab = (("X", 3), ("Y", 2), ("Z", 1))
-    profile = block(publishers, profiles, "news.sky.com", BarrierKind.ECONOMIC)
+    profile = block(publishers, profiles, "news.sky.com", "economic")
     ex = example("a", {"X"})
     inst = assemble_instance(ex, concept_block([ex], vocab)[0], profile, False)
     assert len(inst.concepts) + len(inst.profile) == 3 + 13
@@ -127,13 +127,13 @@ def test_assemble_economic_length(profiles, publishers):
 
 def test_assemble_political_unknown_alignment(profiles, publishers):
     # a publisher without an alignment has no political profile block to assemble
-    assert block(publishers, profiles, "stern.de", BarrierKind.POLITICAL) is None
+    assert block(publishers, profiles, "stern.de", "political") is None
 
 
 def test_assemble_deterministic(profiles, publishers):
     vocab = (("X", 3), ("Y", 2))
     ex = example("a", {"X"})
-    profile = block(publishers, profiles, "news.sky.com", BarrierKind.CULTURAL)
+    profile = block(publishers, profiles, "news.sky.com", "cultural")
     a = assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
     b = assemble_instance(ex, concept_block([ex], vocab)[0], profile, True)
     assert np.array_equal(a.concepts, b.concepts) and np.array_equal(a.profile, b.profile)

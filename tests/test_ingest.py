@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from newsbarriers.errors import DataError, MalformedLine, MalformedRow
 from newsbarriers.ingest import (
+    NOT_PROPAGATED,
+    PROPAGATED,
+    UNSURE,
     ArticlePair,
-    PropagationClass,
     count_class_weight_inconsistencies,
     filter_propagated,
     load_concept_annotations,
@@ -29,9 +31,9 @@ def test_parse_demo_rows(pairs_file):
     sky = pairs[1]
     assert sky.from_id == "English881"
     assert sky.weight == 1.0
-    assert sky.propagation_class is PropagationClass.INFORMATION_PROPAGATED
+    assert sky.propagation_class == PROPAGATED
     assert sky.from_publisher_uri == "news.sky.com"
-    assert pairs[0].propagation_class is PropagationClass.UNSURE
+    assert pairs[0].propagation_class == UNSURE
     assert pairs[0].weight == 0.627
 
 
@@ -94,7 +96,7 @@ pair_strategy = st.builds(
     from_id=st.text(alphabet="abc123", min_size=1, max_size=6),
     to_id=st.text(alphabet="abc123", min_size=1, max_size=6),
     weight=st.floats(min_value=0, max_value=1, allow_nan=False),
-    propagation_class=st.sampled_from(list(PropagationClass)),
+    propagation_class=st.sampled_from([PROPAGATED, UNSURE, NOT_PROPAGATED]),
     from_publisher=st.just("P"),
     to_publisher=st.just("Q"),
     from_publisher_uri=st.just("p.example"),
@@ -106,7 +108,7 @@ pair_strategy = st.builds(
 def test_filter_idempotent_and_order_preserving(pairs):
     once = filter_propagated(pairs)
     assert filter_propagated(once) == once
-    assert once == [p for p in pairs if p.propagation_class is PropagationClass.INFORMATION_PROPAGATED]
+    assert once == [p for p in pairs if p.propagation_class == PROPAGATED]
 
 
 def test_serialize_round_trip_values(pairs_file, tmp_path):
@@ -122,6 +124,17 @@ def test_serialize_reproduces_rows_modulo_whitespace(pairs_file, tmp_path):
     serialize_pairs(pairs, out)
     original = [line.replace(", ", ",") for line in pairs_file.read_text().splitlines()]
     assert out.read_text().splitlines() == original
+
+
+def test_class_cell_is_read_in_any_case_and_written_canonical(tmp_path):
+    rows = [row.replace(",Information-Propagated,", ",information-PROPAGATED,").replace(",Unsure,", ",UNSURE,")
+            for row in PAIR_ROWS[:2]]
+    pairs = parse_pairs(write_pairs(tmp_path, rows))
+    assert [p.propagation_class for p in pairs] == ["Unsure", "Information-Propagated"]
+    assert filter_propagated(pairs) == [pairs[1]]
+    out = tmp_path / "again.csv"
+    serialize_pairs(pairs, out)
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == PAIR_ROWS[:2]
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,6 @@ from newsbarriers.knowledge import (
     BARRIERS,
     CULTURAL_FEATURES,
     ECONOMIC_FEATURES,
-    BarrierKind,
     PublisherRecord,
     alignment_vocabulary,
     barrier_profile,
@@ -157,7 +156,7 @@ def test_duplicate_publisher(tmp_path):
 def test_publisher_with_unknown_country_is_kept(publishers, profiles):
     record = publishers.get("247wallst.com")
     assert record.country_code == "US" and "US" not in profiles
-    assert barrier_profile(record, profiles, BARRIERS[BarrierKind.TIME_ZONE].columns) is None
+    assert barrier_profile(record, profiles, BARRIERS["timezone"].columns) is None
 
 
 def test_publisher_lookup_normalizes_uri(publishers):
@@ -176,37 +175,37 @@ def test_alignment_vocabulary_sorted(publishers):
 
 
 def test_timezone_profile_gb(publishers, profiles):
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.TIME_ZONE].columns)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS["timezone"].columns)
     assert block.tolist() == [0.0]
 
 
 def test_political_one_hot(publishers, profiles):
     vocab = alignment_vocabulary(publishers)
-    block = barrier_profile(publishers.get("derstandard.at"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
+    block = barrier_profile(publishers.get("derstandard.at"), profiles, BARRIERS["political"].columns, vocab)
     assert block.tolist() == [0.0, 1.0]
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS["political"].columns, vocab)
     assert block.tolist() == [1.0, 0.0]
 
 
 def test_economic_profile_is_13_wide(publishers, profiles):
-    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns)
+    block = barrier_profile(publishers.get("news.sky.com"), profiles, BARRIERS["economic"].columns)
     assert len(block) == 13
     assert block[0] == 13.0  # Rank column of the GB fixture row
 
 
 def test_cultural_and_geographic_blocks(publishers, profiles):
     sky = publishers.get("news.sky.com")
-    assert len(barrier_profile(sky, profiles, BARRIERS[BarrierKind.CULTURAL].columns)) == 6
-    geo = barrier_profile(sky, profiles, BARRIERS[BarrierKind.GEOGRAPHICAL].columns)
+    assert len(barrier_profile(sky, profiles, BARRIERS["cultural"].columns)) == 6
+    geo = barrier_profile(sky, profiles, BARRIERS["geographical"].columns)
     assert geo.tolist() == [54.0, -2.0]
 
 
 def test_incomplete_metadata(publishers, profiles):
-    assert barrier_profile(publishers.get("247wallst.com"), profiles, BARRIERS[BarrierKind.ECONOMIC].columns) is None
+    assert barrier_profile(publishers.get("247wallst.com"), profiles, BARRIERS["economic"].columns) is None
 
 
 def test_unknown_alignment(publishers, profiles):
-    assert barrier_profile(publishers.get("stern.de"), profiles, BARRIERS[BarrierKind.POLITICAL].columns,
+    assert barrier_profile(publishers.get("stern.de"), profiles, BARRIERS["political"].columns,
                            alignment_vocabulary(publishers)) is None
 
 
@@ -214,17 +213,17 @@ def test_alignment_outside_the_vocabulary_is_unknown(publishers, profiles):
     vocab = alignment_vocabulary(publishers)
     outsider = PublisherRecord("outsider.example", "Outsider", "GB", "centrism")
     assert "centrism" not in vocab
-    assert barrier_profile(outsider, profiles, BARRIERS[BarrierKind.POLITICAL].columns, vocab) is None
+    assert barrier_profile(outsider, profiles, BARRIERS["political"].columns, vocab) is None
     examples = [SpreadingExample("a", outsider, publishers["news.sky.com"], frozenset({"X"})),
                 SpreadingExample("b", publishers["news.sky.com"], publishers["derstandard.at"], frozenset({"X"}))]
-    dataset = build_barrier_dataset(examples, BarrierKind.POLITICAL, profiles, vocab, (("X", 2),))
+    dataset = build_barrier_dataset(examples, "political", profiles, vocab, (("X", 2),))
     assert dataset.dropped == {"unknown_alignment": 1}
     assert [(i.article_id, i.label) for i in dataset.instances] == [("b", True)]
 
 
 def test_profile_deterministic_and_constant_width(publishers, profiles):
     vocab = alignment_vocabulary(publishers)
-    for kind in BarrierKind:
+    for kind in BARRIERS:
         widths = set()
         for record in publishers.values():
             first = barrier_profile(record, profiles, BARRIERS[kind].columns, vocab)

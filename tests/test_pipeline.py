@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from newsbarriers import pipeline
@@ -52,3 +55,15 @@ def test_reports_replace_the_old_ones(tmp_path, corpus):
     report = (run / "report.csv").read_text(encoding="utf-8")
     assert "Uniform" in report and "Most Frequent" in report
     assert not list(run.glob(".*.tmp"))
+
+
+def test_reports_follow_the_barrier_table_not_the_flag(tmp_path, corpus):
+    """Rows and footer both list barriers in ``BARRIERS`` order, whatever order ``--barriers`` gives."""
+    reports = []
+    for barriers in (("economic", "timezone"), ("timezone", "economic")):
+        config = replace(small_config(corpus, tmp_path / "-".join(barriers), ("most_frequent",)), barriers=barriers)
+        pipeline.run_pipeline(config)
+        reports.append({name: (Path(config.out) / name).read_bytes() for name in ("report.csv", "report.md")})
+    assert reports[0] == reports[1]
+    footer = [line for line in reports[0]["report.md"].decode().splitlines() if " instances (" in line]
+    assert [line.split(":")[0] for line in footer] == ["Economic", "Time Zone"]

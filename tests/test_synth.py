@@ -12,7 +12,6 @@ from newsbarriers.cli import main
 from newsbarriers.config import PipelineConfig
 from newsbarriers.errors import ConfigError
 from newsbarriers.ingest import filter_propagated, parse_pairs
-from newsbarriers.knowledge import BarrierKind
 from newsbarriers.pipeline import annotate_corpus
 from newsbarriers.synth import SyntheticSpec, generate_corpus, load_truth
 
@@ -99,7 +98,7 @@ def test_mixed_labels_match_annotator_exactly(tmp_path):
     datasets, report, _ = annotate(paths, tmp_path)
     assert report.total_drops == 0
     for kind, dataset in datasets.items():
-        expected = [(a, l) for a, l in truth[kind.value] if l != "DROPPED"]
+        expected = [(a, l) for a, l in truth[kind] if l != "DROPPED"]
         assert labels_of(dataset) == expected
 
 
@@ -110,7 +109,7 @@ def test_unknown_alignments_drop_politically(tmp_path):
     expected_drops = sum(1 for _, label in truth["political"] if label == "DROPPED")
     assert expected_drops > 0
     datasets, _, _ = annotate(paths, tmp_path)
-    political = datasets[BarrierKind.POLITICAL]
+    political = datasets["political"]
     assert political.dropped["unknown_alignment"] == expected_drops
     assert labels_of(political) == [(a, l) for a, l in truth["political"] if l != "DROPPED"]
 
