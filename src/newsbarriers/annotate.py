@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, MalformedRow
-from .features import assemble_instance, concept_block
+from .features import assemble_instance
 from .ingest import SpreadingExample
 from .knowledge import BARRIERS, barrier_profile, profile_feature_names
 from .tables import atomic_writer, csv_field, csv_text, format_float, parse_float, read_table
@@ -60,6 +60,13 @@ def barrier_present(barrier: str, profile_a, profile_b, threshold: float = SIMIL
 
 @dataclass
 class BarrierDataset:
+    """One barrier's instances in input order, with the tally of what was dropped.
+
+    Every instance holds a row of one uint8 concept block and its publisher's
+    float profile block, by reference. ``blocks()`` stacks them narrow;
+    ``arrays()`` is the float64 ``X`` and ``y``.
+    """
+
     barrier: str
     instances: list
     dropped: Counter = field(default_factory=Counter)
@@ -74,13 +81,19 @@ class BarrierDataset:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    def arrays(self):
+    def blocks(self):
+        """``(concepts, profiles, y)``: the uint8 n x V concept rows, the float64 n x P profile
+        rows and the bool labels. A 0/1 uint8 cell widens to float64 exactly, so a fold can
+        ``np.hstack`` its rows of the two blocks without ever building the whole ``X``."""
         if not self.instances:
             raise DataError(f"no instances in {self.barrier} dataset")
         concepts = np.stack([i.concepts for i in self.instances])
-        X = np.hstack([concepts, np.stack([i.profile for i in self.instances])])  # float64
-        y = np.array([i.label for i in self.instances], dtype=bool)
-        return X, y
+        profiles = np.stack([i.profile for i in self.instances])
+        return concepts, profiles, np.array([i.label for i in self.instances], dtype=bool)
+
+    def arrays(self):
+        concepts, profiles, y = self.blocks()
+        return np.hstack([concepts, profiles]), y  # float64
 
 
 def build_barrier_dataset(
@@ -88,7 +101,7 @@ def build_barrier_dataset(
     barrier: str,
     profiles: dict,
     alignments: Sequence[str],
-    vocab: Sequence,
+    concepts: np.ndarray,
     threshold: float = SIMILARITY_THRESHOLD,
     profile_side: str = "source",
     economic_features: Sequence[str] = (),
@@ -97,14 +110,16 @@ def build_barrier_dataset(
 
     ``profiles`` is ``load_country_profiles``' dict, ``alignments`` the
     political block's vocabulary (``knowledge.alignment_vocabulary``) and
-    ``vocab`` the concept vocabulary of ``features.build_vocabulary``.
+    ``concepts`` the examples' ``features.concept_block``: one uint8 row per
+    example, in example order, one column ``c<j>`` per vocabulary entry.
     ``economic_features`` narrows the economic block to those indicators.
     Examples that cannot be labeled are dropped and tallied in ``dropped`` by
     reason: a publisher without a block is ``unknown_alignment`` for the
     political barrier and ``incomplete_metadata`` for the others, and else a
     cosine block of zero norm is ``zero_vector``. Instance order follows input
-    order. The concept block is built once per call and each publisher's
-    profile block once; instances hold references to both.
+    order. A run builds the concept block once and passes it to every barrier,
+    and each publisher's profile block is built once per call; instances hold
+    references to rows of both.
     """
     columns = BARRIERS[barrier].columns
     if barrier == "economic" and economic_features:
@@ -115,14 +130,14 @@ def build_barrier_dataset(
     dataset = BarrierDataset(
         barrier=barrier,
         instances=[],
-        feature_names=tuple(f"c{i}" for i in range(len(vocab))) + profile_feature_names(columns, alignments),
+        feature_names=tuple(f"c{j}" for j in range(concepts.shape[1])) + profile_feature_names(columns, alignments),
     )
     missing = "unknown_alignment" if barrier == "political" else "incomplete_metadata"
     publishers = {p.publisher_uri: p for example in examples for p in (example.source, example.target)}
     blocks = {uri: barrier_profile(p, profiles, columns, alignments) for uri, p in publishers.items()}
     cosine = BARRIERS[barrier].cosine
     zero_norm = {uri for uri, block in blocks.items() if cosine and block is not None and not np.dot(block, block)}
-    for example, concepts in zip(examples, concept_block(examples, vocab)):
+    for example, row in zip(examples, concepts, strict=True):
         source, target = example.source.publisher_uri, example.target.publisher_uri
         a, b = blocks[source], blocks[target]
         if a is None or b is None:
@@ -133,7 +148,7 @@ def build_barrier_dataset(
             continue
         label = barrier_present(barrier, a, b, threshold)
         profile = a if profile_side == "source" else b
-        dataset.instances.append(assemble_instance(example, concepts, profile, label))
+        dataset.instances.append(assemble_instance(example, row, profile, label))
     return dataset
 
 

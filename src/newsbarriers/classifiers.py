@@ -60,14 +60,20 @@ def family_from_name(name: str) -> ModelFamily:
         raise ValueError(f"unknown model family: {name!r}") from None
 
 
+VARIANCE_OVERFLOWS = "a feature's variance overflows float64"
+
+
 class Standardizer:
     """Per-feature (x - mean) / std; zero-variance features keep scale 1."""
 
     mean = scale = None
 
     def fit(self, X: np.ndarray) -> "Standardizer":
-        self.mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        with np.errstate(over="ignore"):  # a variance that overflows is inf: checked below
+            self.mean = X.mean(axis=0)
+            std = X.std(axis=0)
+        if np.isinf(std).any():
+            raise DataError(VARIANCE_OVERFLOWS)
         self.scale = np.where(std > 0, std, 1.0)
         return self
 
@@ -750,16 +756,29 @@ class GaussianNaiveBayes(Stateful):
     log_prior = mean = var = None  # rows [False, True]
 
     def fit(self, X, y):
+        """Each class's prior, and per feature its mean and its variance plus eps, a share of
+        the largest variance of the whole ``X``.
+
+        A class block is gathered as a fresh copy and its variance taken in place, with the
+        ufunc calls of ``np.mean`` and ``np.var``: the same bits as ``block.var(axis=0)``,
+        without a second temporary the size of the block. A variance that overflows is a
+        DataError."""
         if y.all() or not y.any():
             raise DataError("gaussian NB needs both classes in training data")
-        max_var = float(X.var(axis=0).max())
-        eps = self.VAR_SMOOTHING * max_var if max_var > 0 else self.VAR_SMOOTHING
         means, variances, priors = [], [], []
-        for label in (False, True):
-            block = X[y == label]
-            means.append(block.mean(axis=0))
-            variances.append(block.var(axis=0) + eps)
-            priors.append(len(block) / len(X))
+        with np.errstate(over="ignore"):  # a variance that overflows is inf: checked below
+            max_var = float(X.var(axis=0).max())
+            eps = self.VAR_SMOOTHING * max_var if max_var > 0 else self.VAR_SMOOTHING
+            for label in (False, True):
+                block = X[y == label]
+                mean = np.add.reduce(block, axis=0) / len(block)
+                np.subtract(block, mean, out=block)
+                np.multiply(block, block, out=block)
+                means.append(mean)
+                variances.append(np.add.reduce(block, axis=0) / len(block) + eps)
+                priors.append(len(block) / len(X))
+        if np.isinf(variances).any():
+            raise DataError(VARIANCE_OVERFLOWS)
         self.mean = np.stack(means)
         self.var = np.stack(variances)
         self.log_prior = np.log(np.array(priors))

@@ -102,15 +102,20 @@ def run_experiment(
     cross-validation on the training portion instead, then sweeps that one
     value. The accuracy pools the held-out predictions of all folds unless
     ``fold_mean`` asks for the mean of the per-fold accuracies.
+
+    The dataset is read as its narrow ``blocks()``; only one fold's training and
+    test matrices are float64 at a time, never the whole dataset's.
     """
-    X, y = dataset.arrays()
+    concepts, profiles, y = dataset.blocks()
     fold_of = stratified_kfold(y, k=k, seed=seed, ids=[i.article_id for i in dataset.instances])
     sweeps = [(grids or {}).get(family, FAMILIES[family].sweep_values) for family in families]
     pooled = np.empty((len(families), len(y)), dtype=bool)
     per_fold = [[] for _ in families]
     for fold in range(k):
         tr, te = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
-        train_data, X_te, y_te = (X[tr], y[tr]), X[te], y[te]  # sliced once per fold, shared by every family
+        # widened to float64 once per fold, shared by every family: the rows of ``dataset.arrays()``
+        X_tr, X_te = (np.hstack([concepts[r], profiles[r]]) for r in (tr, te))
+        train_data, y_te = (X_tr, y[tr]), y[te]
         for m, (family, values) in enumerate(zip(families, sweeps)):
             fold_seed = _child_seed(seed, m, fold)
             if nested and len(values) > 1:

@@ -14,7 +14,7 @@ from .classifiers import family_from_name
 from .config import INPUTS, PipelineConfig, config_to_text
 from .errors import ConfigError, DataError
 from .evaluate import dataset_footer, render_report, run_experiment
-from .features import build_vocabulary, build_vocabulary_from_index
+from .features import build_vocabulary, build_vocabulary_from_index, concept_block
 from .ingest import (
     count_class_weight_inconsistencies,
     filter_propagated,
@@ -82,6 +82,7 @@ def annotate_corpus(config: PipelineConfig):
     vocab = build_vocab(config, examples, index)
     with stage("out"):
         write_table(out / "vocabulary.csv", ("concept", "frequency"), vocab)
+    concepts = concept_block(examples, vocab)  # one block per run: every barrier's instances hold its rows
     datasets = {}
     for name in (b for b in BARRIERS if b in config.barriers):
         with stage(f"annotate[{name}]"):
@@ -90,7 +91,7 @@ def annotate_corpus(config: PipelineConfig):
                 name,
                 profiles,
                 alignments,
-                vocab,
+                concepts,
                 threshold=config.threshold,
                 profile_side=config.profile_side,
                 economic_features=config.economic_features,

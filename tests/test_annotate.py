@@ -20,7 +20,7 @@ from newsbarriers.annotate import (
     save_barrier_dataset,
 )
 from newsbarriers.errors import DataError
-from newsbarriers.features import LabeledInstance, build_vocabulary
+from newsbarriers.features import LabeledInstance, build_vocabulary, concept_block
 from newsbarriers.ingest import (
     SpreadingExample,
     filter_propagated,
@@ -262,22 +262,22 @@ def demo_examples(publishers):
 
 
 def test_build_dataset_accounting_and_order(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=5)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=5))
     for kind in BARRIERS:
-        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
+        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, concepts)
         assert len(dataset.instances) + dataset.total_dropped == len(demo_examples)
         ids = [i.article_id for i in dataset.instances]
         assert ids == [e.article_id for e in demo_examples if e.article_id in ids]
 
 
 def test_build_dataset_drop_reasons(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=5)
-    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=5))
+    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, concepts)
     # English881 targets a publisher with an unmapped country
     assert timezone.dropped["incomplete_metadata"] == 1
     assert [i.article_id for i in timezone.instances] == ["German237", "Extra1", "Extra2"]
 
-    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, vocab)
+    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, concepts)
     # watson and stern have no alignment; 247wallst.com has none either
     assert political.dropped["unknown_alignment"] == 3
     assert [i.article_id for i in political.instances] == ["Extra1"]
@@ -292,11 +292,11 @@ def test_a_block_whose_square_underflows_is_a_zero_vector(tmp_path, demo_example
     countries = tmp_path / "tiny.csv"
     countries.write_text("\n".join([COUNTRY_HEADER, *map(",".join, rows)]) + "\n", encoding="utf-8")
     profiles = load_country_profiles(countries)
-    vocab = build_vocabulary(demo_examples, k=5)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab)
-        cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab)
+        economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, concepts)
+        cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, concepts)
     # Extra1 and Extra2 target the Daily Mail, in GB; English881 targets a country with no profile
     assert economic.dropped == Counter(incomplete_metadata=1, zero_vector=2)
     assert [i.article_id for i in economic.instances] == ["German237"]
@@ -304,25 +304,25 @@ def test_a_block_whose_square_underflows_is_a_zero_vector(tmp_path, demo_example
 
 
 def test_same_publisher_pair_labels_false_everywhere(demo_examples, profiles, publishers, alignments):
-    vocab = build_vocabulary(demo_examples, k=5)
     same = [example(publishers, "German237", "aargauerzeitung.ch", "aargauerzeitung.ch")]
+    concepts = concept_block(same, build_vocabulary(demo_examples, k=5))
     for kind in ("economic", "cultural", "geographical", "timezone"):
-        dataset = build_barrier_dataset(same, kind, profiles, alignments, vocab)
+        dataset = build_barrier_dataset(same, kind, profiles, alignments, concepts)
         assert [i.label for i in dataset.instances] == [False]
 
 
 def test_instances_share_one_feature_length(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=5)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=5))
     for kind in BARRIERS:
-        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, vocab)
+        dataset = build_barrier_dataset(demo_examples, kind, profiles, alignments, concepts)
         lengths = {len(i.concepts) + len(i.profile) for i in dataset.instances}
         assert len(lengths) == 1
         assert lengths == {len(dataset.feature_names)}
 
 
 def test_class_counts(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=5)
-    dataset = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=5))
+    dataset = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, concepts)
     n_true, n_false = dataset.class_counts
     assert n_true + n_false == len(dataset.instances)
     labels = [i.label for i in dataset.instances]
@@ -330,43 +330,43 @@ def test_class_counts(demo_examples, profiles, alignments):
 
 
 def test_feature_names_per_barrier(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=3)
-    economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=3))
+    economic = build_barrier_dataset(demo_examples, "economic", profiles, alignments, concepts)
     assert economic.feature_names[:3] == ("c0", "c1", "c2")
     assert economic.feature_names[3] == "Rank"
     assert len(economic.feature_names) == 3 + 13
-    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, vocab)
+    political = build_barrier_dataset(demo_examples, "political", profiles, alignments, concepts)
     assert political.feature_names[3:] == (
         "Political-Alignment=right-wing",
         "Political-Alignment=social-liberalism",
     )
     # countries.csv columns keep their dataset header names
-    geographical = build_barrier_dataset(demo_examples, "geographical", profiles, alignments, vocab)
+    geographical = build_barrier_dataset(demo_examples, "geographical", profiles, alignments, concepts)
     assert geographical.feature_names[3:] == ("Latitude", "Longitude")
-    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, vocab)
+    timezone = build_barrier_dataset(demo_examples, "timezone", profiles, alignments, concepts)
     assert timezone.feature_names[3:] == ("UTC-offset",)
 
 
 def test_economic_features_narrow_the_block(demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=1)
-    narrowed = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab,
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=1))
+    narrowed = build_barrier_dataset(demo_examples, "economic", profiles, alignments, concepts,
                                      economic_features=("Health", "Rank"))
     assert narrowed.feature_names == ("c0", "Health", "Rank")
     # an empty subset means every indicator, as in PipelineConfig
-    full = build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab, economic_features=())
+    full = build_barrier_dataset(demo_examples, "economic", profiles, alignments, concepts, economic_features=())
     assert full.feature_names == ("c0",) + ECONOMIC_FEATURES
     # the subset narrows only the economic block
-    cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab,
+    cultural = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, concepts,
                                      economic_features=("Rank",))
     assert cultural.feature_names == ("c0",) + CULTURAL_FEATURES
     with pytest.raises(DataError, match=r"^missing column: NotAColumn$"):
-        build_barrier_dataset(demo_examples, "economic", profiles, alignments, vocab,
+        build_barrier_dataset(demo_examples, "economic", profiles, alignments, concepts,
                               economic_features=("NotAColumn",))
 
 
 def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, alignments):
-    vocab = build_vocabulary(demo_examples, k=4)
-    dataset = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, vocab)
+    concepts = concept_block(demo_examples, build_vocabulary(demo_examples, k=4))
+    dataset = build_barrier_dataset(demo_examples, "cultural", profiles, alignments, concepts)
     path = tmp_path / "dataset.csv"
     save_barrier_dataset(dataset, path)
     X, y = load_barrier_dataset(path)
@@ -379,18 +379,18 @@ def test_dataset_csv_round_trip(tmp_path, demo_examples, profiles, alignments):
 def test_threshold_parameter_changes_labels(profiles, publishers, alignments):
     # GB vs DE cultural similarity sits between the default and a higher threshold
     ex = [example(publishers, "a", "news.sky.com", "stern.de")]
-    vocab = build_vocabulary(ex, k=1)
-    strict = build_barrier_dataset(ex, "cultural", profiles, alignments, vocab, threshold=0.999)
-    loose = build_barrier_dataset(ex, "cultural", profiles, alignments, vocab, threshold=0.5)
+    concepts = concept_block(ex, build_vocabulary(ex, k=1))
+    strict = build_barrier_dataset(ex, "cultural", profiles, alignments, concepts, threshold=0.999)
+    loose = build_barrier_dataset(ex, "cultural", profiles, alignments, concepts, threshold=0.5)
     assert strict.instances[0].label is True
     assert loose.instances[0].label is False
 
 
 def test_build_dataset_profile_side_target(profiles, publishers, alignments):
     ex = [example(publishers, "a", "news.sky.com", "stern.de", {"X"})]
-    vocab = build_vocabulary(ex, k=1)
-    src = build_barrier_dataset(ex, "timezone", profiles, alignments, vocab, profile_side="source")
-    tgt = build_barrier_dataset(ex, "timezone", profiles, alignments, vocab, profile_side="target")
+    concepts = concept_block(ex, build_vocabulary(ex, k=1))
+    src = build_barrier_dataset(ex, "timezone", profiles, alignments, concepts, profile_side="source")
+    tgt = build_barrier_dataset(ex, "timezone", profiles, alignments, concepts, profile_side="target")
     assert src.arrays()[0].tolist() == [[1.0, 0.0]]  # GB offset 0
     assert tgt.arrays()[0].tolist() == [[1.0, 60.0]]  # DE offset 60
     assert src.instances[0].label is tgt.instances[0].label is True
@@ -486,9 +486,11 @@ def test_labels_and_drops_match_the_ladder(synth_corpus, scale, threshold):
     profiles = {code: p for code, p in profiles.items() if code != missing}
     alignments = alignment_vocabulary(publishers)
     vocab = build_vocabulary(examples, k=10)
+    concepts = concept_block(examples, vocab)
     seen = Counter()
     for kind, economic_features, side in product(BARRIERS, (None, ("Rank", "Health")), ("source", "target")):
-        dataset = build_barrier_dataset(examples, kind, profiles, alignments, vocab, threshold, side, economic_features)
+        dataset = build_barrier_dataset(examples, kind, profiles, alignments, concepts, threshold, side,
+                                        economic_features)
         labels, dropped, blocks = ladder_dataset(examples, kind, profiles, alignments, threshold, side,
                                                  economic_features)
         assert [(i.article_id, i.label) for i in dataset.instances] == labels

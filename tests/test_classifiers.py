@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from newsbarriers import classifiers
 from newsbarriers.classifiers import (
@@ -103,6 +104,58 @@ def test_stratified_single_class_degenerate():
 def test_naive_bayes_single_class_degenerate():
     with pytest.raises(DataError, match=r"^gaussian NB needs both classes in training data$"):
         GaussianNaiveBayes().fit(np.zeros((5, 2)), np.array([False] * 5))
+
+
+def numpy_naive_bayes_statistics(X, y):
+    """Class means and smoothed variances as ``np.mean`` and ``np.var`` give them."""
+    max_var = float(X.var(axis=0).max())
+    eps = GaussianNaiveBayes.VAR_SMOOTHING * max_var if max_var > 0 else GaussianNaiveBayes.VAR_SMOOTHING
+    blocks = [X[y == label] for label in (False, True)]
+    return np.stack([b.mean(axis=0) for b in blocks]), np.stack([b.var(axis=0) + eps for b in blocks])
+
+
+CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0, 1e150, -1e150]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+)
+
+
+@st.composite
+def naive_bayes_data(draw):
+    """Up to 40 columns, some held constant, and up to 60 rows in two classes, either of which may be one row."""
+    n, d = draw(st.integers(min_value=2, max_value=60)), draw(st.integers(min_value=1, max_value=40))
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda ys: len(set(ys)) == 2)))
+    X = draw(arrays(np.float64, (n, d), elements=CELLS))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = X[0, constant]
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(naive_bayes_data())
+@example((np.array([[1e150], [0.0], [-1e150]]), np.array([True, False, False])))  # one column, a one-row class
+@example((np.array([[1.0, -0.0], [1.0, -0.0]]), np.array([False, True])))  # every variance 0
+# 20 rows a class and 9 columns: summed 8 columns at a time, the ninth would be summed pairwise
+@example((np.random.default_rng(5).choice([0.0, 1.0, -0.0, 0.3, -2.7, 1e150, -1e150], (40, 9)), np.arange(40) % 2 == 0))
+def test_naive_bayes_statistics_are_numpy_mean_and_var(data):
+    # the in-place variance makes the calls np.mean and np.var make, so the bits are theirs,
+    # including a single column, which numpy sums pairwise rather than row by row
+    X, y = data
+    before = X.copy()
+    model = GaussianNaiveBayes().fit(X, y)
+    mean, var = numpy_naive_bayes_statistics(X, y)
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.var.tobytes() == var.tobytes()
+    assert X.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("fit", [lambda X, y: GaussianNaiveBayes().fit(X, y), lambda X, y: Standardizer().fit(X)],
+                         ids=["naive_bayes", "standardizer"])
+def test_a_variance_that_overflows_is_a_data_error(fit):
+    # each square is finite; their sum over the rows is not
+    X = np.array([[1e154, 0.0], [-1e154, 1.0], [1e154, 2.0], [-1e154, 3.0]])
+    with pytest.raises(DataError, match=r"^a feature's variance overflows float64$"):
+        fit(X, np.array([False, True, False, True]))
 
 
 def test_uniform_and_most_frequent_train_on_single_class():

@@ -314,6 +314,13 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
     # a repeated --regime barrier exited 0 and kept the last regime
     ("synth", ["--regime", "political=diff", "--regime", "political=same"], 1,
      "regime: repeated barrier 'political'"),
+    # a Rank of 1.3e154 squares to a finite norm, but a variance's sum over the rows overflows: the
+    # run exited 0 with numpy warnings on stderr and infinite variances in the models
+    *[("run", ["--countries", "{huge_variance}", "--barriers", "economic", "--models", family], 2,
+       "experiment[economic]: a feature's variance overflows float64") for family in ("naive_bayes", "svm", "knn")],
+    # the same overflow blamed the model file: "out: m.json: a value is not finite ..."
+    ("train", ["--data", "{huge_column}", "--family", "naive_bayes"], 2,
+     "train: a feature's variance overflows float64"),
 ], ids=["train-header-only", "evaluate-header-only", "train-one-class", "train-param-range",
         "train-svm-overflow", "run-svm-overflow",
         "train-no-features-decision-tree", "train-no-features-random-forest", "train-no-features-naive-bayes",
@@ -321,15 +328,18 @@ def test_negative_seed_and_line_breaks(inputs, command, flags, message):
         "synth-timezone-diff", "synth-geographical-diff", "synth-negative-extra-pairs", "synth-empty-pool",
         "synth-too-many-countries", "synth-one-country-diff", "synth-one-publisher-diff", "regime-no-value",
         "concepts-article-number", "concepts-concept-number", "countries-blank-code", "synth-no-diff-pair",
-        "publishers-blank-uri", "run-pairs-unset", "countries-huge-rank", "regime-repeated"])
+        "publishers-blank-uri", "run-pairs-unset", "countries-huge-rank", "regime-repeated",
+        "run-variance-overflow-naive-bayes", "run-variance-overflow-svm", "run-variance-overflow-knn",
+        "train-variance-overflow"])
 def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, message):
     root, paths, files = inputs
     datasets = {name: tmp_path / name for name in
                 ("header_only", "one_class", "no_features", "article_number", "concept_number", "blank_code",
-                 "blank_uri", "huge_rank")}
+                 "blank_uri", "huge_rank", "huge_variance", "huge_column")}
     datasets["header_only"].write_bytes(files["dataset"].split(b"\n", 1)[0] + b"\n")
     datasets["one_class"].write_text("article_id,label,f0\na0,TRUE,1.0\na1,TRUE,2.0\n", encoding="utf-8")
     datasets["no_features"].write_text("article_id,label\na0,TRUE\na1,FALSE\n", encoding="utf-8")
+    datasets["huge_column"].write_text("article_id,label,f0\na0,TRUE,1e154\na1,FALSE,-1e154\n", encoding="utf-8")
     concepts = files["concepts"].split(b"\n", 1)[1]
     datasets["article_number"].write_bytes(b'{"article": 1, "concepts": []}\n' + concepts)
     datasets["concept_number"].write_bytes(b'{"article": "a0000", "concepts": [1]}\n' + concepts)
@@ -338,9 +348,10 @@ def test_every_failure_names_its_stage(inputs, tmp_path, command, flags, code, m
     header, first, rest = files["publishers"].split(b"\r\n", 2)
     datasets["blank_uri"].write_bytes(b"\r\n".join([header, b"," + first.split(b",", 1)[1], rest]))
     header, first, rest = files["countries"].split(b"\r\n", 2)
-    cells = first.split(b",")
-    cells[10] = b"1e200"  # Rank
-    datasets["huge_rank"].write_bytes(b"\r\n".join([header, b",".join(cells), rest]))
+    for name, rank in (("huge_rank", b"1e200"), ("huge_variance", b"1.3e154")):
+        cells = first.split(b",")
+        cells[10] = rank  # Rank
+        datasets[name].write_bytes(b"\r\n".join([header, b",".join(cells), rest]))
     argv = base_argv(command, root, paths) + [flag.format(**datasets) for flag in flags]
     assert call(argv) == (code, message + "\n")
 

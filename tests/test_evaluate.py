@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -202,6 +203,28 @@ def test_run_experiment_fold_mean_and_nested_run():
     assert 0.0 <= nested_rows[0].accuracy <= 1.0
     again = run_experiment(dataset, [ModelFamily.KNN], k=5, seed=10, grids=grids, nested=True)
     assert nested_rows == again
+
+
+def test_cross_validation_memory_stays_flat():
+    # the dataset's instances hold rows of a uint8 concept block and shared profile blocks; only
+    # one fold is widened to float64 at a time, so the peak stays below 2.5 float64 matrices
+    rng = np.random.default_rng(16)
+    concepts = (rng.random((3000, 300)) < 0.02).astype(np.uint8)
+    profiles = rng.normal(size=(20, 13))
+    dataset = BarrierDataset(barrier="economic", instances=[
+        LabeledInstance(concepts=row, profile=profiles[i % 20], label=bool(rng.random() < 0.3), article_id=f"a{i:04d}")
+        for i, row in enumerate(concepts)
+    ])
+    families = [ModelFamily.UNIFORM, ModelFamily.STRATIFIED, ModelFamily.MOST_FREQUENT, ModelFamily.NAIVE_BAYES]
+    run_experiment(make_dataset(np.eye(20), np.arange(20) % 2 == 0), families)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        run_experiment(dataset, families, k=10, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    float64_matrix = 3000 * (300 + 13) * 8
+    assert peak < 2.5 * float64_matrix, peak / float64_matrix
 
 
 NESTED_GRIDS = {

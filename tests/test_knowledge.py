@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from newsbarriers.annotate import build_barrier_dataset
 from newsbarriers.errors import DataError, MalformedRow
+from newsbarriers.features import concept_block
 from newsbarriers.ingest import SpreadingExample
 from newsbarriers.knowledge import (
     BARRIERS,
@@ -216,7 +217,7 @@ def test_alignment_outside_the_vocabulary_is_unknown(publishers, profiles):
     assert barrier_profile(outsider, profiles, BARRIERS["political"].columns, vocab) is None
     examples = [SpreadingExample("a", outsider, publishers["news.sky.com"], frozenset({"X"})),
                 SpreadingExample("b", publishers["news.sky.com"], publishers["derstandard.at"], frozenset({"X"}))]
-    dataset = build_barrier_dataset(examples, "political", profiles, vocab, (("X", 2),))
+    dataset = build_barrier_dataset(examples, "political", profiles, vocab, concept_block(examples, (("X", 2),)))
     assert dataset.dropped == {"unknown_alignment": 1}
     assert [(i.article_id, i.label) for i in dataset.instances] == [("b", True)]
 

@@ -1,10 +1,12 @@
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsbarriers import pipeline
 from newsbarriers.config import PipelineConfig
+from newsbarriers.knowledge import BARRIERS
 from newsbarriers.synth import SyntheticSpec, generate_corpus
 
 
@@ -67,3 +69,13 @@ def test_reports_follow_the_barrier_table_not_the_flag(tmp_path, corpus):
     assert reports[0] == reports[1]
     footer = [line for line in reports[0]["report.md"].decode().splitlines() if " instances (" in line]
     assert [line.split(":")[0] for line in footer] == ["Economic", "Time Zone"]
+
+
+def test_barriers_share_one_concept_block(tmp_path, corpus):
+    """Every instance of every barrier holds a row of the run's one uint8 concept block."""
+    config = replace(small_config(corpus, tmp_path / "run", ("most_frequent",)), barriers=tuple(BARRIERS))
+    datasets, _, _ = pipeline.annotate_corpus(config)
+    assert list(datasets) == list(BARRIERS) and all(d.instances for d in datasets.values())
+    block = datasets["economic"].instances[0].concepts.base
+    assert block.dtype == np.uint8 and block.ndim == 2
+    assert all(i.concepts.base is block for d in datasets.values() for i in d.instances)
